@@ -66,12 +66,12 @@ void ThreadPool::ParallelRegion::capture_exception(std::exception_ptr e) {
 }
 
 void ThreadPool::ParallelRegion::finish_chunk() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    --remaining_;
-    if (remaining_ > 0) return;
-  }
-  done_.notify_all();
+  // Notify while holding the lock: the waiter may return and destroy the
+  // region (it lives on the submitting thread's stack) as soon as it can
+  // take mu_ and see remaining_ == 0, so done_ must not be touched after
+  // the unlock.
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (--remaining_ == 0) done_.notify_all();
 }
 
 void ThreadPool::ParallelRegion::wait_and_rethrow() {

@@ -4,7 +4,8 @@
 // partition (m-1 further pairings), which covers the pairing space Korf's
 // m-way CKK explores without enumerating all m! bijections.  The best
 // complete differencing (minimum final spread) wins.
-#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "nfv/scheduling/algorithm.h"
 #include "kk_util.h"
@@ -17,47 +18,67 @@ CkkScheduling::CkkScheduling(Options options) : options_(options) {
 
 namespace {
 
+/// Depth-first search over values only: a node at depth d holds the heap
+/// `frames[d]` and writes each child's combined row into arena row n+d.
+/// The winning leaf's request sets are rebuilt afterwards by replaying its
+/// per-depth shifts through the arena.
 struct CkkSearch {
-  std::size_t m = 0;
-  std::uint64_t nodes = 0;
-  std::uint64_t budget = 0;
-  bool exhausted = false;
-  double best_spread = 0.0;
-  detail::Partition best;
+  CkkSearch(detail::KkArena& arena_, std::size_t n_, std::size_t m_,
+            std::uint64_t budget_)
+      : arena(arena_), n(n_), m(m_), budget(budget_), frames(n_),
+        path(n_ - 1) {
+    frames[0] = arena.heap();
+  }
 
-  void dfs(detail::PartitionHeap list) {
+  detail::KkArena& arena;
+  std::size_t n;
+  std::size_t m;
+  std::uint64_t budget;
+  std::uint64_t nodes = 0;
+  bool exhausted = false;
+  bool found = false;
+  double best_spread = 0.0;
+  std::vector<std::vector<detail::HeapEntry>> frames;
+  std::vector<std::uint32_t> path;       // shift taken at each depth
+  std::vector<std::uint32_t> best_path;
+
+  void dfs(std::size_t depth) {
     if (exhausted) return;
+    std::vector<detail::HeapEntry>& list = frames[depth];
     if (list.size() == 1) {
-      const double spread = list.top().values.front();  // normalized: min==0
-      if (best.values.empty() || spread < best_spread) {
-        best = list.pop();
+      const double spread = list.front().head;  // normalized: min==0
+      if (!found || spread < best_spread) {
+        found = true;
         best_spread = spread;
+        best_path = path;
       }
       return;
     }
-    if (++nodes > budget && !best.values.empty()) {
+    if (++nodes > budget && found) {
       exhausted = true;
       return;
     }
     // Lower bound: combining can reduce the largest head by at most the sum
-    // of all other heads (classic KK bound, generalized).
-    if (!best.values.empty()) {
-      if (list.top().head() - list.other_heads_sum() >= best_spread) {
-        // Even perfect cancellation leaves a spread >= incumbent.
-        return;
-      }
+    // of all other heads (classic KK bound, generalized).  Even perfect
+    // cancellation would leave a spread >= incumbent.
+    if (found &&
+        list.front().head - detail::other_heads_sum(list) >= best_spread) {
+      return;
     }
-    detail::Partition a = list.pop();
-    detail::Partition b = list.pop();
-    for (std::size_t shift = 0; shift < m; ++shift) {
-      auto perm = [this, shift](std::size_t i) {
-        return (m - 1 - i + shift) % m;
-      };
-      detail::PartitionHeap next = list;  // copy remaining
-      next.push(detail::combine(a, b, perm));
-      dfs(std::move(next));
+    const detail::HeapEntry a = detail::pop_entry(list);
+    const detail::HeapEntry b = detail::pop_entry(list);
+    // One push per level, so the child's seq is n + depth: its row.
+    const auto row = static_cast<std::uint32_t>(n + depth);
+    for (std::uint32_t shift = 0; shift < m; ++shift) {
+      arena.combine_values(row, a.row, b.row, [this, shift](std::size_t i) {
+        return detail::shifted_reverse(m, shift, i);
+      });
+      std::vector<detail::HeapEntry>& child = frames[depth + 1];
+      child.assign(list.begin(), list.end());
+      detail::push_entry(child, {arena.head(row), row, row});
+      path[depth] = shift;
+      dfs(depth + 1);
       if (exhausted) return;
-      if (m == 1) break;
     }
   }
 };
@@ -73,13 +94,16 @@ Schedule CkkScheduling::schedule(const SchedulingProblem& problem,
     out.work = problem.request_count();
     return out;
   }
-  CkkSearch search;
-  search.m = problem.instance_count;
-  search.budget = options_.node_budget;
-  search.dfs(detail::PartitionHeap(detail::initial_partitions(problem)));
-  NFV_CHECK(!search.best.values.empty());
-  out.instance_of = detail::to_assignment(search.best,
-                                          problem.request_count());
+  const std::size_t n = problem.request_count();
+  detail::KkArena arena(problem, n - 1);
+  const std::size_t m = problem.instance_count;
+  CkkSearch search(arena, n, m, options_.node_budget);
+  search.dfs(0);
+  NFV_CHECK(search.found);
+  out.instance_of = arena.assignment(
+      arena.reduce([&](std::size_t step, std::size_t i) {
+        return detail::shifted_reverse(m, search.best_path[step], i);
+      }));
   out.work = search.nodes;
   out.validate(problem);
   return out;

@@ -16,15 +16,10 @@ Schedule KkForwardScheduling::schedule(const SchedulingProblem& problem,
     out.work = problem.request_count();
     return out;
   }
-  detail::PartitionHeap heap(detail::initial_partitions(problem));
-  while (heap.size() > 1) {
-    detail::Partition a = heap.pop();
-    detail::Partition b = heap.pop();
-    heap.push(detail::combine_forward(a, b));
-    ++out.work;
-  }
-  out.instance_of = detail::to_assignment(heap.top(),
-                                          problem.request_count());
+  detail::KkArena arena(problem, 0);
+  out.instance_of = arena.assignment(
+      arena.reduce([](std::size_t, std::size_t i) { return i; }));
+  out.work = problem.request_count() - 1;
   out.validate(problem);
   return out;
 }

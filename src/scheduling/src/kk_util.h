@@ -1,196 +1,200 @@
 // Internal machinery shared by the Karmarkar-Karp family (RCKK, forward KK,
-// CKK): partitions carrying per-position request sets, kept sorted by
-// leading value.
+// CKK): the Partition_list of Algorithm 2 laid out in one flat arena.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
+#include <limits>
 #include <vector>
 
 #include "nfv/scheduling/problem.h"
 
 namespace nfv::sched::detail {
 
-/// A partition in the sense of Algorithm 2: m position values (sorted
-/// descending) and, per position, the set of request indices whose rates
-/// sum to that value.
-struct Partition {
-  std::vector<double> values;                        // size m, descending
-  std::vector<std::vector<std::uint32_t>> sets;      // size m
+inline constexpr std::uint32_t kNoRequest =
+    std::numeric_limits<std::uint32_t>::max();
 
-  /// Leading (largest) value — the sort key of the Partition_list.
-  [[nodiscard]] double head() const { return values.front(); }
+/// A Partition_list entry: the partition held in arena row `row`, keyed by
+/// its leading (largest) value and its insertion sequence.
+struct HeapEntry {
+  double head = 0.0;
+  std::uint32_t seq = 0;
+  std::uint32_t row = 0;
 };
 
-/// Builds the initial Partition_list: one partition (λ_r/P_r, 0, ..., 0)
-/// per request, sorted descending by effective rate (line 1 of Algorithm 2;
-/// with uniform P this is the paper's λ_r ordering).
-[[nodiscard]] inline std::vector<Partition> initial_partitions(
-    const SchedulingProblem& problem) {
-  const std::uint32_t m = problem.instance_count;
-  std::vector<std::uint32_t> order(problem.request_count());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return problem.effective_rate(a) >
-                            problem.effective_rate(b);
-                   });
-  std::vector<Partition> list;
-  list.reserve(order.size());
-  for (const std::uint32_t r : order) {
-    Partition p;
-    p.values.assign(m, 0.0);
-    p.sets.resize(m);
-    p.values[0] = problem.effective_rate(r);
-    p.sets[0].push_back(r);
-    list.push_back(std::move(p));
+/// std:: heap algorithms keep the *largest* element (by this "less than")
+/// at the front, so the list pops by head descending.  An earlier seq wins
+/// among equal heads: like a sorted list that inserts a new partition
+/// *after* existing equal heads, ties break FIFO.  (head, seq) is a total
+/// order, so every heap over the same entries pops the same sequence.
+struct Before {
+  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+    if (a.head != b.head) return a.head < b.head;
+    return a.seq > b.seq;
   }
-  return list;
+};
+
+inline HeapEntry pop_entry(std::vector<HeapEntry>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), Before{});
+  const HeapEntry top = heap.back();
+  heap.pop_back();
+  return top;
 }
 
-/// Combines partitions a and b position-wise: position i of the result is
-/// a_i + b_{perm(i)} (sets merged accordingly), then re-sorted descending
-/// and normalized by subtracting the last value (lines 3-5).  `perm(i)`
-/// = m-1-i for the paper's reverse combine; the identity for forward KK.
-template <typename Perm>
-[[nodiscard]] Partition combine(const Partition& a, const Partition& b,
-                                Perm perm) {
-  const std::size_t m = a.values.size();
-  Partition merged;
-  merged.values.resize(m);
-  merged.sets.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t j = perm(i);
-    merged.values[i] = a.values[i] + b.values[j];
-    merged.sets[i] = a.sets[i];
-    merged.sets[i].insert(merged.sets[i].end(), b.sets[j].begin(),
-                          b.sets[j].end());
-  }
-  // Re-sort positions by value descending, keeping sets attached.
-  std::vector<std::size_t> order(m);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return merged.values[x] > merged.values[y];
-  });
-  Partition out;
-  out.values.resize(m);
-  out.sets.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    out.values[i] = merged.values[order[i]];
-    out.sets[i] = std::move(merged.sets[order[i]]);
-  }
-  // Normalize: subtract the smallest value from every position.  The
-  // offsets discarded here are equal across positions, so the *relative*
-  // balance — all any later combine needs — is preserved.
-  const double base = out.values.back();
-  for (double& v : out.values) v -= base;
-  return out;
+inline void push_entry(std::vector<HeapEntry>& heap, HeapEntry entry) {
+  heap.push_back(entry);
+  std::push_heap(heap.begin(), heap.end(), Before{});
 }
 
-[[nodiscard]] inline Partition combine_reverse(const Partition& a,
-                                               const Partition& b) {
-  const std::size_t m = a.values.size();
-  return combine(a, b, [m](std::size_t i) { return m - 1 - i; });
+/// Sum of every head except the largest — the CKK pruning bound.  Summed
+/// in heap-array order, which the std:: heap algorithms fix exactly.
+[[nodiscard]] inline double other_heads_sum(const std::vector<HeapEntry>& heap) {
+  double sum = 0.0;
+  for (std::size_t i = 1; i < heap.size(); ++i) sum += heap[i].head;
+  return sum;
 }
 
-[[nodiscard]] inline Partition combine_forward(const Partition& a,
-                                               const Partition& b) {
-  return combine(a, b, [](std::size_t i) { return i; });
+/// CKK's pairing family: position i of the first partition meets position
+/// (m-1-i+shift) mod m of the second.  shift 0 is RCKK's reverse combine.
+[[nodiscard]] inline std::size_t shifted_reverse(std::size_t m,
+                                                 std::size_t shift,
+                                                 std::size_t i) {
+  const std::size_t j = m - 1 - i + shift;
+  return j >= m ? j - m : j;
 }
 
-/// Inserts into a descending-by-head list, keeping it sorted (line 6).
-///
-/// Reference implementation of the Partition_list: O(n) per insert from
-/// the vector shift.  The algorithms use PartitionHeap below (O(log n)
-/// per operation, identical pop order); this stays as the executable
-/// specification the heap is unit-tested against.
-inline void insert_sorted(std::vector<Partition>& list, Partition p) {
-  const auto pos = std::upper_bound(
-      list.begin(), list.end(), p,
-      [](const Partition& x, const Partition& y) { return x.head() > y.head(); });
-  list.insert(pos, std::move(p));
-}
-
-/// The Partition_list as a binary max-heap: pop() yields the partition
-/// with the largest head, and — like the sorted list, where insert_sorted
-/// places a new partition *after* existing equal heads — ties break FIFO
-/// by insertion order.  Keying the heap on (head desc, insertion-seq asc)
-/// reproduces the list's pop sequence exactly while cutting the
-/// Partition_list maintenance from O(n) per combine (vector shift) to
-/// O(log n), i.e. O(n log n) total for a full RCKK/KK run.
-class PartitionHeap {
+/// Every partition of one KK run in a flat arena.  A partition is a row of
+/// m values (descending, normalized so the last is 0).  Request rows
+/// 0..n-1 also carry, per position, the set of requests whose rates sum to
+/// that value, as a (head, tail) span of one shared `next` list — so
+/// merging two sets is an O(1) splice.  Combines write in place, and a run
+/// makes a fixed number of allocations whatever n is.
+class KkArena {
  public:
-  PartitionHeap() = default;
-
-  /// Heapifies an initial list; element i gets insertion sequence i, so
-  /// the pop order of an initial_partitions() vector (already sorted
-  /// descending, stable) is preserved.
-  explicit PartitionHeap(std::vector<Partition> initial) {
-    entries_.reserve(initial.size());
-    for (Partition& p : initial) {
-      entries_.push_back(Entry{std::move(p), next_seq_++});
+  /// Line 1 of Algorithm 2: row r is (λ_r/P_r, 0, ..., 0) with set {r} at
+  /// position 0.  The heap holds one entry per request in descending
+  /// effective-rate order (ties: lower index first), seq = rank — the
+  /// order and array layout of a stable sort then make_heap.
+  /// `scratch_rows` value-only rows follow the request rows (CKK's
+  /// per-depth children).
+  KkArena(const SchedulingProblem& problem, std::size_t scratch_rows)
+      : m_(problem.instance_count),
+        values_((problem.request_count() + scratch_rows) * m_, 0.0),
+        sets_(problem.request_count() * m_),
+        next_(problem.request_count(), kNoRequest) {
+    const std::size_t n = problem.request_count();
+    heap_.reserve(n);
+    for (std::uint32_t r = 0; r < n; ++r) {
+      values_[r * m_] = problem.effective_rate(r);
+      sets_[r * m_] = Span{r, r};
+      heap_.push_back(HeapEntry{values_[r * m_], r, r});
     }
-    std::make_heap(entries_.begin(), entries_.end(), Before{});
+    std::sort(heap_.begin(), heap_.end(),
+              [](const HeapEntry& a, const HeapEntry& b) {
+                if (a.head != b.head) return a.head > b.head;
+                return a.row < b.row;
+              });
+    for (std::uint32_t i = 0; i < n; ++i) heap_[i].seq = i;
+    std::make_heap(heap_.begin(), heap_.end(), Before{});
   }
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] const std::vector<HeapEntry>& heap() const { return heap_; }
+  [[nodiscard]] double head(std::uint32_t row) const {
+    return values_[row * m_];
+  }
 
-  /// Largest head (ties: earliest inserted) without removing it.
-  [[nodiscard]] const Partition& top() const { return entries_.front().p; }
+  /// Writes the combine of rows a and b into row dst, values only (lines
+  /// 3-5): position i is a_i + b_{perm(i)}, then a stable descending sort,
+  /// then the last value is subtracted from every position.  dst may be a.
+  template <typename Perm>
+  void combine_values(std::uint32_t dst, std::uint32_t a, std::uint32_t b,
+                      Perm perm) {
+    combine<false>(dst, a, b, perm);
+  }
 
-  /// Sum of every head except the largest — the CKK pruning bound.
-  /// O(n), but only reached on un-pruned search nodes.
-  [[nodiscard]] double other_heads_sum() const {
-    double sum = 0.0;
-    for (std::size_t i = 1; i < entries_.size(); ++i) {
-      sum += entries_[i].p.head();
+  /// Runs lines 2-7 on the heap: pops the two largest heads, combines the
+  /// second into the first's row in place with pairing perm(step, i),
+  /// sets spliced along, and pushes the result until one partition is
+  /// left.  Returns its row.
+  template <typename Perm>
+  std::uint32_t reduce(Perm perm) {
+    auto seq = static_cast<std::uint32_t>(heap_.size());
+    for (std::size_t step = 0; heap_.size() > 1; ++step) {
+      const HeapEntry a = pop_entry(heap_);
+      const HeapEntry b = pop_entry(heap_);
+      combine<true>(a.row, a.row, b.row,
+                    [&](std::size_t i) { return perm(step, i); });
+      push_entry(heap_, HeapEntry{head(a.row), seq++, a.row});
     }
-    return sum;
+    return heap_.front().row;
   }
 
-  Partition pop() {
-    std::pop_heap(entries_.begin(), entries_.end(), Before{});
-    Partition p = std::move(entries_.back().p);
-    entries_.pop_back();
-    return p;
-  }
-
-  void push(Partition p) {
-    entries_.push_back(Entry{std::move(p), next_seq_++});
-    std::push_heap(entries_.begin(), entries_.end(), Before{});
+  /// Lines 8-10: the instance of every request in request row `row`.
+  [[nodiscard]] std::vector<std::uint32_t> assignment(std::uint32_t row) const {
+    std::vector<std::uint32_t> instance_of(next_.size(), 0);
+    for (std::uint32_t k = 0; k < m_; ++k) {
+      for (std::uint32_t r = sets_[row * m_ + k].head; r != kNoRequest;
+           r = next_[r]) {
+        instance_of[r] = k;
+      }
+    }
+    return instance_of;
   }
 
  private:
-  struct Entry {
-    Partition p;
-    std::uint64_t seq = 0;
-  };
-  /// std:: heap algorithms keep the *largest* element (by this "less
-  /// than") at the front; an earlier seq wins among equal heads.
-  struct Before {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.p.head() != b.p.head()) return a.p.head() < b.p.head();
-      return a.seq > b.seq;
-    }
+  struct Span {
+    std::uint32_t head = kNoRequest;
+    std::uint32_t tail = kNoRequest;
   };
 
-  std::vector<Entry> entries_;
-  std::uint64_t next_seq_ = 0;
-};
-
-/// Converts the surviving partition's sets to a per-request instance map
-/// (lines 8-10).
-[[nodiscard]] inline std::vector<std::uint32_t> to_assignment(
-    const Partition& final_partition, std::size_t request_count) {
-  std::vector<std::uint32_t> instance_of(request_count, 0);
-  for (std::uint32_t k = 0; k < final_partition.sets.size(); ++k) {
-    for (const std::uint32_t r : final_partition.sets[k]) {
-      instance_of[r] = k;
+  void splice(Span& into, const Span& from) {
+    if (from.head == kNoRequest) return;
+    if (into.head == kNoRequest) {
+      into = from;
+      return;
     }
+    next_[into.tail] = from.head;
+    into.tail = from.tail;
   }
-  return instance_of;
-}
+
+  template <bool kSets, typename Perm>
+  void combine(std::uint32_t dst, std::uint32_t a, std::uint32_t b,
+               Perm perm) {
+    double* v = values_.data() + dst * m_;
+    const double* av = values_.data() + a * m_;
+    const double* bv = values_.data() + b * m_;
+    Span* s = kSets ? sets_.data() + a * m_ : nullptr;
+    const Span* bs = kSets ? sets_.data() + b * m_ : nullptr;
+    for (std::size_t i = 0; i < m_; ++i) {
+      const std::size_t j = perm(i);
+      v[i] = av[i] + bv[j];
+      if constexpr (kSets) splice(s[i], bs[j]);
+    }
+    // Stable insertion sort, descending: a position moves only past
+    // strictly smaller values, so equal values keep their order.
+    for (std::size_t i = 1; i < m_; ++i) {
+      const double x = v[i];
+      Span sx;
+      if constexpr (kSets) sx = s[i];
+      std::size_t k = i;
+      for (; k > 0 && v[k - 1] < x; --k) {
+        v[k] = v[k - 1];
+        if constexpr (kSets) s[k] = s[k - 1];
+      }
+      v[k] = x;
+      if constexpr (kSets) s[k] = sx;
+    }
+    // Normalize: the offsets discarded here are equal across positions,
+    // so the relative balance — all any later combine needs — is kept.
+    const double base = v[m_ - 1];
+    for (std::size_t i = 0; i < m_; ++i) v[i] -= base;
+  }
+
+  std::size_t m_;
+  std::vector<double> values_;        // rows × m
+  std::vector<Span> sets_;            // request rows × m
+  std::vector<std::uint32_t> next_;   // request → next in its set
+  std::vector<HeapEntry> heap_;       // the Partition_list
+};
 
 }  // namespace nfv::sched::detail

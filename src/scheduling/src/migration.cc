@@ -38,36 +38,47 @@ MigrationPlan plan_bounded_migration(const SchedulingProblem& problem,
         problem.effective_rate(r);
   }
 
-  // Greedy maximum-overlap matching of parts to instances; ties break on
-  // the lower part then the lower instance, so the result is deterministic.
-  MigrationPlan plan;
-  std::vector<std::uint32_t> instance_of_part(m,
-                                              std::numeric_limits<std::uint32_t>::max());
-  std::vector<bool> part_taken(m, false);
-  std::vector<bool> instance_taken(m, false);
-  for (std::uint32_t round = 0; round < m; ++round) {
-    double best = -1.0;
-    std::uint32_t best_p = 0;
-    std::uint32_t best_k = 0;
-    for (std::uint32_t p = 0; p < m; ++p) {
-      if (part_taken[p]) continue;
-      for (std::uint32_t k = 0; k < m; ++k) {
-        if (instance_taken[k]) continue;
-        const double o = overlap[static_cast<std::size_t>(p) * m + k];
-        if (o > best) {
-          best = o;
-          best_p = p;
-          best_k = k;
-        }
-      }
-    }
-    part_taken[best_p] = true;
-    instance_taken[best_k] = true;
-    instance_of_part[best_p] = best_k;
-  }
-  plan.part_of_instance.assign(m, 0);
+  // Greedy maximum-overlap matching of parts to instances: repeatedly take
+  // the largest overlap among free pairs, ties on the lower part then the
+  // lower instance.  One sort of the non-zero cells by that order, walked
+  // once, takes exactly those pairs; the leftover parts then pair with the
+  // leftover instances in ascending order, as the all-zero rounds would.
+  constexpr std::uint32_t kFree = std::numeric_limits<std::uint32_t>::max();
+  struct Cell {
+    double overlap;
+    std::uint32_t part;
+    std::uint32_t instance;
+  };
+  std::vector<Cell> cells;
+  cells.reserve(std::min(n, static_cast<std::size_t>(m) * m));
   for (std::uint32_t p = 0; p < m; ++p) {
-    plan.part_of_instance[instance_of_part[p]] = p;
+    for (std::uint32_t k = 0; k < m; ++k) {
+      const double o = overlap[static_cast<std::size_t>(p) * m + k];
+      if (o > 0.0) cells.push_back({o, p, k});
+    }
+  }
+  std::sort(cells.begin(), cells.end(), [](const Cell& a, const Cell& b) {
+    if (a.overlap != b.overlap) return a.overlap > b.overlap;
+    if (a.part != b.part) return a.part < b.part;
+    return a.instance < b.instance;
+  });
+  MigrationPlan plan;
+  std::vector<std::uint32_t> instance_of_part(m, kFree);
+  plan.part_of_instance.assign(m, kFree);
+  const auto match = [&](std::uint32_t p, std::uint32_t k) {
+    instance_of_part[p] = k;
+    plan.part_of_instance[k] = p;
+  };
+  for (const Cell& c : cells) {
+    if (instance_of_part[c.part] == kFree &&
+        plan.part_of_instance[c.instance] == kFree) {
+      match(c.part, c.instance);
+    }
+  }
+  for (std::uint32_t p = 0, k = 0; p < m; ++p) {
+    if (instance_of_part[p] != kFree) continue;
+    while (plan.part_of_instance[k] != kFree) ++k;
+    match(p, k);
   }
 
   // Current effective loads, and the instance each request should end on.

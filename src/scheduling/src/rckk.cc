@@ -19,17 +19,13 @@ Schedule RckkScheduling::schedule(const SchedulingProblem& problem,
     obs::count("sched.rckk.combines", out.work);
     return out;
   }
-  detail::PartitionHeap heap(detail::initial_partitions(problem));
-  while (heap.size() > 1) {
-    // Lines 2-6: combine the two partitions with the largest leading
-    // values in reverse order, normalize, reinsert.
-    detail::Partition a = heap.pop();
-    detail::Partition b = heap.pop();
-    heap.push(detail::combine_reverse(a, b));
-    ++out.work;
-  }
-  out.instance_of = detail::to_assignment(heap.top(),
-                                          problem.request_count());
+  // Lines 2-6: combine the two partitions with the largest leading values
+  // in reverse order, normalize, reinsert.
+  detail::KkArena arena(problem, 0);
+  const std::size_t m = problem.instance_count;
+  out.instance_of = arena.assignment(arena.reduce(
+      [m](std::size_t, std::size_t i) { return m - 1 - i; }));
+  out.work = problem.request_count() - 1;
   out.validate(problem);
   obs::count("sched.rckk.runs");
   obs::count("sched.rckk.combines", out.work);

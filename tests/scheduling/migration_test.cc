@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "nfv/common/rng.h"
@@ -132,6 +133,138 @@ TEST(BoundedMigration, MovesHeaviestMismatchFirst) {
     }
   }
   EXPECT_DOUBLE_EQ(p.effective_rate(plan.moves[0].request), heaviest);
+}
+
+/// Executable specification of plan_bounded_migration: the original
+/// O(m^3) matching — m greedy rounds, each scanning every free (part,
+/// instance) cell for the largest overlap, ties on the lower part then the
+/// lower instance — followed by the same move selection.
+MigrationPlan reference_plan(const SchedulingProblem& problem,
+                             const std::vector<std::uint32_t>& current,
+                             const Schedule& target, std::uint32_t budget,
+                             double capacity_limit) {
+  const std::size_t n = problem.request_count();
+  const std::uint32_t m = problem.instance_count;
+  std::vector<double> overlap(static_cast<std::size_t>(m) * m, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    overlap[static_cast<std::size_t>(target.instance_of[r]) * m + current[r]] +=
+        problem.effective_rate(r);
+  }
+  MigrationPlan plan;
+  std::vector<std::uint32_t> instance_of_part(m, 0);
+  std::vector<bool> part_taken(m, false);
+  std::vector<bool> instance_taken(m, false);
+  for (std::uint32_t round = 0; round < m; ++round) {
+    double best = -1.0;
+    std::uint32_t best_p = 0;
+    std::uint32_t best_k = 0;
+    for (std::uint32_t p = 0; p < m; ++p) {
+      if (part_taken[p]) continue;
+      for (std::uint32_t k = 0; k < m; ++k) {
+        if (instance_taken[k]) continue;
+        const double o = overlap[static_cast<std::size_t>(p) * m + k];
+        if (o > best) {
+          best = o;
+          best_p = p;
+          best_k = k;
+        }
+      }
+    }
+    part_taken[best_p] = true;
+    instance_taken[best_k] = true;
+    instance_of_part[best_p] = best_k;
+  }
+  plan.part_of_instance.assign(m, 0);
+  for (std::uint32_t p = 0; p < m; ++p) {
+    plan.part_of_instance[instance_of_part[p]] = p;
+  }
+  std::vector<double> load(m, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    load[current[r]] += problem.effective_rate(r);
+  }
+  const auto spread = [&] {
+    const auto [lo, hi] = std::minmax_element(load.begin(), load.end());
+    return *hi - *lo;
+  };
+  plan.imbalance_before = spread();
+  std::vector<std::size_t> mismatched;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (instance_of_part[target.instance_of[r]] != current[r]) {
+      mismatched.push_back(r);
+    }
+  }
+  std::stable_sort(mismatched.begin(), mismatched.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return problem.effective_rate(a) >
+                            problem.effective_rate(b);
+                   });
+  for (const std::size_t r : mismatched) {
+    if (plan.moves.size() >= budget) break;
+    const std::uint32_t from = current[r];
+    const std::uint32_t to = instance_of_part[target.instance_of[r]];
+    const double rate = problem.effective_rate(r);
+    if (capacity_limit > 0.0 && load[to] + rate > capacity_limit) continue;
+    load[from] -= rate;
+    load[to] += rate;
+    plan.moves.push_back({r, from, to});
+  }
+  plan.imbalance_after = spread();
+  return plan;
+}
+
+TEST(BoundedMigration, MatchesCubicReferenceOnRandomInstances) {
+  // Current assignments are the target relabelled and perturbed, uniform
+  // noise, or everything on one instance; a quarter of the draws use
+  // all-equal rates, so the overlap ties are exercised heavily.
+  Rng rng(99);
+  for (int round = 0; round < 2500; ++round) {
+    const auto m = static_cast<std::uint32_t>(rng.uniform_int(2, 40));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 6 * m));
+    const bool equal = rng.uniform_int(0, 3) == 0;
+    std::vector<double> rates;
+    for (std::size_t r = 0; r < n; ++r) {
+      rates.push_back(equal ? 10.0 : rng.uniform(1.0, 100.0));
+    }
+    const SchedulingProblem p = make_problem(std::move(rates), m);
+    Schedule target;
+    if (rng.uniform_int(0, 1) == 0) {
+      target = RckkScheduling{}.schedule(p, rng);
+    } else {
+      for (std::size_t r = 0; r < n; ++r) {
+        target.instance_of.push_back(
+            static_cast<std::uint32_t>(rng.uniform_int(0, m - 1)));
+      }
+    }
+    std::vector<std::uint32_t> current(n, 0);
+    const std::int64_t mode = rng.uniform_int(0, 2);
+    const auto shift = static_cast<std::uint32_t>(rng.uniform_int(0, m - 1));
+    for (std::size_t r = 0; r < n; ++r) {
+      if (mode == 0) {
+        current[r] = (target.instance_of[r] + shift) % m;
+        if (rng.uniform_int(0, 4) == 0) {
+          current[r] = static_cast<std::uint32_t>(rng.uniform_int(0, m - 1));
+        }
+      } else if (mode == 1) {
+        current[r] = static_cast<std::uint32_t>(rng.uniform_int(0, m - 1));
+      }
+    }
+    const auto budget = static_cast<std::uint32_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    const double cap =
+        rng.uniform_int(0, 1) == 0 ? 0.0 : 1.5 * p.total_effective_rate() / m;
+    const MigrationPlan want = reference_plan(p, current, target, budget, cap);
+    const MigrationPlan got =
+        plan_bounded_migration(p, current, target, budget, cap);
+    ASSERT_EQ(got.part_of_instance, want.part_of_instance) << "round " << round;
+    ASSERT_EQ(got.moves.size(), want.moves.size()) << "round " << round;
+    for (std::size_t i = 0; i < got.moves.size(); ++i) {
+      ASSERT_EQ(got.moves[i].request, want.moves[i].request);
+      ASSERT_EQ(got.moves[i].from, want.moves[i].from);
+      ASSERT_EQ(got.moves[i].to, want.moves[i].to);
+    }
+    ASSERT_EQ(got.imbalance_before, want.imbalance_before);
+    ASSERT_EQ(got.imbalance_after, want.imbalance_after);
+  }
 }
 
 }  // namespace
