@@ -15,6 +15,7 @@
 
 #include "nfv/common/rng.h"
 #include "nfv/scheduling/problem.h"
+#include "nfv/scheduling/workspace.h"
 
 namespace nfv::sched {
 
@@ -102,6 +103,13 @@ class RckkScheduling final : public SchedulingAlgorithm {
                                   Rng& rng) const override;
   [[nodiscard]] std::string_view name() const override { return "RCKK"; }
 };
+
+/// RCKK into caller-owned storage: the one code path behind
+/// RckkScheduling::schedule, which wraps it with a fresh workspace.  A
+/// caller that keeps `workspace` and `out` across calls makes no heap
+/// allocation once they have held a problem this large.
+void rckk_schedule(const SchedulingProblem& problem, KkWorkspace& workspace,
+                   Schedule& out);
 
 /// Complete Karmarkar-Karp: CKK search with RCKK's combine as the first
 /// branch and alternative pairings as backtracks, under a node budget.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "nfv/scheduling/problem.h"
+#include "nfv/scheduling/workspace.h"
 
 namespace nfv::sched {
 
@@ -47,5 +48,16 @@ struct MigrationPlan {
 [[nodiscard]] MigrationPlan plan_bounded_migration(
     const SchedulingProblem& problem, const std::vector<std::uint32_t>& current,
     const Schedule& target, std::uint32_t budget, double capacity_limit = 0.0);
+
+/// The same plan written into `plan`, using the caller's `workspace`: the
+/// one code path behind the value-returning form, which wraps it with
+/// fresh storage.  Once `workspace` and `plan` have held a problem this
+/// large, a call makes no heap allocation.
+void plan_bounded_migration(const SchedulingProblem& problem,
+                            const std::vector<std::uint32_t>& current,
+                            const Schedule& target, std::uint32_t budget,
+                            double capacity_limit,
+                            MigrationWorkspace& workspace,
+                            MigrationPlan& plan);
 
 }  // namespace nfv::sched

@@ -95,15 +95,18 @@ Schedule CkkScheduling::schedule(const SchedulingProblem& problem,
     return out;
   }
   const std::size_t n = problem.request_count();
-  detail::KkArena arena(problem, n - 1);
+  KkWorkspace workspace;
+  detail::KkArena arena(problem, n - 1, workspace);
+  arena.rank_heap();
   const std::size_t m = problem.instance_count;
   CkkSearch search(arena, n, m, options_.node_budget);
   search.dfs(0);
   NFV_CHECK(search.found);
-  out.instance_of = arena.assignment(
-      arena.reduce([&](std::size_t step, std::size_t i) {
-        return detail::shifted_reverse(m, search.best_path[step], i);
-      }));
+  arena.assignment(arena.reduce([&](std::size_t step, std::size_t i) {
+                     return detail::shifted_reverse(m, search.best_path[step],
+                                                    i);
+                   }),
+                   out.instance_of);
   out.work = search.nodes;
   out.validate(problem);
   return out;

@@ -16,9 +16,10 @@ Schedule KkForwardScheduling::schedule(const SchedulingProblem& problem,
     out.work = problem.request_count();
     return out;
   }
-  detail::KkArena arena(problem, 0);
-  out.instance_of = arena.assignment(
-      arena.reduce([](std::size_t, std::size_t i) { return i; }));
+  KkWorkspace workspace;
+  detail::KkArena arena(problem, 0, workspace);
+  arena.assignment(arena.reduce([](std::size_t, std::size_t i) { return i; }),
+                   out.instance_of);
   out.work = problem.request_count() - 1;
   out.validate(problem);
   return out;

@@ -4,23 +4,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "nfv/scheduling/problem.h"
+#include "nfv/scheduling/workspace.h"
 
 namespace nfv::sched::detail {
-
-inline constexpr std::uint32_t kNoRequest =
-    std::numeric_limits<std::uint32_t>::max();
-
-/// A Partition_list entry: the partition held in arena row `row`, keyed by
-/// its leading (largest) value and its insertion sequence.
-struct HeapEntry {
-  double head = 0.0;
-  std::uint32_t seq = 0;
-  std::uint32_t row = 0;
-};
 
 /// std:: heap algorithms keep the *largest* element (by this "less than")
 /// at the front, so the list pops by head descending.  An earlier seq wins
@@ -67,34 +56,52 @@ inline void push_entry(std::vector<HeapEntry>& heap, HeapEntry entry) {
 /// m values (descending, normalized so the last is 0).  Request rows
 /// 0..n-1 also carry, per position, the set of requests whose rates sum to
 /// that value, as a (head, tail) span of one shared `next` list — so
-/// merging two sets is an O(1) splice.  Combines write in place, and a run
-/// makes a fixed number of allocations whatever n is.
+/// merging two sets is an O(1) splice.  Combines write in place.  The
+/// storage belongs to the caller's KkWorkspace, so a run allocates only
+/// when the workspace has never held a problem this large.
 class KkArena {
  public:
   /// Line 1 of Algorithm 2: row r is (λ_r/P_r, 0, ..., 0) with set {r} at
-  /// position 0.  The heap holds one entry per request in descending
-  /// effective-rate order (ties: lower index first), seq = rank — the
-  /// order and array layout of a stable sort then make_heap.
-  /// `scratch_rows` value-only rows follow the request rows (CKK's
-  /// per-depth children).
-  KkArena(const SchedulingProblem& problem, std::size_t scratch_rows)
+  /// position 0, and the heap holds one entry per request with seq = r.
+  /// Under (head, seq) that pops in descending effective-rate order, ties
+  /// to the lower index — the order of a stable sort — and every entry
+  /// pushed later has a larger seq, so RCKK and forward KK pop exactly the
+  /// sequence of the sorted list.  `scratch_rows` value-only rows follow
+  /// the request rows (CKK's per-depth children).
+  KkArena(const SchedulingProblem& problem, std::size_t scratch_rows,
+          KkWorkspace& storage)
       : m_(problem.instance_count),
-        values_((problem.request_count() + scratch_rows) * m_, 0.0),
-        sets_(problem.request_count() * m_),
-        next_(problem.request_count(), kNoRequest) {
+        values_(storage.values),
+        sets_(storage.sets),
+        next_(storage.next),
+        heap_(storage.heap) {
     const std::size_t n = problem.request_count();
+    values_.assign((n + scratch_rows) * m_, 0.0);
+    sets_.assign(n * m_, SetSpan{});
+    next_.assign(n, kNoRequest);
+    heap_.clear();
     heap_.reserve(n);
     for (std::uint32_t r = 0; r < n; ++r) {
       values_[r * m_] = problem.effective_rate(r);
-      sets_[r * m_] = Span{r, r};
+      sets_[r * m_] = SetSpan{r, r};
       heap_.push_back(HeapEntry{values_[r * m_], r, r});
     }
+    std::make_heap(heap_.begin(), heap_.end(), Before{});
+  }
+  KkArena(const KkArena&) = delete;
+  KkArena& operator=(const KkArena&) = delete;
+
+  /// Re-lays the initial heap as a stable descending sort (seq = rank)
+  /// followed by make_heap.  The pop order does not change, but CKK's
+  /// other_heads_sum sums in heap-array order, so CKK needs this exact
+  /// layout to stay bit-identical to the sorted Partition_list.
+  void rank_heap() {
     std::sort(heap_.begin(), heap_.end(),
               [](const HeapEntry& a, const HeapEntry& b) {
                 if (a.head != b.head) return a.head > b.head;
                 return a.row < b.row;
               });
-    for (std::uint32_t i = 0; i < n; ++i) heap_[i].seq = i;
+    for (std::uint32_t i = 0; i < heap_.size(); ++i) heap_[i].seq = i;
     std::make_heap(heap_.begin(), heap_.end(), Before{});
   }
 
@@ -129,25 +136,21 @@ class KkArena {
     return heap_.front().row;
   }
 
-  /// Lines 8-10: the instance of every request in request row `row`.
-  [[nodiscard]] std::vector<std::uint32_t> assignment(std::uint32_t row) const {
-    std::vector<std::uint32_t> instance_of(next_.size(), 0);
+  /// Lines 8-10: the instance of every request in request row `row`,
+  /// written into `instance_of` (resized to n).
+  void assignment(std::uint32_t row,
+                  std::vector<std::uint32_t>& instance_of) const {
+    instance_of.assign(next_.size(), 0);
     for (std::uint32_t k = 0; k < m_; ++k) {
       for (std::uint32_t r = sets_[row * m_ + k].head; r != kNoRequest;
            r = next_[r]) {
         instance_of[r] = k;
       }
     }
-    return instance_of;
   }
 
  private:
-  struct Span {
-    std::uint32_t head = kNoRequest;
-    std::uint32_t tail = kNoRequest;
-  };
-
-  void splice(Span& into, const Span& from) {
+  void splice(SetSpan& into, const SetSpan& from) {
     if (from.head == kNoRequest) return;
     if (into.head == kNoRequest) {
       into = from;
@@ -163,8 +166,8 @@ class KkArena {
     double* v = values_.data() + dst * m_;
     const double* av = values_.data() + a * m_;
     const double* bv = values_.data() + b * m_;
-    Span* s = kSets ? sets_.data() + a * m_ : nullptr;
-    const Span* bs = kSets ? sets_.data() + b * m_ : nullptr;
+    SetSpan* s = kSets ? sets_.data() + a * m_ : nullptr;
+    const SetSpan* bs = kSets ? sets_.data() + b * m_ : nullptr;
     for (std::size_t i = 0; i < m_; ++i) {
       const std::size_t j = perm(i);
       v[i] = av[i] + bv[j];
@@ -174,7 +177,7 @@ class KkArena {
     // strictly smaller values, so equal values keep their order.
     for (std::size_t i = 1; i < m_; ++i) {
       const double x = v[i];
-      Span sx;
+      SetSpan sx;
       if constexpr (kSets) sx = s[i];
       std::size_t k = i;
       for (; k > 0 && v[k - 1] < x; --k) {
@@ -191,10 +194,10 @@ class KkArena {
   }
 
   std::size_t m_;
-  std::vector<double> values_;        // rows × m
-  std::vector<Span> sets_;            // request rows × m
-  std::vector<std::uint32_t> next_;   // request → next in its set
-  std::vector<HeapEntry> heap_;       // the Partition_list
+  std::vector<double>& values_;        // rows × m
+  std::vector<SetSpan>& sets_;         // request rows × m
+  std::vector<std::uint32_t>& next_;   // request → next in its set
+  std::vector<HeapEntry>& heap_;       // the Partition_list
 };
 
 }  // namespace nfv::sched::detail

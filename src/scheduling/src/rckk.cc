@@ -7,28 +7,35 @@
 
 namespace nfv::sched {
 
-Schedule RckkScheduling::schedule(const SchedulingProblem& problem,
-                                  Rng& /*rng*/) const {
+void rckk_schedule(const SchedulingProblem& problem, KkWorkspace& workspace,
+                   Schedule& out) {
   const obs::ScopedSpan span("sched.rckk.schedule");
   problem.validate();
-  Schedule out;
   if (problem.instance_count == 1) {
     out.instance_of.assign(problem.request_count(), 0);
     out.work = problem.request_count();
     obs::count("sched.rckk.runs");
     obs::count("sched.rckk.combines", out.work);
-    return out;
+    return;
   }
   // Lines 2-6: combine the two partitions with the largest leading values
   // in reverse order, normalize, reinsert.
-  detail::KkArena arena(problem, 0);
+  detail::KkArena arena(problem, 0, workspace);
   const std::size_t m = problem.instance_count;
-  out.instance_of = arena.assignment(arena.reduce(
-      [m](std::size_t, std::size_t i) { return m - 1 - i; }));
+  arena.assignment(
+      arena.reduce([m](std::size_t, std::size_t i) { return m - 1 - i; }),
+      out.instance_of);
   out.work = problem.request_count() - 1;
   out.validate(problem);
   obs::count("sched.rckk.runs");
   obs::count("sched.rckk.combines", out.work);
+}
+
+Schedule RckkScheduling::schedule(const SchedulingProblem& problem,
+                                  Rng& /*rng*/) const {
+  KkWorkspace workspace;
+  Schedule out;
+  rckk_schedule(problem, workspace, out);
   return out;
 }
 

@@ -35,10 +35,11 @@
 //    sheds lowest-rate requests first.  Checkpoint/resume (checkpoint.h)
 //    snapshots the full state so a killed run continues bit-identically.
 //
-// The engine is strictly deterministic — no RNG, no wall clock, and the
-// only parallel site (predicted-latency evaluation) uses exec::parallel_map
-// with a serial index-order fold — so replaying a trace yields a
-// bit-identical state and report for any thread count.
+// The engine is strictly deterministic — no RNG, no wall clock, and no
+// parallel site: every decision runs on the calling thread — so replaying
+// a trace yields a bit-identical state and report for any thread count.
+// Its decision path reuses engine-owned scratch (DESIGN.md §11.4), so a
+// warm engine applies a rate change without touching the heap.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +49,15 @@
 #include <string_view>
 #include <vector>
 
+#include "nfv/common/flat_map.h"
 #include "nfv/common/histogram.h"
 #include "nfv/obs/lifecycle.h"
 #include "nfv/serve/autoscale.h"
 #include "nfv/obs/report.h"
 #include "nfv/obs/timeline.h"
+#include "nfv/scheduling/migration.h"
+#include "nfv/scheduling/problem.h"
+#include "nfv/scheduling/workspace.h"
 #include "nfv/topology/topology.h"
 #include "nfv/workload/event_stream.h"
 #include "nfv/workload/vnf.h"
@@ -228,8 +233,9 @@ class ServeEngine {
 
   /// Applies `count` events from contiguous storage as one micro-batch.
   /// Decisions, state, and the log are bit-identical to calling on_event
-  /// in a loop — only the bookkeeping is amortized (log growth reserved
-  /// once per batch, no per-event outcome copy back to the caller).
+  /// in a loop — only the bookkeeping is amortized (log room reserved
+  /// once per batch, growing geometrically; no per-event outcome copy back
+  /// to the caller).
   void apply_batch(const workload::StreamEvent* events, std::size_t count);
 
   /// Streams up to `limit` events out of a binary trace decoder in
@@ -344,13 +350,18 @@ class ServeEngine {
 
   [[nodiscard]] double limit(std::uint32_t vnf) const;
   /// Best-fit node for one new instance of demand `demand`: used nodes
-  /// first, smallest feasible residual, lower id on ties.  The planned_*
-  /// overlays account for instances this plan already intends to open.
-  [[nodiscard]] std::optional<std::uint32_t> pick_node(
-      double demand, const std::vector<double>& planned_use,
-      const std::vector<std::uint32_t>& planned_count);
-  [[nodiscard]] std::optional<std::vector<HopPlan>> plan_placement(
-      double rate, double prob, const std::vector<std::uint32_t>& chain);
+  /// first, smallest feasible residual, lower id on ties.  The per-node
+  /// overlays scratch_.plan_use/plan_count account for instances the
+  /// current plan already intends to open; clear_plan_overlay() zeroes
+  /// them.
+  [[nodiscard]] std::optional<std::uint32_t> pick_node(double demand);
+  void clear_plan_overlay();
+  /// Eq. 16 per live request in ascending id order, into `out`.
+  void eval_latencies(std::vector<double>& out) const;
+  /// Plans every hop of a request into scratch_.hop_plan; false when some
+  /// hop fits nowhere (the buffer then holds a partial plan).
+  [[nodiscard]] bool plan_placement(double rate, double prob,
+                                    const std::vector<std::uint32_t>& chain);
   std::uint32_t open_instance(std::uint32_t vnf, std::uint32_t node);
   void retire_instance(std::uint32_t slot);
   void add_to_instance(std::uint32_t slot, std::uint32_t id, double rate,
@@ -469,7 +480,7 @@ class ServeEngine {
   std::vector<double> node_free_;
   std::vector<std::uint32_t> node_instances_;
   std::vector<std::uint8_t> node_up_;          ///< 0 while failed
-  std::map<std::uint32_t, LiveRequest> live_;  ///< ordered for determinism
+  FlatMap<std::uint32_t, LiveRequest> live_;   ///< ascending id order
   std::vector<PendingRequest> queue_;          ///< FIFO, front at [0]
   std::vector<RetryRequest> retry_queue_;      ///< FIFO, front at [0]
   /// Requests that exited without a trace-visible departure (rejected or
@@ -488,6 +499,40 @@ class ServeEngine {
   // per-event vector locals, and replay_binary's reusable decode batch.
   std::vector<std::uint32_t> touched_scratch_;
   std::vector<workload::StreamEvent> batch_;
+
+  /// One live member of a VNF being rebalanced.
+  struct RebalanceMember {
+    std::uint32_t id = 0;
+    std::uint32_t pos = 0;  ///< index into the VNF's rebalanced instances
+    LiveRequest* request = nullptr;
+  };
+  /// The decision path's reused buffers (DESIGN.md §11.4).  They keep only
+  /// capacity between calls, so copying an engine does not copy them: the
+  /// copy starts empty and sizes its own on first use.
+  struct DecisionScratch {
+    DecisionScratch() = default;
+    DecisionScratch(const DecisionScratch& /*other*/) {}
+    DecisionScratch& operator=(const DecisionScratch& /*other*/) {
+      return *this;
+    }
+
+    std::vector<double> latencies;          ///< Eq. 16 per live request
+    std::vector<HopPlan> hop_plan;          ///< plan_placement's output
+    std::vector<double> plan_use;           ///< per node: pick_node overlay
+    std::vector<std::uint32_t> plan_count;  ///< per node: pick_node overlay
+    // rebalance(): the VNF's non-draining instances (autoscale), its
+    // members in id order, the rebuilt problem, RCKK's arena and target,
+    // and the migration plan.
+    std::vector<std::uint32_t> active;
+    std::vector<RebalanceMember> members;
+    std::vector<std::uint32_t> current;
+    sched::SchedulingProblem problem;
+    sched::KkWorkspace kk;
+    sched::Schedule target;
+    sched::MigrationWorkspace migration;
+    sched::MigrationPlan plan;
+  };
+  DecisionScratch scratch_;
 
   // Degradation window: last `overload_window` pressure bits, oldest first.
   std::vector<std::uint8_t> pressure_window_;

@@ -7,14 +7,10 @@
 #include <utility>
 
 #include "nfv/common/error.h"
-#include "nfv/common/rng.h"
-#include "nfv/exec/thread_pool.h"
 #include "nfv/obs/flight_recorder.h"
 #include "nfv/obs/metrics.h"
 #include "nfv/scheduling/algorithm.h"
 #include "nfv/workload/btrace.h"
-#include "nfv/scheduling/migration.h"
-#include "nfv/scheduling/problem.h"
 
 namespace nfv::serve {
 
@@ -38,6 +34,31 @@ void erase_sorted(std::vector<std::uint32_t>& v, std::uint32_t x) {
   const auto it = std::lower_bound(v.begin(), v.end(), x);
   NFV_CHECK(it != v.end() && *it == x);
   v.erase(it);
+}
+
+struct LatencyStats {
+  double mean = 0.0;
+  double p99 = 0.0;
+};
+
+/// Mean and p99 of Eq. 16 latencies, reordering `lat`.  The mean sums in
+/// `lat`'s order (ascending request id).  The p99 is the element an
+/// ascending sort would put at ceil(0.99·n) − 1: nth_element places
+/// exactly that element there, without sorting the rest.
+LatencyStats latency_stats(std::vector<double>& lat) {
+  LatencyStats out;
+  if (lat.empty()) return out;
+  double sum = 0.0;
+  for (const double x : lat) sum += x;
+  out.mean = sum / static_cast<double>(lat.size());
+  const std::size_t idx =
+      static_cast<std::size_t>(
+          std::ceil(0.99 * static_cast<double>(lat.size()))) -
+      1;
+  const auto nth = lat.begin() + static_cast<std::ptrdiff_t>(idx);
+  std::nth_element(lat.begin(), nth, lat.end());
+  out.p99 = *nth;
+  return out;
 }
 
 }  // namespace
@@ -116,9 +137,12 @@ double ServeEngine::limit(std::uint32_t vnf) const {
   return (1.0 - h) * vnfs_[vnf].service_rate;
 }
 
-std::optional<std::uint32_t> ServeEngine::pick_node(
-    double demand, const std::vector<double>& planned_use,
-    const std::vector<std::uint32_t>& planned_count) {
+void ServeEngine::clear_plan_overlay() {
+  scratch_.plan_use.assign(node_free_.size(), 0.0);
+  scratch_.plan_count.assign(node_free_.size(), 0);
+}
+
+std::optional<std::uint32_t> ServeEngine::pick_node(double demand) {
   // BFDSU's used-nodes-first rule, incrementally: among nodes that already
   // host an instance (or will, per this plan) pick the smallest feasible
   // residual; only when none fits fall back to spare nodes.
@@ -128,9 +152,9 @@ std::optional<std::uint32_t> ServeEngine::pick_node(
     for (std::uint32_t v = 0; v < node_free_.size(); ++v) {
       ++work_;
       if (node_up_[v] == 0) continue;  // failed nodes leave the candidate set
-      const bool used = node_instances_[v] > 0 || planned_count[v] > 0;
+      const bool used = node_instances_[v] > 0 || scratch_.plan_count[v] > 0;
       if (used != used_pass) continue;
-      const double residual = node_free_[v] - planned_use[v] - demand;
+      const double residual = node_free_[v] - scratch_.plan_use[v] - demand;
       if (residual < 0.0) continue;
       if (residual < best_residual) {
         best_residual = residual;
@@ -143,13 +167,12 @@ std::optional<std::uint32_t> ServeEngine::pick_node(
   return best;
 }
 
-std::optional<std::vector<ServeEngine::HopPlan>> ServeEngine::plan_placement(
-    double rate, double prob, const std::vector<std::uint32_t>& chain) {
+bool ServeEngine::plan_placement(double rate, double prob,
+                                 const std::vector<std::uint32_t>& chain) {
   const double eff = rate / prob;
-  std::vector<HopPlan> plan;
-  plan.reserve(chain.size());
-  std::vector<double> planned_use(node_free_.size(), 0.0);
-  std::vector<std::uint32_t> planned_count(node_free_.size(), 0);
+  std::vector<HopPlan>& plan = scratch_.hop_plan;
+  plan.clear();
+  clear_plan_overlay();
   for (const std::uint32_t f : chain) {
     const double cap = limit(f);
     // Least-loaded feasible existing instance; the active list is in
@@ -170,15 +193,15 @@ std::optional<std::vector<ServeEngine::HopPlan>> ServeEngine::plan_placement(
       plan.push_back({false, *best, 0});
       continue;
     }
-    if (eff > cap) return std::nullopt;  // too big even for a fresh instance
+    if (eff > cap) return false;  // too big even for a fresh instance
     const double demand = vnfs_[f].demand_per_instance;
-    const auto node = pick_node(demand, planned_use, planned_count);
-    if (!node) return std::nullopt;
+    const auto node = pick_node(demand);
+    if (!node) return false;
     plan.push_back({true, 0, *node});
-    planned_use[*node] += demand;
-    ++planned_count[*node];
+    scratch_.plan_use[*node] += demand;
+    ++scratch_.plan_count[*node];
   }
-  return plan;
+  return true;
 }
 
 std::uint32_t ServeEngine::open_instance(std::uint32_t vnf,
@@ -274,16 +297,16 @@ void ServeEngine::remove_live(std::uint32_t id, EventOutcome& outcome) {
 
 std::uint32_t ServeEngine::rebalance(std::uint32_t vnf,
                                      EventOutcome& outcome) {
+  DecisionScratch& scratch = scratch_;
   // Draining instances are leaving the capacity set: the RCKK re-solve
   // runs over the survivors only, so a rebalance never refills a drain.
-  std::vector<std::uint32_t> non_draining;
   const std::vector<std::uint32_t>* act_ptr = &active_of_vnf_[vnf];
   if (autoscale_on()) {
-    non_draining.reserve(act_ptr->size());
+    scratch.active.clear();
     for (const std::uint32_t slot : *act_ptr) {
-      if (!instances_[slot].draining) non_draining.push_back(slot);
+      if (!instances_[slot].draining) scratch.active.push_back(slot);
     }
-    act_ptr = &non_draining;
+    act_ptr = &scratch.active;
   }
   const auto& act = *act_ptr;
   const auto m = static_cast<std::uint32_t>(act.size());
@@ -304,40 +327,45 @@ std::uint32_t ServeEngine::rebalance(std::uint32_t vnf,
 
   // Gather this VNF's live members in ascending request-id order so the
   // problem positions are deterministic, then re-solve with RCKK and walk
-  // at most K moves toward its partition.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> members;  // id, pos
+  // at most K moves toward its partition.  Each member is looked up in
+  // live_ once; the moves below reuse the pointer (live_ does not change
+  // until this rebalance returns).
+  scratch.members.clear();
   for (std::uint32_t pos = 0; pos < m; ++pos) {
     for (const std::uint32_t id : instances_[act[pos]].members) {
-      members.emplace_back(id, pos);
+      scratch.members.push_back({id, pos, nullptr});
     }
   }
-  std::sort(members.begin(), members.end());
+  std::sort(scratch.members.begin(), scratch.members.end(),
+            [](const RebalanceMember& a, const RebalanceMember& b) {
+              if (a.id != b.id) return a.id < b.id;
+              return a.pos < b.pos;
+            });
 
-  sched::SchedulingProblem problem;
+  sched::SchedulingProblem& problem = scratch.problem;
   problem.service_rate = vnfs_[vnf].service_rate;
   problem.instance_count = m;
-  problem.arrival_rates.reserve(members.size());
-  problem.delivery_probs.reserve(members.size());
-  std::vector<std::uint32_t> current;
-  current.reserve(members.size());
-  for (const auto& [id, pos] : members) {
-    const LiveRequest& r = live_.at(id);
-    problem.arrival_rates.push_back(r.rate);
-    problem.delivery_probs.push_back(r.prob);
-    current.push_back(pos);
+  problem.arrival_rates.clear();
+  problem.delivery_probs.clear();
+  scratch.current.clear();
+  for (RebalanceMember& member : scratch.members) {
+    member.request = &live_.at(member.id);
+    problem.arrival_rates.push_back(member.request->rate);
+    problem.delivery_probs.push_back(member.request->prob);
+    scratch.current.push_back(member.pos);
   }
 
-  Rng rng(1);  // RCKK is deterministic; the Rng is interface plumbing
-  const sched::Schedule target =
-      sched::RckkScheduling{}.schedule(problem, rng);
-  const sched::MigrationPlan plan = sched::plan_bounded_migration(
-      problem, current, target, config_.migration_budget, limit(vnf));
+  sched::rckk_schedule(problem, scratch.kk, scratch.target);
+  sched::plan_bounded_migration(problem, scratch.current, scratch.target,
+                                config_.migration_budget, limit(vnf),
+                                scratch.migration, scratch.plan);
+  const sched::MigrationPlan& plan = scratch.plan;
   NFV_CHECK(plan.moves.size() <= config_.migration_budget);
-  work_ += target.work + plan.moves.size();
+  work_ += scratch.target.work + plan.moves.size();
 
   for (const sched::MigrationMove& move : plan.moves) {
-    const std::uint32_t id = members[move.request].first;
-    LiveRequest& r = live_.at(id);
+    const std::uint32_t id = scratch.members[move.request].id;
+    LiveRequest& r = *scratch.members[move.request].request;
     const std::uint32_t from_slot = act[move.from];
     const std::uint32_t to_slot = act[move.to];
     Instance& from = instances_[from_slot];
@@ -400,10 +428,8 @@ bool ServeEngine::relocate_hop(std::uint32_t id, std::size_t hop,
     }
   }
   if (!best && eff <= cap) {
-    const std::vector<double> no_use(node_free_.size(), 0.0);
-    const std::vector<std::uint32_t> no_count(node_free_.size(), 0);
-    if (const auto node =
-            pick_node(vnfs_[f].demand_per_instance, no_use, no_count)) {
+    clear_plan_overlay();
+    if (const auto node = pick_node(vnfs_[f].demand_per_instance)) {
       best = open_instance(f, *node);
       ++outcome.scale_outs;
       ++totals_.scale_outs;
@@ -430,8 +456,9 @@ void ServeEngine::drain_queue(EventOutcome& outcome,
                               std::vector<std::uint32_t>& touched_vnfs) {
   while (!queue_.empty()) {
     const PendingRequest& head = queue_.front();
-    const auto plan = plan_placement(head.rate, head.prob, head.chain);
-    if (!plan) break;  // FIFO: never admit past a blocked head
+    if (!plan_placement(head.rate, head.prob, head.chain)) {
+      break;  // FIFO: never admit past a blocked head
+    }
     PendingRequest p = std::move(queue_.front());
     queue_.erase(queue_.begin());
     touched_vnfs.insert(touched_vnfs.end(), p.chain.begin(), p.chain.end());
@@ -439,7 +466,8 @@ void ServeEngine::drain_queue(EventOutcome& outcome,
     if (lifecycle_on()) {
       record_lifecycle(outcome, obs::LifecycleStage::kAdmit, p.id);
     }
-    commit_placement(p.id, p.rate, p.prob, std::move(p.chain), *plan, outcome);
+    commit_placement(p.id, p.rate, p.prob, std::move(p.chain), scratch_.hop_plan,
+                     outcome);
     ++outcome.admitted_from_queue;
     ++totals_.admitted_from_queue;
   }
@@ -638,8 +666,7 @@ bool ServeEngine::evacuate_request(std::uint32_t id, EventOutcome& outcome) {
   // plan_placement); an all-or-nothing commit keeps the failure path clean.
   std::vector<HopPlan> plan;
   plan.reserve(broken.size());
-  std::vector<double> planned_use(node_free_.size(), 0.0);
-  std::vector<std::uint32_t> planned_count(node_free_.size(), 0);
+  clear_plan_overlay();
   for (const std::size_t h : broken) {
     const std::uint32_t f = r.chain[h];
     const double cap = limit(f);
@@ -661,11 +688,11 @@ bool ServeEngine::evacuate_request(std::uint32_t id, EventOutcome& outcome) {
     }
     if (eff > cap) return false;
     const double demand = vnfs_[f].demand_per_instance;
-    const auto node = pick_node(demand, planned_use, planned_count);
+    const auto node = pick_node(demand);
     if (!node) return false;
     plan.push_back({true, 0, *node});
-    planned_use[*node] += demand;
-    ++planned_count[*node];
+    scratch_.plan_use[*node] += demand;
+    ++scratch_.plan_count[*node];
   }
 
   for (std::size_t k = 0; k < broken.size(); ++k) {
@@ -812,9 +839,8 @@ void ServeEngine::drain_retry_queue(EventOutcome& outcome,
       ++i;
       continue;
     }
-    const auto plan = plan_placement(entry.request.rate, entry.request.prob,
-                                     entry.request.chain);
-    if (plan) {
+    if (plan_placement(entry.request.rate, entry.request.prob,
+                       entry.request.chain)) {
       const std::uint32_t rung = entry.attempts;
       PendingRequest admitted = std::move(entry.request);
       retry_queue_.erase(retry_queue_.begin() +
@@ -827,7 +853,7 @@ void ServeEngine::drain_retry_queue(EventOutcome& outcome,
                          admitted.id, obs::kLifecycleNoNode, rung);
       }
       commit_placement(admitted.id, admitted.rate, admitted.prob,
-                       std::move(admitted.chain), *plan, outcome);
+                       std::move(admitted.chain), scratch_.hop_plan, outcome);
       ++outcome.retry_admitted;
       ++totals_.retry_admitted;
       continue;
@@ -986,12 +1012,10 @@ void ServeEngine::autoscale_decide(EventOutcome& outcome) {
 std::uint32_t ServeEngine::autoscale_open(std::uint32_t vnf,
                                           std::uint32_t count,
                                           EventOutcome& outcome) {
-  const std::vector<double> no_use(node_free_.size(), 0.0);
-  const std::vector<std::uint32_t> no_count(node_free_.size(), 0);
+  clear_plan_overlay();
   std::uint32_t opened = 0;
   for (; opened < count; ++opened) {
-    const auto node =
-        pick_node(vnfs_[vnf].demand_per_instance, no_use, no_count);
+    const auto node = pick_node(vnfs_[vnf].demand_per_instance);
     if (!node) break;  // cluster full: partial scale-out is fine
     open_instance(vnf, *node);
     ++outcome.scale_outs;
@@ -1091,19 +1115,10 @@ bool ServeEngine::drain_member(std::uint32_t id, std::size_t hop,
 }
 
 void ServeEngine::finish_outcome(EventOutcome& outcome) {
-  const std::vector<double> lat = predicted_latencies();
-  if (!lat.empty()) {
-    double sum = 0.0;
-    for (const double x : lat) sum += x;
-    outcome.mean_predicted_latency = sum / static_cast<double>(lat.size());
-    std::vector<double> sorted = lat;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t idx =
-        static_cast<std::size_t>(
-            std::ceil(0.99 * static_cast<double>(sorted.size()))) -
-        1;
-    outcome.p99_predicted_latency = sorted[idx];
-  }
+  eval_latencies(scratch_.latencies);
+  const LatencyStats lat = latency_stats(scratch_.latencies);
+  outcome.mean_predicted_latency = lat.mean;
+  outcome.p99_predicted_latency = lat.p99;
   ++totals_.events;
   obs::count("serve.events");
   switch (outcome.decision) {
@@ -1205,16 +1220,14 @@ void ServeEngine::process_event(const workload::StreamEvent& event) {
         if (f >= vnfs_.size()) event_fail(event, "chain VNF out of range");
       }
       if (event.chain.empty()) event_fail(event, "empty chain");
-      const auto plan =
-          plan_placement(event.rate, event.delivery_prob, event.chain);
-      if (plan) {
+      if (plan_placement(event.rate, event.delivery_prob, event.chain)) {
         note_admitted(event.request, event.time);
         if (lifecycle_on()) {
           record_lifecycle(outcome, obs::LifecycleStage::kAdmit,
                            event.request);
         }
         commit_placement(event.request, event.rate, event.delivery_prob,
-                         event.chain, *plan, outcome);
+                         event.chain, scratch_.hop_plan, outcome);
         outcome.decision = Decision::kAdmitted;
         ++totals_.admitted;
         rebalance_chain(event.chain, outcome);
@@ -1373,7 +1386,11 @@ std::vector<EventOutcome> ServeEngine::replay(
 
 void ServeEngine::apply_batch(const workload::StreamEvent* events,
                               std::size_t count) {
-  log_.reserve(log_.size() + count);
+  // Grow geometrically, like push_back: reserving exactly size + count
+  // would reallocate and copy the whole log on every batch.
+  if (log_.capacity() - log_.size() < count) {
+    log_.reserve(std::max(log_.size() + count, 2 * log_.capacity()));
+  }
   for (std::size_t i = 0; i < count; ++i) process_event(events[i]);
 }
 
@@ -1417,19 +1434,11 @@ ServeSummary ServeEngine::summary() const {
           ? static_cast<double>(s.admitted + s.admitted_from_queue) /
                 static_cast<double>(s.arrivals)
           : 1.0;
-  const std::vector<double> lat = predicted_latencies();
-  if (!lat.empty()) {
-    double sum = 0.0;
-    for (const double x : lat) sum += x;
-    s.mean_predicted_latency = sum / static_cast<double>(lat.size());
-    std::vector<double> sorted = lat;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t idx =
-        static_cast<std::size_t>(
-            std::ceil(0.99 * static_cast<double>(sorted.size()))) -
-        1;
-    s.p99_predicted_latency = sorted[idx];
-  }
+  std::vector<double> lat_buffer;
+  eval_latencies(lat_buffer);
+  const LatencyStats lat = latency_stats(lat_buffer);
+  s.mean_predicted_latency = lat.mean;
+  s.p99_predicted_latency = lat.p99;
   s.work = work_;
   if (autoscale_on()) {
     const AutoscaleTotals& at = scaler_->totals();
@@ -1469,16 +1478,17 @@ ServeEngine::Snapshot ServeEngine::snapshot() const {
 }
 
 std::vector<double> ServeEngine::predicted_latencies() const {
-  std::vector<const LiveRequest*> reqs;
-  reqs.reserve(live_.size());
-  for (const auto& [id, r] : live_) reqs.push_back(&r);
-  // The only parallel site: per-request Eq. 16 evaluation, collected into
-  // index order — bit-identical for any thread count.
-  return exec::parallel_map(reqs.size(), [&](std::size_t i) {
-    const LiveRequest& r = *reqs[i];
+  std::vector<double> out;
+  eval_latencies(out);
+  return out;
+}
+
+void ServeEngine::eval_latencies(std::vector<double>& out) const {
+  out.clear();
+  out.reserve(live_.size());
+  for (const auto& [id, r] : live_) {
     double total = 0.0;
-    std::vector<std::uint32_t> nodes;
-    nodes.reserve(r.hop_instance.size());
+    std::size_t nodes = 0;  // distinct nodes along the chain
     for (std::size_t h = 0; h < r.hop_instance.size(); ++h) {
       const Instance& inst = instances_[r.hop_instance[h]];
       const double mu = vnfs_[r.chain[h]].service_rate;
@@ -1491,15 +1501,17 @@ std::vector<double> ServeEngine::predicted_latencies() const {
       } else {
         total += 1.0 / mu;
       }
-      nodes.push_back(inst.node);
+      // A node counts at its first hop only.  Chains are a few hops long,
+      // so scanning the earlier hops is cheaper than sorting a copy.
+      std::size_t j = 0;
+      while (j < h && instances_[r.hop_instance[j]].node != inst.node) ++j;
+      if (j == h) ++nodes;
     }
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    if (!nodes.empty()) {
-      total += static_cast<double>(nodes.size() - 1) * link_latency_;
+    if (nodes > 0) {
+      total += static_cast<double>(nodes - 1) * link_latency_;
     }
-    return total;
-  });
+    out.push_back(total);
+  }
 }
 
 workload::Workload ServeEngine::live_workload() const {

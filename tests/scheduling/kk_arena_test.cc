@@ -295,6 +295,67 @@ TEST(KkArena, CkkMatchesSpecAtBudget4096) {
   expect_ckk_matches_spec(4096, 300, 24, 8, 1.0);
 }
 
+// rckk_schedule on one long-lived workspace and output — the serving
+// engine's rebalance path — must equal schedule() call for call, while n
+// and m grow and shrink: nothing a larger earlier problem left in the
+// buffers may leak into a later, smaller one.
+TEST(KkArena, ReusedWorkspaceMatchesScheduleAcrossSizes) {
+  Rng rng(31);
+  Rng unused(0);
+  const RckkScheduling rckk;
+  KkWorkspace workspace;
+  Schedule out;
+  for (int round = 0; round < 2000; ++round) {
+    // Alternate large and small draws so every buffer shrinks and regrows.
+    const double max_n = round % 2 == 0 ? 300.0 : 12.0;
+    const std::int64_t max_m = round % 3 == 0 ? 40 : 4;
+    const SchedulingProblem p = random_problem(rng, max_n, max_m, 1.0);
+    rckk_schedule(p, workspace, out);
+    expect_same(rckk.schedule(p, unused), out, "RCKK workspace", round);
+    // The value-returning form is the spec-checked path; keep the
+    // workspace path pinned to the spec directly as well.
+    if (round % 50 == 0) {
+      const std::size_t m = p.instance_count;
+      expect_same(spec_kk(p, [m](std::size_t i) { return m - 1 - i; }), out,
+                  "RCKK workspace vs spec", round);
+    }
+  }
+}
+
+TEST(KkArena, WorkspaceHoldsNoStateBetweenCalls) {
+  // The same problem solved on a fresh workspace and on one that just
+  // solved a much larger problem gives the same schedule, and a
+  // single-instance problem resets the output too.
+  Rng rng(5);
+  SchedulingProblem big;
+  for (int i = 0; i < 200; ++i) {
+    big.arrival_rates.push_back(rng.uniform(1.0, 100.0));
+  }
+  big.instance_count = 30;
+  big.service_rate = 1.2 * big.total_effective_rate() / 30;
+  SchedulingProblem small;
+  small.arrival_rates = {7.0, 3.0, 5.0, 5.0};
+  small.delivery_probs = {1.0, 0.5, 1.0, 0.5};
+  small.instance_count = 2;
+  small.service_rate = 100.0;
+  SchedulingProblem single = small;
+  single.instance_count = 1;
+
+  KkWorkspace fresh;
+  Schedule want;
+  rckk_schedule(small, fresh, want);
+
+  KkWorkspace reused;
+  Schedule got;
+  rckk_schedule(big, reused, got);
+  rckk_schedule(small, reused, got);
+  EXPECT_EQ(got.instance_of, want.instance_of);
+  EXPECT_EQ(got.work, want.work);
+  rckk_schedule(single, reused, got);
+  EXPECT_EQ(got.instance_of, std::vector<std::uint32_t>(4, 0));
+  EXPECT_EQ(got.work, 4u);
+}
+
 TEST(KkArena, InitialHeapPopsFifoAmongEqualRates) {
   // Equal effective rates (λ/P = 10 for all three) pop in request-index
   // order, exactly like the stable-sorted initial list.
@@ -303,7 +364,8 @@ TEST(KkArena, InitialHeapPopsFifoAmongEqualRates) {
   p.delivery_probs = {0.5, 1.0, 0.5};
   p.instance_count = 2;
   p.service_rate = 100.0;
-  detail::KkArena arena(p, 0);
+  KkWorkspace workspace;
+  detail::KkArena arena(p, 0, workspace);
   std::vector<detail::HeapEntry> heap = arena.heap();
   EXPECT_EQ(detail::pop_entry(heap).row, 0u);
   EXPECT_EQ(detail::pop_entry(heap).row, 1u);

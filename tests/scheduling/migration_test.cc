@@ -267,5 +267,66 @@ TEST(BoundedMigration, MatchesCubicReferenceOnRandomInstances) {
   }
 }
 
+TEST(BoundedMigration, LazyWalkMatchesStableSortWalkOnReusedWorkspace) {
+  // The planner pops mismatched requests off a heap under (rate desc,
+  // index asc) and stops when the budget is spent; the spec stable-sorts
+  // every mismatched request by rate first.  Small budgets (0-8) are the
+  // serving engine's regime, where the lazy walk stops early; tied rates
+  // (a handful of integer values, per-request P of 0.5 or 1) put many
+  // requests on one key, and capacity caps make the walk skip requests.
+  // One workspace and plan are reused across every call, with m and n
+  // growing and shrinking, so a stale buffer would show up as a mismatch.
+  Rng rng(4242);
+  MigrationWorkspace workspace;
+  MigrationPlan got;
+  for (int round = 0; round < 3000; ++round) {
+    const auto m = static_cast<std::uint32_t>(
+        rng.uniform_int(2, round % 2 == 0 ? 40 : 6));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 8 * m));
+    const bool tied = rng.uniform_int(0, 1) == 0;
+    SchedulingProblem p;
+    p.instance_count = m;
+    p.service_rate = 1000.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      p.arrival_rates.push_back(tied ? static_cast<double>(rng.uniform_int(1, 3))
+                                     : rng.uniform(1.0, 100.0));
+    }
+    if (rng.uniform_int(0, 1) == 0) {
+      for (std::size_t r = 0; r < n; ++r) {
+        p.delivery_probs.push_back(
+            tied ? (rng.uniform_int(0, 1) == 0 ? 0.5 : 1.0)
+                 : rng.uniform(0.9, 1.0));
+      }
+    }
+    Schedule target;
+    if (rng.uniform_int(0, 1) == 0) {
+      target = RckkScheduling{}.schedule(p, rng);
+    } else {
+      for (std::size_t r = 0; r < n; ++r) {
+        target.instance_of.push_back(
+            static_cast<std::uint32_t>(rng.uniform_int(0, m - 1)));
+      }
+    }
+    std::vector<std::uint32_t> current(n, 0);
+    for (std::size_t r = 0; r < n; ++r) {
+      current[r] = rng.uniform_int(0, 3) == 0
+                       ? static_cast<std::uint32_t>(rng.uniform_int(0, m - 1))
+                       : target.instance_of[r];
+    }
+    const auto budget = static_cast<std::uint32_t>(rng.uniform_int(0, 8));
+    // A cap near the balanced load makes a good share of moves skip.
+    const double cap = rng.uniform_int(0, 2) == 0
+                           ? 0.0
+                           : rng.uniform(0.9, 1.5) * p.total_effective_rate() /
+                                 static_cast<double>(m);
+    const MigrationPlan want = reference_plan(p, current, target, budget, cap);
+    plan_bounded_migration(p, current, target, budget, cap, workspace, got);
+    ASSERT_EQ(got.part_of_instance, want.part_of_instance) << "round " << round;
+    ASSERT_EQ(got.moves, want.moves) << "round " << round;
+    ASSERT_EQ(got.imbalance_before, want.imbalance_before) << "round " << round;
+    ASSERT_EQ(got.imbalance_after, want.imbalance_after) << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace nfv::sched
