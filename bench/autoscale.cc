@@ -16,11 +16,10 @@
 //
 // Rows follow the bench_micro convention: wall-clock columns carry "wall"
 // in the name (diffed generously in CI); everything else — availability,
-// instance-seconds, gap, scale/flap counters, work — is bit-identical for
-// any --threads and gated tightly.  The bench also self-checks the §16
-// determinism contract: per policy, the final checkpoint string must match
-// across pool widths, and a mid-trace save/resume must land on the same
-// bytes as the uninterrupted run.
+// instance-seconds, gap, scale/flap counters, work — is bit-identical
+// across machines and gated tightly.  The bench also self-checks the §16
+// determinism contract: per policy, a mid-trace save/resume must land on
+// the same checkpoint bytes as the uninterrupted run.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -33,7 +32,6 @@
 #include "nfv/common/cli.h"
 #include "nfv/common/rng.h"
 #include "nfv/common/table.h"
-#include "nfv/exec/thread_pool.h"
 #include "nfv/serve/checkpoint.h"
 #include "nfv/serve/engine.h"
 #include "nfv/topology/builders.h"
@@ -268,8 +266,6 @@ int main(int argc, char** argv) {
       "as-margin", '\0', "predictive headroom above the forecast", 0.05);
   const auto& migration_budget = cli.add_int(
       "migration-budget", 'K', "request moves per rebalance/drain pass", 8);
-  const auto& threads =
-      cli.add_int("threads", 'j', "fan-out width for the threaded row", 4);
   const auto& seed = cli.add_int("seed", 's', "base RNG seed", 7);
   const auto& json = cli.add_string("json", '\0', "write JSON table here", "");
   const auto& dump_fixture = cli.add_string(
@@ -279,7 +275,7 @@ int main(int argc, char** argv) {
       "");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 2;
   if (nodes < 1 || vnfs < 1 || events < 1 || churn_nodes < 0 ||
-      threads < 1 || as_cooldown < 0 || as_step < 1) {
+      as_cooldown < 0 || as_step < 1) {
     std::fputs("bench_autoscale: numeric flags out of range\n", stderr);
     return 2;
   }
@@ -353,74 +349,48 @@ int main(int argc, char** argv) {
       oracle_instance_seconds(fx, nfv::serve::ServeConfig{}.headroom);
   const auto event_count = static_cast<long long>(fx.trace.events.size());
 
-  nfv::Table table({"case", "threads", "events", "wall_us", "availability",
+  nfv::Table table({"case", "events", "wall_us", "availability",
                     "instance_seconds", "oracle_instance_seconds", "gap_pct",
                     "scale_outs", "scale_ins", "flaps", "unaccounted",
                     "work"});
   table.set_precision(6);
 
   bool ok = true;
-  std::vector<std::uint32_t> widths = {1};
-  if (threads > 1) widths.push_back(static_cast<std::uint32_t>(threads));
   for (const nfv::serve::ScalePolicy policy :
        {nfv::serve::ScalePolicy::kReactive,
         nfv::serve::ScalePolicy::kPredictive}) {
     const std::string name(nfv::serve::to_string(policy));
-    std::string serial_checkpoint;
-    for (const std::uint32_t width : widths) {
-      RunResult r;
-      if (width == 1) {
-        r = replay_once(fx, knobs, policy);
-      } else {
-        nfv::exec::ThreadPool pool(width);
-        const nfv::exec::ScopedPool scoped(pool);
-        r = replay_once(fx, knobs, policy);
-      }
-      const nfv::serve::ServeSummary& s = r.summary;
-      const double gap_pct =
-          oracle > 0.0 ? (s.instance_seconds - oracle) / oracle * 100.0
-                       : 0.0;
-      const long long lost = unaccounted(s);
-      table.add_row({name, static_cast<long long>(width), event_count,
-                     r.replay_wall_us, s.availability, s.instance_seconds,
-                     oracle, gap_pct,
-                     static_cast<long long>(s.scale_outs),
-                     static_cast<long long>(s.scale_ins),
-                     static_cast<long long>(s.autoscale_flaps), lost,
-                     static_cast<long long>(s.work)});
-      if (gap_pct > max_gap_pct) {
-        std::fprintf(stderr,
-                     "bench_autoscale: %s gap %.2f%% above ceiling %.2f%% "
-                     "at width %u\n",
-                     name.c_str(), gap_pct, static_cast<double>(max_gap_pct),
-                     width);
-        ok = false;
-      }
-      if (s.availability < min_availability) {
-        std::fprintf(stderr,
-                     "bench_autoscale: %s availability %.6f below floor "
-                     "%.6f at width %u\n",
-                     name.c_str(), s.availability, min_availability, width);
-        ok = false;
-      }
-      if (lost != 0) {
-        std::fprintf(stderr,
-                     "bench_autoscale: %s %lld request(s) unaccounted for "
-                     "at width %u\n",
-                     name.c_str(), lost, width);
-        ok = false;
-      }
-      if (width == 1) {
-        serial_checkpoint = r.final_checkpoint;
-      } else if (r.final_checkpoint != serial_checkpoint) {
-        std::fprintf(stderr,
-                     "bench_autoscale: %s checkpoint diverges between "
-                     "width 1 and width %u\n",
-                     name.c_str(), width);
-        ok = false;
-      }
+    const RunResult r = replay_once(fx, knobs, policy);
+    const nfv::serve::ServeSummary& s = r.summary;
+    const double gap_pct =
+        oracle > 0.0 ? (s.instance_seconds - oracle) / oracle * 100.0 : 0.0;
+    const long long lost = unaccounted(s);
+    table.add_row({name, event_count, r.replay_wall_us, s.availability,
+                   s.instance_seconds, oracle, gap_pct,
+                   static_cast<long long>(s.scale_outs),
+                   static_cast<long long>(s.scale_ins),
+                   static_cast<long long>(s.autoscale_flaps), lost,
+                   static_cast<long long>(s.work)});
+    if (gap_pct > max_gap_pct) {
+      std::fprintf(stderr,
+                   "bench_autoscale: %s gap %.2f%% above ceiling %.2f%%\n",
+                   name.c_str(), gap_pct, static_cast<double>(max_gap_pct));
+      ok = false;
     }
-    if (!resume_matches(fx, knobs, policy, serial_checkpoint)) {
+    if (s.availability < min_availability) {
+      std::fprintf(stderr,
+                   "bench_autoscale: %s availability %.6f below floor "
+                   "%.6f\n",
+                   name.c_str(), s.availability, min_availability);
+      ok = false;
+    }
+    if (lost != 0) {
+      std::fprintf(stderr,
+                   "bench_autoscale: %s %lld request(s) unaccounted for\n",
+                   name.c_str(), lost);
+      ok = false;
+    }
+    if (!resume_matches(fx, knobs, policy, r.final_checkpoint)) {
       std::fprintf(stderr,
                    "bench_autoscale: %s mid-trace save/resume is not "
                    "byte-identical\n",

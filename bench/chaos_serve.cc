@@ -16,19 +16,17 @@
 //
 // Rows follow the bench_micro convention: wall-clock columns carry "wall"
 // in the name (diffed generously in CI); everything else — availability,
-// evacuation/shed counters, work — is bit-identical for any --threads and
+// evacuation/shed counters, work — is bit-identical across machines and
 // gated tightly.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <vector>
 
 #include "harness.h"
 #include "nfv/common/cli.h"
 #include "nfv/common/rng.h"
 #include "nfv/common/table.h"
-#include "nfv/exec/thread_pool.h"
 #include "nfv/serve/engine.h"
 #include "nfv/topology/builders.h"
 #include "nfv/topology/io.h"
@@ -130,13 +128,10 @@ int main(int argc, char** argv) {
   const auto& min_availability = cli.add_double(
       "min-availability", '\0', "fail (exit 1) below this availability",
       0.95);
-  const auto& threads =
-      cli.add_int("threads", 'j', "fan-out width for the threaded row", 4);
   const auto& seed = cli.add_int("seed", 's', "base RNG seed", 7);
   const auto& json = cli.add_string("json", '\0', "write JSON table here", "");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 2;
-  if (nodes < 1 || vnfs < 1 || events < 1 || churn_nodes < 0 ||
-      threads < 1) {
+  if (nodes < 1 || vnfs < 1 || events < 1 || churn_nodes < 0) {
     std::fputs("bench_chaos_serve: numeric flags out of range\n", stderr);
     return 2;
   }
@@ -166,48 +161,34 @@ int main(int argc, char** argv) {
   nfv::bench::print_banner(
       "chaos_serve", "serve-engine availability under MTBF/MTTR node churn");
 
-  nfv::Table table({"case", "threads", "events", "wall_us", "availability",
+  nfv::Table table({"case", "events", "wall_us", "availability",
                     "evacuated", "parked", "retry_admitted", "shed_total",
                     "unaccounted", "work"});
   table.set_precision(6);
   const auto event_count = static_cast<long long>(fx.trace.events.size());
 
   bool ok = true;
-  std::vector<std::uint32_t> widths = {1};
-  if (threads > 1) widths.push_back(static_cast<std::uint32_t>(threads));
-  for (const std::uint32_t width : widths) {
-    ChaosResult r;
-    if (width == 1) {
-      r = replay_once(fx);
-    } else {
-      nfv::exec::ThreadPool pool(width);
-      const nfv::exec::ScopedPool scoped(pool);
-      r = replay_once(fx);
-    }
-    const nfv::serve::ServeSummary& s = r.summary;
-    const long long lost = unaccounted(s);
-    table.add_row({std::string("churn_replay"), static_cast<long long>(width),
-                   event_count, r.replay_wall_us, s.availability,
-                   static_cast<long long>(s.evacuated_requests),
-                   static_cast<long long>(s.parked),
-                   static_cast<long long>(s.retry_admitted),
-                   static_cast<long long>(s.shed + s.shed_fault +
-                                          s.shed_overload),
-                   lost, static_cast<long long>(s.work)});
-    if (lost != 0) {
-      std::fprintf(stderr,
-                   "bench_chaos_serve: %lld request(s) unaccounted for at "
-                   "width %u\n",
-                   lost, width);
-      ok = false;
-    }
-    if (s.availability < min_availability) {
-      std::fprintf(stderr,
-                   "bench_chaos_serve: availability %.6f below floor %.6f "
-                   "at width %u\n",
-                   s.availability, min_availability, width);
-      ok = false;
-    }
+  const ChaosResult r = replay_once(fx);
+  const nfv::serve::ServeSummary& s = r.summary;
+  const long long lost = unaccounted(s);
+  table.add_row({std::string("churn_replay"), event_count, r.replay_wall_us,
+                 s.availability, static_cast<long long>(s.evacuated_requests),
+                 static_cast<long long>(s.parked),
+                 static_cast<long long>(s.retry_admitted),
+                 static_cast<long long>(s.shed + s.shed_fault +
+                                        s.shed_overload),
+                 lost, static_cast<long long>(s.work)});
+  if (lost != 0) {
+    std::fprintf(stderr,
+                 "bench_chaos_serve: %lld request(s) unaccounted for\n",
+                 lost);
+    ok = false;
+  }
+  if (s.availability < min_availability) {
+    std::fprintf(stderr,
+                 "bench_chaos_serve: availability %.6f below floor %.6f\n",
+                 s.availability, min_availability);
+    ok = false;
   }
 
   std::fputs(table.markdown().c_str(), stdout);

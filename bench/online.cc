@@ -13,6 +13,12 @@
 // deterministic columns — `gap_pct` and `work`, bit-identical for any
 // --threads — are gated tightly.  The serve_replay rows for 1 and N
 // threads must agree on everything but wall time.
+//
+// Together the rows compare three rebalancing policies on one trace:
+// serve_replay is the threshold-triggered bounded rebalance (the default
+// ServeConfig), serve_never replays with migration_budget = 0 so no
+// rebalance ever moves a request, and offline_resolve is the oracle the
+// gaps are measured against.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -75,8 +81,9 @@ Fixture generated_fixture(std::int64_t nodes, std::int64_t vnfs,
   return fx;
 }
 
-/// One full replay at a given fan-out width, with offline re-solves of the
-/// live set every `resolve_every` events (and after the last one).
+/// One full replay under `config` at the installed fan-out width, with
+/// offline re-solves of the live set every `resolve_every` events (and
+/// after the last one).
 struct ReplayResult {
   double replay_wall_us = 0.0;        ///< whole-trace replay
   double decision_wall_us_mean = 0.0; ///< per-event engine latency
@@ -88,9 +95,10 @@ struct ReplayResult {
   std::uint64_t offline_work = 0;     ///< Σ scheduling work of re-solves
 };
 
-ReplayResult replay_once(const Fixture& fx, std::int64_t resolve_every,
-                         std::uint64_t seed) {
-  nfv::serve::ServeEngine engine(fx.topology, fx.workload.vnfs);
+ReplayResult replay_once(const Fixture& fx,
+                         const nfv::serve::ServeConfig& config,
+                         std::int64_t resolve_every, std::uint64_t seed) {
+  nfv::serve::ServeEngine engine(fx.topology, fx.workload.vnfs, config);
 
   // Same L as the engine (which defaults to the topology mean), so the
   // gap isolates partition quality rather than link-cost bookkeeping.
@@ -221,11 +229,11 @@ int main(int argc, char** argv) {
   for (const std::uint32_t width : widths) {
     ReplayResult r;
     if (width == 1) {
-      r = replay_once(fx, resolve_every, base_seed);
+      r = replay_once(fx, {}, resolve_every, base_seed);
     } else {
       nfv::exec::ThreadPool pool(width);
       const nfv::exec::ScopedPool scoped(pool);
-      r = replay_once(fx, resolve_every, base_seed);
+      r = replay_once(fx, {}, resolve_every, base_seed);
     }
     table.add_row({std::string("serve_replay"), static_cast<long long>(width),
                    event_count, r.replay_wall_us, r.decision_wall_us_mean,
@@ -240,6 +248,15 @@ int main(int argc, char** argv) {
                      static_cast<long long>(r.offline_work)});
     }
   }
+  // Appended last so the indices of the rows above stay put in the
+  // committed baseline.
+  nfv::serve::ServeConfig never;
+  never.migration_budget = 0;
+  const ReplayResult r = replay_once(fx, never, resolve_every, base_seed);
+  table.add_row({std::string("serve_never"), 1LL, event_count,
+                 r.replay_wall_us, r.decision_wall_us_mean,
+                 r.decision_wall_us_p99, r.gap_pct,
+                 static_cast<long long>(r.serve_work)});
 
   std::fputs(table.markdown().c_str(), stdout);
   nfv::bench::write_table_json(table, "online", json);

@@ -1,24 +1,22 @@
 // Bridges the solver types to the obs run-report schema: converts a
-// JointResult (and optionally a SimResult, a resilience recovery trail and
-// the live metrics registry) into an obs::RunReport ready for
+// JointResult (and optionally a SimResult, a serve section, a solver race
+// and the live metrics registry) into an obs::RunReport ready for
 // obs::write_run_report.  Lives in core — obs stays a leaf library that
 // knows nothing about placement/scheduling/sim types.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "nfv/core/joint_optimizer.h"
-#include "nfv/core/resilience.h"
 #include "nfv/core/solver.h"
 #include "nfv/obs/report.h"
 #include "nfv/sim/des.h"
 
 namespace nfv::core {
 
-/// Everything a run report can describe; leave pointers null / spans empty
-/// for sections that do not apply to the command.
+/// Everything a run report can describe; leave pointers null for
+/// sections that do not apply to the command.
 struct ReportInputs {
   std::string command;             ///< nfvpr subcommand ("pipeline", ...)
   std::uint64_t seed = 0;
@@ -27,7 +25,6 @@ struct ReportInputs {
   const SystemModel* model = nullptr;       ///< required with `result`
   const JointResult* result = nullptr;      ///< placement + scheduling
   const sim::SimResult* sim = nullptr;      ///< DES section
-  std::span<const RecoveryReport> resilience = {};
   /// Pre-built serving section (the serve library owns the conversion);
   /// copied verbatim when non-null and present.
   const obs::ServeSection* serve = nullptr;
@@ -38,7 +35,7 @@ struct ReportInputs {
   const obs::MetricsRegistry* metrics = nullptr;  ///< registry snapshot
 };
 
-/// Builds the report; sections with null/empty inputs are marked absent.
+/// Builds the report; sections with null inputs are marked absent.
 [[nodiscard]] obs::RunReport build_run_report(const ReportInputs& inputs);
 
 }  // namespace nfv::core

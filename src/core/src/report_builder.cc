@@ -1,7 +1,5 @@
 #include "nfv/core/report_builder.h"
 
-#include <algorithm>
-
 #include "nfv/common/error.h"
 
 namespace nfv::core {
@@ -96,30 +94,6 @@ void fill_des(const sim::SimResult& sim, obs::DesSection& out) {
   }
 }
 
-void fill_resilience(const ReportInputs& in, obs::ResilienceSection& out) {
-  out.present = true;
-  out.events.reserve(in.resilience.size());
-  for (const RecoveryReport& r : in.resilience) {
-    obs::ResilienceEventEntry e;
-    e.time = r.time;
-    e.node = in.model != nullptr
-                 ? in.model->topology.label(r.node)
-                 : "node" + std::to_string(r.node.value());
-    e.node_up = r.node_up;
-    e.resolution = std::string(to_string(r.resolution));
-    e.vnfs_migrated = r.vnfs_migrated;
-    e.requests_shed = r.requests_shed;
-    e.requests_restored = r.requests_restored;
-    e.time_to_recover = r.time_to_recover;
-    e.availability = r.availability;
-    out.worst_availability = std::min(out.worst_availability, r.availability);
-    out.final_availability = r.availability;
-    out.total_shed += r.requests_shed;
-    ++out.resolutions[e.resolution];
-    out.events.push_back(std::move(e));
-  }
-}
-
 void fill_shard(const ReportInputs& in, obs::ShardSection& out) {
   const shard::ShardStats& s = in.result->shard_stats;
   if (!s.enabled) return;  // monolithic run: no shard section at all
@@ -170,9 +144,6 @@ obs::RunReport build_run_report(const ReportInputs& inputs) {
     fill_shard(inputs, report.shard);
   }
   if (inputs.sim != nullptr) fill_des(*inputs.sim, report.des);
-  if (!inputs.resilience.empty()) {
-    fill_resilience(inputs, report.resilience);
-  }
   if (inputs.serve != nullptr) report.serve = *inputs.serve;
   if (inputs.solver != nullptr) fill_solver(inputs, report.solver);
   if (inputs.metrics != nullptr) {

@@ -1,11 +1,13 @@
 // Machine-readable run reports: a stable JSON schema describing one whole
 // pipeline run (placement summary, per-instance loads and response times,
-// DES counters, resilience recovery trail, metrics-registry snapshot).
+// DES counters, serving counters, shard and solver-race summaries,
+// metrics-registry snapshot).
 //
 // The obs library owns the schema, serialization, loading, pretty-printing
 // and diffing; it knows nothing about the solver types.  The core library
-// provides the builder that converts a JointResult / SimResult /
-// RecoveryReport stream into a RunReport (nfv/core/report_builder.h).
+// provides the builder that converts a JointResult / SimResult into a
+// RunReport (nfv/core/report_builder.h); the serve library builds its own
+// section.
 //
 // Schema ("nfvpr.run_report/1"):
 //
@@ -24,11 +26,17 @@
 //                    fault_retransmissions, station_drops,
 //                    station_fault_drops, station_failures,
 //                    avg_utilization, mean_latency, total_downtime},
-//     "resilience": {events: [...], final_availability, worst_availability,
-//                    total_shed, resolutions: {rung: count}},
+//     "serve":      {events, arrivals, admitted, rejected, shed,
+//                    migrations, rebalances, ..., churn: {node_downs,
+//                    evacuated_requests, parked, shed_fault, ...},
+//                    autoscale: {...}?, availability, admission_rate,
+//                    mean_predicted_latency, p99_predicted_latency, work,
+//                    timeline: {...}?, events_log: [...]?},
 //     "shard":      {shards, components, splits, fallback_monolithic,
 //                    repair_moves, drain_moves, drained_nodes,
 //                    boundary_requests, rebalances, migrations},
+//     "solver":     {solver, winner, deterministic, budget, budget_ms,
+//                    backends: [{id, feasible, rejected, objective, work}]},
 //     "metrics":    {counters: {...}, gauges: {...}, histograms: {...}}
 //   }
 //
@@ -38,7 +46,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,28 +112,6 @@ struct DesSection {
   double avg_utilization = 0.0;  ///< mean station utilization
   double mean_latency = 0.0;     ///< delivered-weighted end-to-end mean
   double total_downtime = 0.0;   ///< summed station down-seconds
-};
-
-struct ResilienceEventEntry {
-  double time = 0.0;
-  std::string node;
-  bool node_up = false;
-  std::string resolution;
-  std::uint64_t vnfs_migrated = 0;
-  std::uint64_t requests_shed = 0;
-  std::uint64_t requests_restored = 0;
-  double time_to_recover = 0.0;
-  double availability = 0.0;
-};
-
-struct ResilienceSection {
-  bool present = false;
-  std::vector<ResilienceEventEntry> events;
-  double final_availability = 0.0;
-  double worst_availability = 1.0;
-  std::uint64_t total_shed = 0;
-  /// Resolution rung name -> number of events it resolved.
-  std::map<std::string, std::uint64_t> resolutions;
 };
 
 struct MetricsSection {
@@ -254,7 +239,6 @@ struct RunReport {
   SchedulingSection scheduling;
   RequestSection requests;
   DesSection des;
-  ResilienceSection resilience;
   ServeSection serve;
   ShardSection shard;
   SolverSection solver;

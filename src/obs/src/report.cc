@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -136,36 +137,6 @@ void write_run_report(const RunReport& report, std::ostream& os) {
     w.kv("avg_utilization", d.avg_utilization);
     w.kv("mean_latency", d.mean_latency);
     w.kv("total_downtime", d.total_downtime);
-    w.end_object();
-  }
-
-  if (report.resilience.present) {
-    const ResilienceSection& r = report.resilience;
-    w.key("resilience");
-    w.begin_object();
-    w.kv("final_availability", r.final_availability);
-    w.kv("worst_availability", r.worst_availability);
-    w.kv("total_shed", r.total_shed);
-    w.key("resolutions");
-    w.begin_object();
-    for (const auto& [rung, n] : r.resolutions) w.kv(rung, n);
-    w.end_object();
-    w.key("events");
-    w.begin_array();
-    for (const ResilienceEventEntry& e : r.events) {
-      w.begin_object();
-      w.kv("time", e.time);
-      w.kv("node", e.node);
-      w.kv("event", e.node_up ? "UP" : "DOWN");
-      w.kv("resolution", e.resolution);
-      w.kv("vnfs_migrated", e.vnfs_migrated);
-      w.kv("requests_shed", e.requests_shed);
-      w.kv("requests_restored", e.requests_restored);
-      w.kv("time_to_recover", e.time_to_recover);
-      w.kv("availability", e.availability);
-      w.end_object();
-    }
-    w.end_array();
     w.end_object();
   }
 
@@ -402,29 +373,6 @@ std::string pretty_print_report(const JsonValue& report) {
        << " fault)\n";
   }
 
-  if (const JsonValue* r = report.find("resilience")) {
-    const JsonValue* events = r->find("events");
-    const std::size_t n = (events != nullptr && events->is_array())
-                              ? events->as_array().size()
-                              : 0;
-    os << "\nresilience (" << n << " churn events)\n";
-    os << "  final availability: "
-       << format_number(r->number_or("final_availability")) << "\n";
-    os << "  worst availability: "
-       << format_number(r->number_or("worst_availability")) << "\n";
-    os << "  requests shed     : " << format_number(r->number_or("total_shed"))
-       << "\n";
-    if (const JsonValue* res = r->find("resolutions");
-        res != nullptr && res->is_object()) {
-      for (const auto& [rung, count] : res->as_object()) {
-        if (count.is_number()) {
-          os << "  resolved by " << rung << ": "
-             << format_number(count.as_number()) << "\n";
-        }
-      }
-    }
-  }
-
   if (const JsonValue* s = report.find("serve")) {
     // Churn counters nest under serve.churn since the telemetry PR; fall
     // back to the flat fields so pre-telemetry reports still print.
@@ -618,7 +566,7 @@ constexpr std::string_view kHigherWorse[] = {
 
 /// Metrics where a larger value signals a better run.
 constexpr std::string_view kHigherBetter[] = {
-    "availability", "admitted", "delivered", "utilization", "restored",
+    "availability", "admitted", "delivered", "utilization",
 };
 
 int classify_direction(std::string_view path) {

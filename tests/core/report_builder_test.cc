@@ -76,7 +76,7 @@ TEST(ReportBuilder, FillsSectionsFromJointResult) {
   EXPECT_DOUBLE_EQ(report.requests.rejection_rate, result.job_rejection_rate);
 
   EXPECT_FALSE(report.des.present);
-  EXPECT_FALSE(report.resilience.present);
+  EXPECT_FALSE(report.serve.present);
   EXPECT_FALSE(report.metrics.present);
 }
 
@@ -125,32 +125,6 @@ TEST(ReportBuilder, MetricsRegistrySnapshotIsEmbedded) {
   ASSERT_EQ(report.metrics.snapshot.counters.size(), 1u);
   EXPECT_EQ(report.metrics.snapshot.counters[0].name, "core.joint.runs");
   EXPECT_FALSE(report.placement.present);
-}
-
-TEST(ReportBuilder, ResilienceTrailIsSummarized) {
-  std::vector<RecoveryReport> trail(2);
-  trail[0].time = 1.0;
-  trail[0].node = NodeId{0};
-  trail[0].resolution = RecoveryAction::kLocalRepair;
-  trail[0].requests_shed = 4;
-  trail[0].availability = 0.9;
-  trail[1].time = 2.0;
-  trail[1].node = NodeId{1};
-  trail[1].resolution = RecoveryAction::kLocalRepair;
-  trail[1].requests_shed = 2;
-  trail[1].availability = 0.95;
-
-  ReportInputs inputs;
-  inputs.command = "chaos";
-  inputs.resilience = trail;
-  const obs::RunReport report = build_run_report(inputs);
-  ASSERT_TRUE(report.resilience.present);
-  ASSERT_EQ(report.resilience.events.size(), 2u);
-  EXPECT_EQ(report.resilience.total_shed, 6u);
-  EXPECT_DOUBLE_EQ(report.resilience.worst_availability, 0.9);
-  EXPECT_DOUBLE_EQ(report.resilience.final_availability, 0.95);
-  const std::string rung(to_string(RecoveryAction::kLocalRepair));
-  EXPECT_EQ(report.resilience.resolutions.at(rung), 2u);
 }
 
 TEST(ReportBuilder, ResultWithoutModelIsRejected) {

@@ -524,7 +524,7 @@ TEST(ParserRobustness, PinnedReportCrashersAreHandled) {
   const obs::JsonValue weird = obs::load_run_report(
       R"({"schema":"nfvpr.run_report/1","placement":5,)"
       R"("scheduling":{"vnfs":[3,"x"]},)"
-      R"("resilience":{"resolutions":{"migrate":"three"}},)"
+      R"("serve":{"churn":{"node_downs":"three"},"autoscale":[1]},)"
       R"("shard":"yes","metrics":{"counters":[1]}})");
   EXPECT_NO_THROW((void)obs::pretty_print_report(weird));
 }

@@ -52,17 +52,13 @@ RunReport canned_report(double latency, double availability) {
   report.des.delivered = 490;
   report.des.buffer_drops = 10;
 
-  report.resilience.present = true;
-  ResilienceEventEntry event;
-  event.time = 3.5;
-  event.node = "n2";
-  event.resolution = "migrate";
-  event.vnfs_migrated = 1;
-  event.availability = availability;
-  report.resilience.events.push_back(event);
-  report.resilience.final_availability = availability;
-  report.resilience.worst_availability = availability;
-  report.resilience.resolutions["migrate"] = 1;
+  report.serve.present = true;
+  report.serve.events = 12;
+  report.serve.arrivals = 6;
+  report.serve.admitted = 6;
+  report.serve.node_downs = 1;
+  report.serve.evacuated_requests = 2;
+  report.serve.availability = availability;
   return report;
 }
 
@@ -89,10 +85,9 @@ TEST(RunReport, RoundTripsThroughWriteAndLoad) {
   ASSERT_EQ(loads.size(), 2u);
   EXPECT_DOUBLE_EQ(loads[0].as_number(), 55.0);
   EXPECT_DOUBLE_EQ(loads[1].as_number(), 48.0);
-  const JsonValue* resilience = loaded.find("resilience");
-  ASSERT_NE(resilience, nullptr);
-  EXPECT_DOUBLE_EQ(
-      resilience->find("resolutions")->number_or("migrate"), 1.0);
+  const JsonValue* serve = loaded.find("serve");
+  ASSERT_NE(serve, nullptr);
+  EXPECT_DOUBLE_EQ(serve->find("churn")->number_or("node_downs"), 1.0);
 }
 
 TEST(RunReport, AbsentSectionsAreOmitted) {
@@ -102,7 +97,7 @@ TEST(RunReport, AbsentSectionsAreOmitted) {
   EXPECT_EQ(loaded.find("placement"), nullptr);
   EXPECT_EQ(loaded.find("scheduling"), nullptr);
   EXPECT_EQ(loaded.find("des"), nullptr);
-  EXPECT_EQ(loaded.find("resilience"), nullptr);
+  EXPECT_EQ(loaded.find("serve"), nullptr);
   EXPECT_EQ(loaded.find("metrics"), nullptr);
 }
 
@@ -140,8 +135,7 @@ TEST(ReportDiff, FlagsRegressionsAndImprovements) {
   EXPECT_TRUE(latency->regression);
   EXPECT_FALSE(latency->improvement);
   EXPECT_NEAR(latency->pct, 20.0, 1e-9);
-  const DiffEntry* availability =
-      find_entry("resilience.final_availability");
+  const DiffEntry* availability = find_entry("serve.availability");
   ASSERT_NE(availability, nullptr);
   EXPECT_TRUE(availability->improvement);
   EXPECT_GE(diff.regressions, 1u);
@@ -208,7 +202,7 @@ TEST(ReportDiff, OneSidedMetricsCarryTheirValues) {
   RunReport base = canned_report(0.05, 0.99);
   RunReport cand = canned_report(0.05, 0.99);
   base.des.present = false;      // des.* only in the candidate -> added
-  cand.resilience.present = false;  // resilience.* only in baseline -> removed
+  cand.serve.present = false;    // serve.* only in baseline -> removed
   const auto before = load_run_report(serialize(base));
   const auto after = load_run_report(serialize(cand));
   const ReportDiff diff = diff_reports(before, after, 1.0);
@@ -220,8 +214,7 @@ TEST(ReportDiff, OneSidedMetricsCarryTheirValues) {
                      [path](const LeafChange& c) { return c.path == path; });
     return it == v.end() ? nullptr : &*it;
   };
-  const LeafChange* removed =
-      find_leaf(diff.removed, "resilience.final_availability");
+  const LeafChange* removed = find_leaf(diff.removed, "serve.availability");
   ASSERT_NE(removed, nullptr);
   EXPECT_EQ(removed->value, "0.99");
   const LeafChange* added = find_leaf(diff.added, "des.events");
@@ -232,8 +225,7 @@ TEST(ReportDiff, OneSidedMetricsCarryTheirValues) {
   EXPECT_EQ(diff.added.size(), diff.only_after.size());
 
   const std::string text = render_diff(diff);
-  EXPECT_NE(text.find("only in baseline: resilience.final_availability"
-                      " = 0.99 (removed)"),
+  EXPECT_NE(text.find("only in baseline: serve.availability = 0.99 (removed)"),
             std::string::npos);
   EXPECT_NE(text.find("only in current:  des.events = 1000 (added)"),
             std::string::npos);

@@ -47,7 +47,7 @@ expect_exit 2 "missing flag value is a usage error" "$NFVPR" pipeline --seed
 expect_exit 2 "report without --in is a usage error" "$NFVPR" report
 
 # --threads must be a positive integer on every parallel-capable subcommand.
-for sub in place schedule pipeline simulate chaos serve; do
+for sub in place schedule pipeline simulate serve; do
   expect_exit 2 "$sub --threads 0 is a usage error" "$NFVPR" "$sub" --threads 0
   expect_exit 2 "$sub --threads x is a usage error" "$NFVPR" "$sub" --threads x
 done
@@ -81,6 +81,24 @@ expect_contains "$WORK/trace.json" '"ph": "X"' \
   "trace file has complete events"
 expect_contains "$WORK/trace.json" 'core.joint.run' \
   "trace file has the joint-run span"
+
+# --- generators: negative counts are usage errors -------------------------
+# Count flags are cast to unsigned widths; a negative value must exit 2 at
+# once rather than wrap to a huge count (timeout turns a hang into a FAIL).
+expect_exit 2 "generate-topology --nodes -1 exits 2" \
+  timeout 10 "$NFVPR" generate-topology --nodes -1
+expect_exit 2 "generate-topology --fat-k -1 exits 2" \
+  timeout 10 "$NFVPR" generate-topology --kind fattree --fat-k -1
+expect_exit 2 "generate-workload --vnfs -1 exits 2" \
+  timeout 10 "$NFVPR" generate-workload --vnfs -1
+expect_exit 2 "generate-workload --requests -1 exits 2" \
+  timeout 10 "$NFVPR" generate-workload --requests -1
+expect_exit 2 "generate-workload --templates -1 exits 2" \
+  timeout 10 "$NFVPR" generate-workload --templates -1
+expect_exit 2 "generate-trace --events -1 exits 2" \
+  timeout 10 "$NFVPR" generate-trace -w "$WORK/peak.wl" --events -1
+expect_exit 2 "generate-trace --population -1 exits 2" \
+  timeout 10 "$NFVPR" generate-trace -w "$WORK/peak.wl" --population -1
 
 # --- threading is a wall-clock knob only ----------------------------------
 expect_exit 0 "pipeline serial reference" \

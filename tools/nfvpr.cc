@@ -7,7 +7,6 @@
 //   nfvpr pipeline --topology dc.topo --workload peak.wl
 //                  --metrics-out run.json --trace-out trace.json
 //   nfvpr simulate --topology dc.topo --workload peak.wl --duration 60
-//   nfvpr chaos    --nodes 8 --events 20 --max-down 3 --seed 21
 //   nfvpr report   --in run.json                   # pretty-print
 //   nfvpr report   --in run.json --baseline old.json   # diff
 #include <algorithm>
@@ -26,7 +25,6 @@
 #include "nfv/common/table.h"
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/core/report_builder.h"
-#include "nfv/core/resilience.h"
 #include "nfv/core/sim_builder.h"
 #include "nfv/core/solver.h"
 #include "nfv/core/tail_prediction.h"
@@ -66,8 +64,6 @@ int usage() {
       "  pipeline           run the full two-phase optimization (Eq. 16)\n"
       "  tail               per-request latency tail predictions (p50/p95/p99)\n"
       "  simulate           optimize, then replay packet-level and compare\n"
-      "  chaos              replay a seeded failure storm through the\n"
-      "                     resilience controller's escalation ladder\n"
       "  generate-trace     emit an event trace (nfvpr.trace/1, or /2 with\n"
       "                     node churn; --binary for compact nfvpr.btrace/1)\n"
       "                     from a workload\n"
@@ -83,7 +79,7 @@ int usage() {
       "                     aggregates, worst windows, --fail-on CI gates\n"
       "  report             pretty-print a run report, or diff two reports\n"
       "\n"
-      "place/schedule/pipeline/simulate/chaos/serve accept --metrics-out\n"
+      "place/schedule/pipeline/simulate/serve accept --metrics-out\n"
       "<path> (JSON run report), --trace-out <path> (Chrome trace-event JSON)\n"
       "and --threads N (parallel fan-out; results are identical for any N).\n"
       "place/schedule/pipeline/serve also accept --shards K (sharded solve:\n"
@@ -107,6 +103,15 @@ int usage() {
 /// error) otherwise.
 int parse_exit(const nfv::CliParser& cli) {
   return cli.help_requested() ? 0 : 2;
+}
+
+/// Count flags are cast to unsigned widths, where a negative value would
+/// wrap to a huge count; returns false (after a one-line message) so the
+/// caller exits 2 instead.
+bool non_negative(const char* command, const char* flag, std::int64_t value) {
+  if (value >= 0) return true;
+  std::fprintf(stderr, "nfvpr %s: --%s must be >= 0\n", command, flag);
+  return false;
 }
 
 nfv::topo::Topology read_topology(const std::string& path) {
@@ -381,6 +386,10 @@ int cmd_generate_topology(int argc, const char* const* argv) {
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   const auto& fat_k = cli.add_int("fat-k", '\0', "fat-tree arity (even)", 4);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
+  if (!non_negative("generate-topology", "nodes", nodes) ||
+      !non_negative("generate-topology", "fat-k", fat_k)) {
+    return 2;
+  }
   nfv::Rng rng(static_cast<std::uint64_t>(seed));
   const nfv::topo::CapacitySpec cap{cap_min, cap_max};
   const nfv::topo::LinkSpec link{latency};
@@ -416,6 +425,11 @@ int cmd_generate_workload(int argc, const char* const* argv) {
       cli.add_double("delivery-prob", 'p', "P per request", 0.98);
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
+  if (!non_negative("generate-workload", "vnfs", vnfs) ||
+      !non_negative("generate-workload", "requests", requests) ||
+      !non_negative("generate-workload", "templates", templates)) {
+    return 2;
+  }
   nfv::workload::WorkloadConfig cfg;
   cfg.vnf_count = static_cast<std::uint32_t>(vnfs);
   cfg.request_count = static_cast<std::uint32_t>(requests);
@@ -829,107 +843,6 @@ int cmd_simulate(int argc, const char* const* argv) {
   return 0;
 }
 
-int cmd_chaos(int argc, const char* const* argv) {
-  nfv::CliParser cli("nfvpr chaos",
-                     "replay a failure storm through the resilience ladder");
-  const auto& topology_file = cli.add_string("topology", 't', "topology file", "");
-  const auto& workload_file = cli.add_string("workload", 'w', "workload file", "");
-  const auto& nodes =
-      cli.add_int("nodes", 'n', "compute nodes (generated topology)", 8);
-  const auto& events = cli.add_int("events", 'e', "churn events", 20);
-  const auto& max_down =
-      cli.add_int("max-down", 'd', "max concurrently down nodes", 3);
-  const auto& interval =
-      cli.add_double("interval", 'i', "mean inter-event seconds", 5.0);
-  const auto& demand = cli.add_double(
-      "demand", 'D', "per-instance demand (generated workload)", 150.0);
-  const auto& seed = cli.add_int("seed", 's', "RNG seed", 21);
-  ThreadsFlag threads(cli);
-  Telemetry tele(cli);
-  if (!cli.parse(argc, argv)) return parse_exit(cli);
-  if (!threads.install()) return 2;
-
-  nfv::Rng rng(static_cast<std::uint64_t>(seed));
-  nfv::core::SystemModel model;
-  if (!topology_file.empty()) {
-    model.topology = read_topology(topology_file);
-  } else {
-    model.topology = nfv::topo::make_star(
-        static_cast<std::size_t>(nodes),
-        nfv::topo::CapacitySpec{1000.0, 1800.0}, nfv::topo::LinkSpec{2e-4},
-        rng);
-  }
-  if (!workload_file.empty()) {
-    model.workload = read_workload(workload_file);
-  } else {
-    nfv::workload::WorkloadConfig wcfg;
-    wcfg.vnf_count = 12;
-    wcfg.request_count = 80;
-    wcfg.fixed_demand_per_instance = demand;
-    wcfg.chain_template_count = 10;
-    model.workload = nfv::workload::WorkloadGenerator(wcfg).generate(rng);
-  }
-
-  nfv::Rng storm_rng(static_cast<std::uint64_t>(seed));
-  const auto churn = nfv::core::make_failure_storm(
-      model.topology.compute_count(), static_cast<std::size_t>(events),
-      storm_rng, interval, static_cast<std::size_t>(max_down));
-
-  tele.activate();
-  nfv::core::ResilienceController controller(
-      model, {}, static_cast<std::uint64_t>(seed));
-
-  nfv::core::ReportInputs inputs;
-  inputs.command = "chaos";
-  inputs.seed = static_cast<std::uint64_t>(seed);
-  inputs.model = &model;
-
-  if (controller.served_fraction() <= 0.0) {
-    tele.finish(inputs);
-    std::fprintf(stderr,
-                 "nfvpr chaos: the pristine model is infeasible — nothing "
-                 "deployed, no storm to survive\n");
-    return 3;
-  }
-  std::printf("deployed %zu VNFs / %zu requests; initial availability %.4f\n\n",
-              model.workload.vnfs.size(), model.workload.requests.size(),
-              controller.served_fraction());
-
-  nfv::Table table({"t", "node", "event", "resolution", "migr", "shed",
-                    "restored", "ttr s", "avail"});
-  table.set_precision(3);
-  for (const auto& e : churn) {
-    const auto report = controller.on_event(e);
-    table.add_row({report.time, model.topology.label(report.node),
-                   std::string(report.node_up ? "UP" : "DOWN"),
-                   std::string(nfv::core::to_string(report.resolution)),
-                   static_cast<long long>(report.vnfs_migrated),
-                   static_cast<long long>(report.requests_shed),
-                   static_cast<long long>(report.requests_restored),
-                   report.time_to_recover, report.availability});
-  }
-  inputs.resilience = controller.history();
-  tele.finish(inputs);
-  std::fputs(table.markdown().c_str(), stdout);
-
-  double worst = 1.0;
-  double ttr_sum = 0.0;
-  std::size_t failures = 0;
-  for (const auto& r : controller.history()) {
-    worst = std::min(worst, r.availability);
-    if (!r.node_up) {
-      ttr_sum += r.time_to_recover;
-      ++failures;
-    }
-  }
-  std::printf(
-      "\nfinal availability %.4f (worst %.4f), %zu requests shed, "
-      "mean time-to-recover %.2f s over %zu failures\n",
-      controller.served_fraction(), worst, controller.shed_count(),
-      failures > 0 ? ttr_sum / static_cast<double>(failures) : 0.0, failures);
-  return 0;
-}
-
 int cmd_generate_trace(int argc, const char* const* argv) {
   nfv::CliParser cli("nfvpr generate-trace",
                      "emit an event trace (nfvpr.trace/1) from a workload");
@@ -978,8 +891,9 @@ int cmd_generate_trace(int argc, const char* const* argv) {
     std::fputs("nfvpr generate-trace: --workload is required\n", stderr);
     return 2;
   }
-  if (churn_nodes < 0) {
-    std::fputs("nfvpr generate-trace: --churn-nodes must be >= 0\n", stderr);
+  if (!non_negative("generate-trace", "events", events) ||
+      !non_negative("generate-trace", "population", population) ||
+      !non_negative("generate-trace", "churn-nodes", churn_nodes)) {
     return 2;
   }
   const auto base = read_workload(workload_file);
@@ -1739,7 +1653,6 @@ int main(int argc, char** argv) {
     if (subcommand == "pipeline") return cmd_pipeline(sub_argc, sub_argv);
     if (subcommand == "tail") return cmd_tail(sub_argc, sub_argv);
     if (subcommand == "simulate") return cmd_simulate(sub_argc, sub_argv);
-    if (subcommand == "chaos") return cmd_chaos(sub_argc, sub_argv);
     if (subcommand == "generate-trace") {
       return cmd_generate_trace(sub_argc, sub_argv);
     }
