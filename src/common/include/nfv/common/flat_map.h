@@ -16,6 +16,8 @@ namespace nfv {
 template <typename Key, typename Value>
 class FlatMap {
  public:
+  using key_type = Key;
+  using mapped_type = Value;
   using value_type = std::pair<Key, Value>;
   using iterator = typename std::vector<value_type>::iterator;
   using const_iterator = typename std::vector<value_type>::const_iterator;

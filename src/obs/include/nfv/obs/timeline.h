@@ -6,11 +6,13 @@
 // byte-identical for any --threads/--shards and across checkpoint/resume.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -67,6 +69,47 @@ struct TimelineRecord {
   friend bool operator==(const TimelineRecord&,
                          const TimelineRecord&) = default;
 };
+
+/// The record's one field list, in serialization order (DESIGN.md §14.1).
+/// write_timeline, load_timeline and the serve checkpoint's "rows" all
+/// walk it: `v(key, member)` visits one field, and `v.group(flag, key)`
+/// gates the autoscale extension — writers emit it when `flag` is set,
+/// readers set `flag` to whether `key` is present.
+template <class Self, class V>
+  requires std::same_as<std::remove_const_t<Self>, TimelineRecord>
+void fields(Self& r, V& v) {
+  v("window", r.window);
+  v("t_start", r.t_start);
+  v("t_end", r.t_end);
+  v("events", r.events);
+  v("offered_rate", r.offered_rate);
+  v("carried_rate", r.carried_rate);
+  v("availability", r.availability);
+  v("live", r.live);
+  v("queued", r.queued);
+  v("retrying", r.retrying);
+  v("admitted", r.admitted);
+  v("admitted_from_queue", r.admitted_from_queue);
+  v("retry_admitted", r.retry_admitted);
+  v("rejected", r.rejected);
+  v("shed", r.shed);
+  v("evacuated", r.evacuated);
+  v("parked", r.parked);
+  v("migrations", r.migrations);
+  v("degraded", r.degraded);
+  v("nodes_down", r.nodes_down);
+  v("node_util", r.node_util);
+  v("wait_count", r.wait_count);
+  v("wait_p50", r.wait_p50);
+  v("wait_p90", r.wait_p90);
+  v("wait_p99", r.wait_p99);
+  if (v.group(r.has_autoscale, "instances")) {
+    v("instances", r.instances);
+    v("draining", r.draining);
+    v("scale_outs", r.scale_outs);
+    v("scale_ins", r.scale_ins);
+  }
+}
 
 /// A whole stream: the header metadata plus the records in window order.
 struct TimelineDoc {

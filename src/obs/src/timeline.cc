@@ -48,103 +48,125 @@ double get_number(const JsonValue& o, std::string_view key, std::size_t line) {
 std::uint64_t get_count(const JsonValue& o, std::string_view key,
                         std::size_t line) {
   const double x = get_number(o, key, line);
-  if (x < 0.0 || x != std::floor(x)) {
+  // 2^64 and above would overflow the cast.
+  if (x < 0.0 || x != std::floor(x) || x >= 18446744073709551616.0) {
     timeline_fail(line, "field \"" + std::string(key) +
                             "\" is not a non-negative integer");
   }
   return static_cast<std::uint64_t>(x);
 }
 
-bool get_bool(const JsonValue& o, std::string_view key, std::size_t line) {
-  const JsonValue* v = o.find(key);
-  if (v == nullptr || !v->is_bool()) {
-    timeline_fail(line, "missing boolean field \"" + std::string(key) + "\"");
+/// Writer visitor for fields(TimelineRecord&, V&): one compact JSON object
+/// per line.  One record per line is the JSONL contract, and the
+/// pretty-printing JsonWriter would spread records over lines.
+class LineWriter {
+ public:
+  explicit LineWriter(std::string& out) : out_(out) { out_ += '{'; }
+
+  void operator()(std::string_view key, std::uint64_t x) {
+    name(key);
+    append_count(out_, x);
   }
-  return v->as_bool();
-}
+  void operator()(std::string_view key, double x) {
+    name(key);
+    append_number(out_, x);
+  }
+  void operator()(std::string_view key, bool x) {
+    name(key);
+    out_ += x ? "true" : "false";
+  }
+  void operator()(std::string_view key, std::string_view x) {
+    name(key);
+    out_ += '"';
+    out_ += x;
+    out_ += '"';
+  }
+  void operator()(std::string_view key, const std::vector<double>& xs) {
+    name(key);
+    out_ += '[';
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (i > 0) out_ += ", ";
+      append_number(out_, xs[i]);
+    }
+    out_ += ']';
+  }
+  bool group(bool on, std::string_view /*key*/) const { return on; }
+  void close() { out_ += "}\n"; }
+
+ private:
+  void name(std::string_view key) {
+    if (!first_) out_ += ", ";
+    first_ = false;
+    out_ += '"';
+    out_ += key;
+    out_ += "\": ";
+  }
+
+  std::string& out_;
+  bool first_ = true;
+};
+
+/// Reader visitor for fields(TimelineRecord&, V&) over one parsed line:
+/// finite numbers, non-negative integer counts, strict booleans.
+class LineReader {
+ public:
+  LineReader(const JsonValue& o, std::size_t line) : o_(o), line_(line) {}
+
+  void operator()(std::string_view key, std::uint64_t& x) {
+    x = get_count(o_, key, line_);
+  }
+  void operator()(std::string_view key, double& x) {
+    x = get_number(o_, key, line_);
+  }
+  void operator()(std::string_view key, bool& x) {
+    const JsonValue* v = o_.find(key);
+    if (v == nullptr || !v->is_bool()) {
+      timeline_fail(line_,
+                    "missing boolean field \"" + std::string(key) + "\"");
+    }
+    x = v->as_bool();
+  }
+  void operator()(std::string_view key, std::vector<double>& xs) {
+    const JsonValue* v = o_.find(key);
+    if (v == nullptr || !v->is_array()) {
+      timeline_fail(line_, "missing array field \"" + std::string(key) + "\"");
+    }
+    xs.reserve(v->as_array().size());
+    for (const JsonValue& x : v->as_array()) {
+      if (!x.is_number() || !std::isfinite(x.as_number())) {
+        timeline_fail(line_,
+                      std::string(key) + " entries must be finite numbers");
+      }
+      xs.push_back(x.as_number());
+    }
+  }
+  /// An optional group is all-or-nothing, keyed on its first field.
+  bool group(bool& flag, std::string_view key) const {
+    flag = o_.find(key) != nullptr;
+    return flag;
+  }
+
+ private:
+  const JsonValue& o_;
+  std::size_t line_;
+};
 
 }  // namespace
 
 void write_timeline(const TimelineDoc& doc, std::ostream& os) {
-  // Hand-rolled compact JSON: one record per line is the JSONL contract,
-  // and the pretty-printing JsonWriter would spread records over lines.
   std::string line;
-  line += "{\"schema\": \"";
-  line += kTimelineSchema;
-  line += "\", \"snapshot_every\": ";
-  append_number(line, doc.snapshot_every);
-  line += ", \"nodes\": ";
-  append_count(line, doc.nodes);
-  line += ", \"windows\": ";
-  append_count(line, doc.records.size());
-  line += "}\n";
+  LineWriter header(line);
+  header("schema", kTimelineSchema);
+  header("snapshot_every", doc.snapshot_every);
+  header("nodes", doc.nodes);
+  header("windows", std::uint64_t{doc.records.size()});
+  header.close();
   os << line;
   for (const TimelineRecord& r : doc.records) {
     line.clear();
-    line += "{\"window\": ";
-    append_count(line, r.window);
-    line += ", \"t_start\": ";
-    append_number(line, r.t_start);
-    line += ", \"t_end\": ";
-    append_number(line, r.t_end);
-    line += ", \"events\": ";
-    append_count(line, r.events);
-    line += ", \"offered_rate\": ";
-    append_number(line, r.offered_rate);
-    line += ", \"carried_rate\": ";
-    append_number(line, r.carried_rate);
-    line += ", \"availability\": ";
-    append_number(line, r.availability);
-    line += ", \"live\": ";
-    append_count(line, r.live);
-    line += ", \"queued\": ";
-    append_count(line, r.queued);
-    line += ", \"retrying\": ";
-    append_count(line, r.retrying);
-    line += ", \"admitted\": ";
-    append_count(line, r.admitted);
-    line += ", \"admitted_from_queue\": ";
-    append_count(line, r.admitted_from_queue);
-    line += ", \"retry_admitted\": ";
-    append_count(line, r.retry_admitted);
-    line += ", \"rejected\": ";
-    append_count(line, r.rejected);
-    line += ", \"shed\": ";
-    append_count(line, r.shed);
-    line += ", \"evacuated\": ";
-    append_count(line, r.evacuated);
-    line += ", \"parked\": ";
-    append_count(line, r.parked);
-    line += ", \"migrations\": ";
-    append_count(line, r.migrations);
-    line += ", \"degraded\": ";
-    line += r.degraded ? "true" : "false";
-    line += ", \"nodes_down\": ";
-    append_count(line, r.nodes_down);
-    line += ", \"node_util\": [";
-    for (std::size_t i = 0; i < r.node_util.size(); ++i) {
-      if (i > 0) line += ", ";
-      append_number(line, r.node_util[i]);
-    }
-    line += "], \"wait_count\": ";
-    append_count(line, r.wait_count);
-    line += ", \"wait_p50\": ";
-    append_number(line, r.wait_p50);
-    line += ", \"wait_p90\": ";
-    append_number(line, r.wait_p90);
-    line += ", \"wait_p99\": ";
-    append_number(line, r.wait_p99);
-    if (r.has_autoscale) {
-      line += ", \"instances\": ";
-      append_count(line, r.instances);
-      line += ", \"draining\": ";
-      append_count(line, r.draining);
-      line += ", \"scale_outs\": ";
-      append_count(line, r.scale_outs);
-      line += ", \"scale_ins\": ";
-      append_count(line, r.scale_ins);
-    }
-    line += "}\n";
+    LineWriter record(line);
+    fields(r, record);
+    record.close();
     os << line;
   }
 }
@@ -195,52 +217,11 @@ TimelineDoc load_timeline(std::string_view text) {
       continue;
     }
     TimelineRecord r;
-    r.window = get_count(o, "window", line_no);
-    r.t_start = get_number(o, "t_start", line_no);
-    r.t_end = get_number(o, "t_end", line_no);
+    LineReader reader(o, line_no);
+    fields(r, reader);
     if (r.t_end < r.t_start) timeline_fail(line_no, "t_end < t_start");
-    r.events = get_count(o, "events", line_no);
-    r.offered_rate = get_number(o, "offered_rate", line_no);
-    r.carried_rate = get_number(o, "carried_rate", line_no);
-    r.availability = get_number(o, "availability", line_no);
-    r.live = get_count(o, "live", line_no);
-    r.queued = get_count(o, "queued", line_no);
-    r.retrying = get_count(o, "retrying", line_no);
-    r.admitted = get_count(o, "admitted", line_no);
-    r.admitted_from_queue = get_count(o, "admitted_from_queue", line_no);
-    r.retry_admitted = get_count(o, "retry_admitted", line_no);
-    r.rejected = get_count(o, "rejected", line_no);
-    r.shed = get_count(o, "shed", line_no);
-    r.evacuated = get_count(o, "evacuated", line_no);
-    r.parked = get_count(o, "parked", line_no);
-    r.migrations = get_count(o, "migrations", line_no);
-    r.degraded = get_bool(o, "degraded", line_no);
-    r.nodes_down = get_count(o, "nodes_down", line_no);
-    const JsonValue* util = o.find("node_util");
-    if (util == nullptr || !util->is_array()) {
-      timeline_fail(line_no, "missing array field \"node_util\"");
-    }
-    r.node_util.reserve(util->as_array().size());
-    for (const JsonValue& u : util->as_array()) {
-      if (!u.is_number() || !std::isfinite(u.as_number())) {
-        timeline_fail(line_no, "node_util entries must be finite numbers");
-      }
-      r.node_util.push_back(u.as_number());
-    }
     if (doc.nodes != 0 && r.node_util.size() != doc.nodes) {
       timeline_fail(line_no, "node_util length disagrees with header nodes");
-    }
-    r.wait_count = get_count(o, "wait_count", line_no);
-    r.wait_p50 = get_number(o, "wait_p50", line_no);
-    r.wait_p90 = get_number(o, "wait_p90", line_no);
-    r.wait_p99 = get_number(o, "wait_p99", line_no);
-    // Autoscaler extension: all-or-nothing when present.
-    if (o.find("instances") != nullptr) {
-      r.has_autoscale = true;
-      r.instances = get_count(o, "instances", line_no);
-      r.draining = get_count(o, "draining", line_no);
-      r.scale_outs = get_count(o, "scale_outs", line_no);
-      r.scale_ins = get_count(o, "scale_ins", line_no);
     }
     if (!doc.records.empty() && r.window <= doc.records.back().window) {
       timeline_fail(line_no, "window indices must be strictly increasing");

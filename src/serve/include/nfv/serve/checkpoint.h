@@ -13,6 +13,12 @@
 // verbatim — never recomputed, because a recomputation would re-associate
 // the floating-point additions in a different order.
 //
+// Each persisted struct has one field list in checkpoint.cc naming every
+// key once; the writer and the reader walk the same list, so the two sides
+// cannot drift apart.  The reader checks every integer against its
+// destination type and, after the walk, that each instance's members are
+// exactly the live requests whose hops point at it.
+//
 // Malformed or truncated checkpoint text throws CheckpointParseError (NOT
 // std::invalid_argument), which the CLI maps to the usage exit code (2).
 #pragma once

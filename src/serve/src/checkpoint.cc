@@ -1,14 +1,20 @@
 #include "nfv/serve/checkpoint.h"
 
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <deque>
-#include <limits>
+#include <optional>
 #include <ostream>
+#include <ranges>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
-#include "nfv/common/error.h"
 #include "nfv/common/histogram.h"
 #include "nfv/obs/json.h"
 #include "nfv/obs/lifecycle.h"
@@ -21,77 +27,541 @@ namespace {
   throw CheckpointParseError("checkpoint: " + what);
 }
 
-// --- typed field access (every miss throws CheckpointParseError) ---------
-
-const obs::JsonValue& member(const obs::JsonValue& obj, std::string_view key) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) ckpt_fail("missing field \"" + std::string(key) + "\"");
-  return *v;
+[[noreturn]] void field_fail(std::string_view key, const std::string& what) {
+  ckpt_fail("field \"" + std::string(key) + "\" " + what);
 }
 
-double get_double(const obs::JsonValue& obj, std::string_view key) {
-  const obs::JsonValue& v = member(obj, key);
-  if (!v.is_number()) {
-    ckpt_fail("field \"" + std::string(key) + "\" must be a number");
+/// Runs a validating call, turning its exception into a parse error.
+template <class F>
+void guarded(const char* what, F&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& ex) {
+    ckpt_fail(what + std::string(ex.what()));
   }
-  return v.as_number();
 }
 
-std::uint64_t get_uint(const obs::JsonValue& obj, std::string_view key) {
-  const double d = get_double(obj, key);
-  if (!(d >= 0.0) || d != std::floor(d) || d > 1.8e19) {
-    ckpt_fail("field \"" + std::string(key) +
-              "\" must be a non-negative integer");
+// Largest integer each destination type takes.  The 64-bit cap stays below
+// 2^64 so the double-to-integer cast is always defined.
+constexpr double kU64Max = 1.8e19;
+constexpr double kU32Max = 4294967295.0;
+
+template <class S, class T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
+
+// ---------------------------------------------------------------------------
+// Field lists: one per persisted struct, in document order.  Writer and
+// Reader below walk the same lists, so each key is named exactly once.
+//   v(key, member[, bound])  one field; integer ids must stay below `bound`
+//   v.group(flag, key)       optional fields, written when `flag` holds and
+//                            read when `key` is present (a flag member is
+//                            set to that presence)
+//   v.require(ok, what)      a restore-time invariant; the writer skips it
+// ---------------------------------------------------------------------------
+
+/// The document head, shared with peek_checkpoint's summary.  The binary-
+/// trace position is written only for binary traces, so text checkpoints
+/// stay byte-identical to the pre-btrace layout.
+template <Of<CheckpointInfo> Self, class V>
+void fields(Self& h, V& v) {
+  v("cursor", h.cursor);
+  if (v.group(h.has_btrace_cursor, "trace_offset")) {
+    v("trace_offset", h.btrace.byte_offset);
+    // IEEE-754 bits of the last timestamp: a JSON number (a double) cannot
+    // carry all 64 bits, so they travel as a fixed-width hex string.
+    v.hex("trace_time_bits", h.btrace.time_bits);
   }
-  return static_cast<std::uint64_t>(d);
+  v("vnf_count", h.vnf_count);
+  v("node_count", h.node_count);
 }
 
-bool get_bool(const obs::JsonValue& obj, std::string_view key) {
-  const obs::JsonValue& v = member(obj, key);
-  if (v.is_bool()) return v.as_bool();
-  if (v.is_number()) return v.as_number() != 0.0;
-  ckpt_fail("field \"" + std::string(key) + "\" must be a boolean");
-}
-
-const obs::JsonValue::Array& get_array(const obs::JsonValue& obj,
-                                       std::string_view key) {
-  const obs::JsonValue& v = member(obj, key);
-  if (!v.is_array()) {
-    ckpt_fail("field \"" + std::string(key) + "\" must be an array");
+/// Telemetry and autoscale knobs.  Each group is written only when switched
+/// on, so such checkpoints stay byte-identical to the formats that predate
+/// them; peek_checkpoint's probe engine reads just these.
+template <Of<ServeConfig> Self, class V>
+void switch_fields(Self& c, V& v) {
+  if (v.group(c.snapshot_every > 0.0, "snapshot_every")) {
+    v("snapshot_every", c.snapshot_every);
+    v.require(c.snapshot_every > 0.0,
+              "config.snapshot_every must be a positive number");
+    v("timeline_span", c.timeline_span);
   }
-  return v.as_array();
-}
-
-const obs::JsonValue& get_object(const obs::JsonValue& obj,
-                                 std::string_view key) {
-  const obs::JsonValue& v = member(obj, key);
-  if (!v.is_object()) {
-    ckpt_fail("field \"" + std::string(key) + "\" must be an object");
+  if (v.group(c.lifecycle, "lifecycle")) v("lifecycle", c.lifecycle);
+  if (v.group(c.autoscale.enabled(), "autoscale_policy")) {
+    v("autoscale_policy", c.autoscale.policy);
+    v("autoscale_interval", c.autoscale.scale_interval);
+    v("autoscale_high", c.autoscale.high_watermark);
+    v("autoscale_low", c.autoscale.low_watermark);
+    v("autoscale_cooldown", c.autoscale.cooldown_windows);
+    v("autoscale_step", c.autoscale.max_step);
+    v("autoscale_alpha", c.autoscale.ewma_alpha);
+    v("autoscale_forecast", c.autoscale.forecast_windows);
+    v("autoscale_margin", c.autoscale.safety_margin);
   }
-  return v;
 }
 
-std::vector<std::uint32_t> get_u32_vector(const obs::JsonValue& obj,
-                                          std::string_view key,
-                                          std::uint64_t below) {
-  std::vector<std::uint32_t> out;
-  const auto& arr = get_array(obj, key);
-  out.reserve(arr.size());
-  for (const obs::JsonValue& v : arr) {
-    if (!v.is_number() || v.as_number() < 0.0 ||
-        v.as_number() != std::floor(v.as_number())) {
-      ckpt_fail("array \"" + std::string(key) +
-                "\" must hold non-negative integers");
+template <Of<ServeConfig> Self, class V>
+void fields(Self& c, V& v) {
+  v("headroom", c.headroom);
+  v("rebalance_threshold", c.rebalance_threshold);
+  v("migration_budget", c.migration_budget);
+  v("queue_capacity", c.queue_capacity);
+  v("link_latency", c.link_latency);
+  v("overload_window", c.overload_window);
+  v("overload_threshold", c.overload_threshold);
+  v("degraded_headroom", c.degraded_headroom);
+  v("retry_backoff_base", c.retry_backoff_base);
+  v("retry_budget", c.retry_budget);
+  switch_fields(c, v);
+}
+
+/// The running totals; summary() derives the live-state figures.
+template <Of<ServeSummary> Self, class V>
+void fields(Self& t, V& v) {
+  v("events", t.events);
+  v("arrivals", t.arrivals);
+  v("admitted", t.admitted);
+  v("admitted_from_queue", t.admitted_from_queue);
+  v("rejected", t.rejected);
+  v("departures", t.departures);
+  v("rate_changes", t.rate_changes);
+  v("shed", t.shed);
+  v("migrations", t.migrations);
+  v("rebalances", t.rebalances);
+  v("max_migrations_per_rebalance", t.max_migrations_per_rebalance);
+  v("scale_outs", t.scale_outs);
+  v("scale_ins", t.scale_ins);
+  v("node_downs", t.node_downs);
+  v("node_ups", t.node_ups);
+  v("instances_closed", t.instances_closed);
+  v("evacuated_requests", t.evacuated_requests);
+  v("evacuation_migrations", t.evacuation_migrations);
+  v("parked", t.parked);
+  v("retry_admitted", t.retry_admitted);
+  v("shed_fault", t.shed_fault);
+  v("shed_overload", t.shed_overload);
+  v("degradations", t.degradations);
+  v("degraded_events", t.degraded_events);
+}
+
+template <Of<EventOutcome> Self, class V>
+void fields(Self& o, V& v) {
+  v("index", o.index);
+  v("t", o.time);
+  v("kind", o.kind, workload::StreamEventKind::kNodeUp);
+  v("request", o.request);
+  v("decision", o.decision, Decision::kNodeUp);
+  v("migrations", o.migrations);
+  v("scale_outs", o.scale_outs);
+  v("scale_ins", o.scale_ins);
+  v("admitted_from_queue", o.admitted_from_queue);
+  v("evacuated", o.evacuated);
+  v("evacuation_migrations", o.evacuation_migrations);
+  v("parked", o.parked);
+  v("retry_admitted", o.retry_admitted);
+  v("shed_fault", o.shed_fault);
+  v("shed_overload", o.shed_overload);
+  v("degraded", o.degraded);
+  v("mean_predicted_latency", o.mean_predicted_latency);
+  v("p99_predicted_latency", o.p99_predicted_latency);
+}
+
+template <Of<AutoscaleTotals> Self, class V>
+void fields(Self& t, V& v) {
+  v("decisions", t.decisions);
+  v("flaps", t.flaps);
+  v("blocked_cooldown", t.blocked_cooldown);
+}
+
+template <Of<VnfPolicyState> Self, class V>
+void fields(Self& s, V& v) {
+  v("ewma", s.ewma);
+  v("prev_ewma", s.prev_ewma);
+  v("seeded", s.seeded);
+  v("cooldown_until", s.cooldown_until);
+  v("last_sign", s.last_sign);
+  v("last_action_window", s.last_action_window);
+}
+
+/// One wait-histogram window as plain data.  Histogram keeps its buckets
+/// private, so the writer copies them out and the reader rebuilds the
+/// window through Histogram::restore().
+struct HistWindow {
+  std::vector<std::size_t> counts;
+  std::size_t underflow = 0;
+  std::size_t overflow = 0;
+  bool has_samples = false;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+template <Of<HistWindow> Self, class V>
+void fields(Self& h, V& v) {
+  v("counts", h.counts);
+  v("underflow", h.underflow);
+  v("overflow", h.overflow);
+  if (v.group(h.has_samples, "min")) {
+    v("min", h.min);
+    v("max", h.max);
+  }
+}
+
+/// Written as a compact positional tuple; the names only label errors.
+template <Of<obs::LifecycleEvent> Self, class V>
+void fields(Self& ev, V& v) {
+  v("index", ev.event_index);
+  v("t", ev.time);
+  v.require(std::isfinite(ev.time),
+            "lifecycle tuple time must be a finite number");
+  v("request", ev.request);
+  v("stage", ev.stage, obs::LifecycleStage::kDepart);
+  v("node", ev.node);
+  v("rung", ev.rung);
+}
+
+// ---------------------------------------------------------------------------
+// The two visitors
+// ---------------------------------------------------------------------------
+
+/// The default element walk of objects().
+struct Fields {
+  template <class T, class V>
+  void operator()(T& item, V& v) const {
+    fields(item, v);
+  }
+};
+
+/// Writer visitor: makes the JsonWriter calls of the checkpoint format.
+class Writer {
+ public:
+  static constexpr bool kReading = false;
+
+  /// `positional`: bare values (a tuple) instead of key/value members.
+  explicit Writer(obs::JsonWriter& w, bool positional = false)
+      : w_(w), positional_(positional) {}
+
+  template <class T>
+    requires std::is_arithmetic_v<T>
+  void operator()(std::string_view key, T x, std::uint64_t /*bound*/ = 0) {
+    name(key);
+    put(x);
+  }
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(std::string_view key, E x, E /*last*/) {
+    (*this)(key, static_cast<std::underlying_type_t<E>>(x));
+  }
+  void operator()(std::string_view key, ScalePolicy x) {
+    name(key);
+    w_.value(to_string(x));
+  }
+  void operator()(std::string_view key, const std::optional<double>& x) {
+    name(key);
+    if (x.has_value()) {
+      w_.value(*x);
+    } else {
+      w_.null();
     }
-    const double d = v.as_number();
-    if (d >= static_cast<double>(below)) {
-      ckpt_fail("array \"" + std::string(key) + "\" entry " +
-                std::to_string(static_cast<std::uint64_t>(d)) +
-                " is out of range");
-    }
-    out.push_back(static_cast<std::uint32_t>(d));
   }
-  return out;
+  template <std::ranges::range R>
+  void operator()(std::string_view key, const R& xs,
+                  std::uint64_t /*bound*/ = 0) {
+    name(key);
+    w_.begin_array();
+    for (const auto x : xs) put(x);
+    w_.end_array();
+  }
+  void hex(std::string_view key, std::uint64_t x) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string digits(16, '0');
+    for (std::size_t i = 16; i-- > 0; x >>= 4) digits[i] = kDigits[x & 0xf];
+    name(key);
+    w_.value(std::string_view(digits));
+  }
+
+  bool group(bool on, std::string_view /*key*/) const { return on; }
+  void require(bool /*ok*/, const char* /*what*/) const {}
+  template <class T>
+  void expect(std::string_view key, T x, const char* /*what*/) {
+    (*this)(key, x);
+  }
+
+  /// A nested object; `on` = false omits it (a switched-off section).
+  template <class F>
+  void object(std::string_view key, F&& fn, bool on = true) {
+    if (!on) return;
+    w_.key(key);
+    w_.begin_object();
+    fn(*this);
+    w_.end_object();
+  }
+  /// An array of objects — or of positional tuples — one per item; `on`
+  /// = false omits it.
+  template <class C, class F = Fields>
+  void objects(std::string_view key, const C& items, F fn = {},
+               bool on = true, bool tuples = false) {
+    if (!on) return;
+    w_.key(key);
+    w_.begin_array();
+    for (const auto& item : items) {
+      tuples ? w_.begin_array() : w_.begin_object();
+      Writer sub(w_, tuples);
+      fn(item, sub);
+      tuples ? w_.end_array() : w_.end_object();
+    }
+    w_.end_array();
+  }
+
+ private:
+  void name(std::string_view key) {
+    if (!positional_) w_.key(key);
+  }
+  template <class T>
+  void put(T x) {
+    if constexpr (std::is_floating_point_v<T> || std::is_same_v<T, bool>) {
+      w_.value(x);
+    } else if constexpr (std::is_signed_v<T>) {
+      w_.value(std::int64_t{x});
+    } else {
+      w_.value(std::uint64_t{x});
+    }
+  }
+
+  obs::JsonWriter& w_;
+  bool positional_;
+};
+
+template <class C>
+concept Keyed = requires { typename C::mapped_type; };
+
+/// Reader visitor: typed, range-checked lookups in one JSON object (or one
+/// positional tuple); every miss throws CheckpointParseError naming the key.
+class Reader {
+ public:
+  static constexpr bool kReading = true;
+
+  explicit Reader(const obs::JsonValue& json, bool positional = false)
+      : json_(json), positional_(positional) {}
+
+  template <class T>
+    requires std::is_arithmetic_v<T>
+  void operator()(std::string_view key, T& x, std::uint64_t bound = kNoBound) {
+    x = value<T>(at(key), key, bound);
+  }
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(std::string_view key, E& x, E last) {
+    const auto max = static_cast<std::underlying_type_t<E>>(last);
+    x = static_cast<E>(value<std::uint64_t>(at(key), key, max + 1u));
+  }
+  /// Off runs omit the autoscale group, so a stored policy is never "off".
+  void operator()(std::string_view key, ScalePolicy& x) {
+    const obs::JsonValue& j = at(key);
+    const auto policy =
+        j.is_string() ? parse_scale_policy(j.as_string()) : std::nullopt;
+    if (!policy || *policy == ScalePolicy::kOff) {
+      field_fail(key, "must name a policy other than \"off\"");
+    }
+    x = *policy;
+  }
+  void operator()(std::string_view key, std::optional<double>& x) {
+    const obs::JsonValue& j = at(key);
+    if (!j.is_null() && !j.is_number()) {
+      field_fail(key, "must be a number or null");
+    }
+    x = j.is_null() ? std::nullopt : std::optional<double>(j.as_number());
+  }
+  template <std::ranges::range C>
+  void operator()(std::string_view key, C& xs,
+                  std::uint64_t bound = kNoBound) {
+    xs.clear();
+    for (const obs::JsonValue& j : array(key)) {
+      xs.insert(xs.end(), value<typename C::value_type>(j, key, bound));
+    }
+  }
+  void hex(std::string_view key, std::uint64_t& x) {
+    const obs::JsonValue& j = at(key);
+    const std::string_view digits =
+        j.is_string() ? std::string_view(j.as_string()) : std::string_view();
+    const char* end = digits.data() + digits.size();
+    if (digits.size() != 16 || digits.find_first_of("ABCDEF") != digits.npos ||
+        std::from_chars(digits.data(), end, x, 16).ptr != end) {
+      field_fail(key, "must be a 16-digit hex string");
+    }
+  }
+  bool group(bool& flag, std::string_view key) const {
+    flag = json_.find(key) != nullptr;
+    return flag;
+  }
+  bool group(const bool& /*on*/, std::string_view key) const {
+    return json_.find(key) != nullptr;
+  }
+  void require(bool ok, const char* what) const {
+    if (!ok) ckpt_fail(what);
+  }
+  /// A stored value that must equal what the embedded config builds.
+  template <class T>
+  void expect(std::string_view key, T want, const char* what) {
+    if (value<T>(at(key), key, kNoBound) != want) ckpt_fail(what);
+  }
+
+  template <class F>
+  void object(std::string_view key, F&& fn, bool on = true) {
+    if (!switched_on(key, on)) return;
+    const obs::JsonValue& j = at(key);
+    if (!j.is_object()) field_fail(key, "must be an object");
+    Reader sub(j);
+    fn(sub);
+  }
+  template <class C, class F = Fields>
+  void objects(std::string_view key, C& items, F fn = {}, bool on = true,
+               bool tuples = false) {
+    items.clear();
+    if (!switched_on(key, on)) return;
+    for (const obs::JsonValue& j : array(key)) {
+      if (tuples ? !j.is_array() : !j.is_object()) {
+        field_fail(key, tuples ? "entries must be arrays"
+                               : "entries must be objects");
+      }
+      Reader sub(j, tuples);
+      if constexpr (Keyed<C>) {
+        std::pair<typename C::key_type, typename C::mapped_type> item;
+        fn(item, sub);
+        if (!items.emplace(item.first, std::move(item.second)).second) {
+          field_fail(key, "repeats an id");
+        }
+      } else {
+        fn(items.emplace_back(), sub);
+      }
+      if (tuples && sub.next_ != j.as_array().size()) {
+        field_fail(key, "entries have too many elements");
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t length(std::string_view key) {
+    return array(key).size();
+  }
+
+ private:
+  static constexpr std::uint64_t kNoBound = ~std::uint64_t{0};
+
+  /// A section the embedded config switches off must be absent.
+  bool switched_on(std::string_view key, bool on) const {
+    if (!on && json_.find(key) != nullptr) {
+      field_fail(key, "is present but the embedded config disables it");
+    }
+    return on;
+  }
+  const obs::JsonValue& at(std::string_view key) {
+    if (positional_) {
+      const obs::JsonValue::Array& tuple = json_.as_array();
+      if (next_ == tuple.size()) field_fail(key, "is missing from the tuple");
+      return tuple[next_++];
+    }
+    const obs::JsonValue* j = json_.find(key);
+    if (j == nullptr) ckpt_fail("missing field \"" + std::string(key) + "\"");
+    return *j;
+  }
+  const obs::JsonValue::Array& array(std::string_view key) {
+    const obs::JsonValue& j = at(key);
+    if (!j.is_array()) field_fail(key, "must be an array");
+    return j.as_array();
+  }
+
+  /// One value checked against its destination type: uint8 fields are 0/1
+  /// flags, int8 fields -1/0/1 directions, integers stay below `bound`.
+  template <class T>
+  static T value(const obs::JsonValue& j, std::string_view key,
+                 std::uint64_t bound) {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (!j.is_bool() && !j.is_number()) field_fail(key, "must be a boolean");
+      return j.is_bool() ? j.as_bool() : j.as_number() != 0.0;
+    } else {
+      if (!j.is_number()) field_fail(key, "must be a number");
+      const double d = j.as_number();
+      if constexpr (std::is_floating_point_v<T>) {
+        return d;
+      } else if constexpr (std::is_signed_v<T>) {
+        if (d != -1.0 && d != 0.0 && d != 1.0) {
+          field_fail(key, "must be -1, 0, or 1");
+        }
+        return static_cast<T>(d);
+      } else {
+        const double max = sizeof(T) == 8   ? kU64Max
+                           : sizeof(T) == 4 ? kU32Max
+                                            : 1.0;
+        if (!(d >= 0.0) || d != std::floor(d) || d > max) {
+          field_fail(key, "must be an integer in [0, " +
+                              std::to_string(static_cast<std::uint64_t>(max)) +
+                              "]");
+        }
+        const auto x = static_cast<std::uint64_t>(d);
+        if (x >= bound) {
+          field_fail(key, "value " + std::to_string(x) + " is out of range");
+        }
+        return static_cast<T>(x);
+      }
+    }
+  }
+
+  const obs::JsonValue& json_;
+  bool positional_;
+  std::size_t next_ = 0;
+};
+
+/// What a field list walks where the engine keeps state behind accessors:
+/// the live value when writing, a scratch copy the reader fills.
+template <class V, class T>
+auto& walked(const T& live, T& scratch) {
+  if constexpr (V::kReading) {
+    return scratch;
+  } else {
+    return live;
+  }
+}
+
+/// The wait histogram: its geometry must match the one the embedded config
+/// builds, and its windows travel as HistWindows.
+template <class H, class V>
+void wait_hist_fields(H& wh, V& v) {
+  const char* const geometry =
+      "wait_hist geometry does not match the embedded config";
+  v.expect("lo", wh.lo(), geometry);
+  v.expect("hi", wh.hi(), geometry);
+  v.expect("buckets", wh.bucket_count(), geometry);
+  v.expect("span", wh.span(), geometry);
+  std::vector<HistWindow> windows;
+  if constexpr (!V::kReading) {
+    for (std::size_t i = 0; i < wh.window_count(); ++i) {
+      const Histogram& h = wh.window(i);
+      HistWindow& w = windows.emplace_back();
+      for (std::size_t b = 0; b < h.bucket_count(); ++b) {
+        w.counts.push_back(h.bucket(b));
+      }
+      w.underflow = h.underflow();
+      w.overflow = h.overflow();
+      w.has_samples = h.count() > 0;
+      if (w.has_samples) {
+        w.min = h.min();
+        w.max = h.max();
+      }
+    }
+  }
+  v.objects("windows", windows);
+  if constexpr (V::kReading) {
+    std::deque<Histogram> slots;
+    for (const HistWindow& w : windows) {
+      Histogram& h = slots.emplace_back(wh.lo(), wh.hi(), wh.bucket_count());
+      guarded("invalid wait_hist window: ", [&] {
+        h.restore(w.counts, w.underflow, w.overflow, w.min, w.max);
+      });
+      if ((h.count() > 0) != w.has_samples) {
+        ckpt_fail("wait_hist window min/max presence mismatch");
+      }
+    }
+    guarded("invalid wait_hist state: ", [&] { wh.restore(std::move(slots)); });
+  }
 }
 
 obs::JsonValue parse_document(std::string_view text) {
@@ -107,874 +577,208 @@ obs::JsonValue parse_document(std::string_view text) {
   return std::move(*doc);
 }
 
-/// Reads the optional telemetry config fields (absent in pre-telemetry
-/// checkpoints, and omitted when telemetry is off so those files stay
-/// byte-identical to the old format).
-void read_telemetry_config(const obs::JsonValue& c, ServeConfig& config) {
-  if (c.find("snapshot_every") != nullptr) {
-    config.snapshot_every = get_double(c, "snapshot_every");
-    if (!std::isfinite(config.snapshot_every) ||
-        config.snapshot_every <= 0.0) {
-      ckpt_fail("config.snapshot_every must be a positive number");
-    }
-    config.timeline_span =
-        static_cast<std::size_t>(get_uint(c, "timeline_span"));
-    if (config.timeline_span == 0) {
-      ckpt_fail("config.timeline_span must be >= 1");
-    }
+CheckpointInfo read_head(const obs::JsonValue& doc) {
+  CheckpointInfo head;
+  Reader v(doc);
+  fields(head, v);
+  if (!head.has_btrace_cursor && doc.find("trace_time_bits") != nullptr) {
+    ckpt_fail("trace_offset and trace_time_bits must appear together");
   }
-  if (c.find("lifecycle") != nullptr) {
-    config.lifecycle = get_bool(c, "lifecycle");
-  }
+  return head;
 }
 
-/// Reads the optional autoscale config block (absent in pre-autoscale
-/// checkpoints and whenever the policy is off, so those files stay
-/// byte-identical to the earlier format).  All nine fields travel
-/// together, keyed on autoscale_policy.
-void read_autoscale_config(const obs::JsonValue& c, ServeConfig& config) {
-  const obs::JsonValue* p = c.find("autoscale_policy");
-  if (p == nullptr) return;
-  if (!p->is_string()) {
-    ckpt_fail("config.autoscale_policy must be a string");
-  }
-  const auto policy = parse_scale_policy(p->as_string());
-  if (!policy) {
-    ckpt_fail("config.autoscale_policy '" + p->as_string() + "' is unknown");
-  }
-  if (*policy == ScalePolicy::kOff) {
-    ckpt_fail("config.autoscale_policy \"off\" must be omitted, not stored");
-  }
-  config.autoscale.policy = *policy;
-  config.autoscale.scale_interval = get_double(c, "autoscale_interval");
-  config.autoscale.high_watermark = get_double(c, "autoscale_high");
-  config.autoscale.low_watermark = get_double(c, "autoscale_low");
-  config.autoscale.cooldown_windows =
-      static_cast<std::uint32_t>(get_uint(c, "autoscale_cooldown"));
-  config.autoscale.max_step =
-      static_cast<std::uint32_t>(get_uint(c, "autoscale_step"));
-  config.autoscale.ewma_alpha = get_double(c, "autoscale_alpha");
-  config.autoscale.forecast_windows = get_double(c, "autoscale_forecast");
-  config.autoscale.safety_margin = get_double(c, "autoscale_margin");
-  try {
-    config.autoscale.validate();
-  } catch (const std::invalid_argument& ex) {
-    ckpt_fail(std::string("embedded autoscale config is invalid: ") +
-              ex.what());
-  }
-}
-
-std::string hex_bits(std::uint64_t v) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-/// Reads the optional binary-trace cursor pair; both fields must appear
-/// together, and trace_time_bits must be exactly 16 hex digits.
-bool read_btrace_cursor(const obs::JsonValue& doc, BinaryTraceCursor* out) {
-  const obs::JsonValue* offset = doc.find("trace_offset");
-  const obs::JsonValue* bits = doc.find("trace_time_bits");
-  if (offset == nullptr && bits == nullptr) return false;
-  if (offset == nullptr || bits == nullptr) {
-    ckpt_fail(
-        "trace_offset and trace_time_bits must appear together (binary "
-        "trace cursor)");
-  }
-  BinaryTraceCursor cursor;
-  cursor.byte_offset = get_uint(doc, "trace_offset");
-  if (!bits->is_string() || bits->as_string().size() != 16) {
-    ckpt_fail("trace_time_bits must be a 16-digit hex string");
-  }
-  std::uint64_t value = 0;
-  for (const char c : bits->as_string()) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      ckpt_fail("trace_time_bits must be a 16-digit hex string");
-    }
-  }
-  cursor.time_bits = value;
-  if (out != nullptr) *out = cursor;
-  return true;
-}
-
-void write_pending(obs::JsonWriter& w, std::uint32_t id, double rate,
-                   double prob, const std::vector<std::uint32_t>& chain) {
-  w.kv("id", std::uint64_t{id});
-  w.kv("rate", rate);
-  w.kv("prob", prob);
-  w.key("chain");
-  w.begin_array();
-  for (const std::uint32_t f : chain) w.value(std::uint64_t{f});
-  w.end_array();
+void validate(const ServeConfig& config) {
+  guarded("embedded config is invalid: ", [&] { config.validate(); });
 }
 
 }  // namespace
 
-/// Private-state serializer/deserializer; befriended by ServeEngine.
+/// The engine's own field lists and their two walks; befriended by
+/// ServeEngine for its private state.
 struct CheckpointIo {
+  template <class Self, class V>
+  static void instance_fields(Self& inst, V& v, std::uint64_t vnfs,
+                              std::uint64_t nodes, bool autoscale) {
+    v("vnf", inst.vnf, vnfs);
+    v("node", inst.node, nodes);
+    v("seq", inst.seq);
+    v("raw_load", inst.raw_load);
+    v("effective_load", inst.effective_load);
+    v("retired", inst.retired);
+    // Written only when set, so autoscale-off runs keep the older layout.
+    if (v.group(inst.draining, "draining")) {
+      v.require(autoscale, "instance is draining but autoscaling is off");
+      v("draining", inst.draining);
+      v.require(!(inst.draining && inst.retired),
+                "instance cannot be both draining and retired");
+    }
+    v("members", inst.members);
+  }
+
+  /// Shared by live, queued and retrying requests.
+  template <class Id, class Self, class V>
+  static void request_fields(Id& id, Self& r, V& v, std::uint64_t vnfs) {
+    v("id", id);
+    v("rate", r.rate);
+    v("prob", r.prob);
+    v("chain", r.chain, vnfs);
+  }
+
+  /// Counter values at the open of the current timeline window.
+  template <class Self, class V>
+  static void baseline_fields(Self& b, V& v, const bool autoscale) {
+    v("events", b.events);
+    v("admitted", b.admitted);
+    v("admitted_from_queue", b.admitted_from_queue);
+    v("retry_admitted", b.retry_admitted);
+    v("rejected", b.rejected);
+    v("shed", b.shed);
+    v("shed_fault", b.shed_fault);
+    v("shed_overload", b.shed_overload);
+    v("evacuated_requests", b.evacuated_requests);
+    v("parked", b.parked);
+    v("migrations", b.migrations);
+    if (v.group(autoscale, "scale_outs")) {
+      v("scale_outs", b.scale_outs);
+      v("scale_ins", b.scale_ins);
+    }
+  }
+
+  template <class E, class V>
+  static void autoscale_fields(E& e, V& v) {
+    v("window", e.as_window_);
+    v("instance_seconds", e.instance_seconds_);
+    v("opened", e.as_opened_);
+    v("drained", e.as_drained_);
+    // The controller keeps its state private: the writer walks its
+    // accessors, the reader fills copies and hands them to restore().
+    AutoscaleTotals totals = e.scaler_->totals();
+    std::vector<VnfPolicyState> states;
+    fields(totals, v);
+    v.objects("vnf_states", walked<V>(e.scaler_->vnf_states(), states));
+    if constexpr (V::kReading) {
+      v.require(states.size() == e.vnfs_.size(),
+                "vnf_states must have vnf_count entries");
+      e.scaler_->restore(std::move(states), totals);
+    }
+  }
+
+  template <class E, class V>
+  static void timeline_fields(E& e, V& v) {
+    v("window_index", e.window_index_);
+    v("win_served", e.win_served_);
+    v("win_offered", e.win_offered_);
+    v.object("win_base", [&](auto& b) {
+      baseline_fields(e.win_base_, b, e.autoscale_on());
+    });
+    v.objects("pending_since", e.pending_since_, [](auto& entry, auto& p) {
+      p("id", entry.first);
+      p("since", entry.second);
+    });
+    v.object("wait_hist", [&](auto& h) { wait_hist_fields(*e.wait_hist_, h); });
+    const std::uint64_t nodes = e.node_free_.size();
+    v.objects("rows", e.timeline_rows_, [&](auto& r, auto& row) {
+      fields(r, row);
+      row.require(r.node_util.size() == nodes,
+                  "timeline row node_util must have node_count entries");
+    });
+  }
+
+  /// Everything after the config, in document order.
+  template <class E, class V>
+  static void state_fields(E& e, V& v) {
+    const std::uint64_t vnfs = e.vnfs_.size();
+    const std::uint64_t nodes = e.node_free_.size();
+    v("last_time", e.last_time_);
+    v("saw_event", e.saw_event_);
+    v("next_seq", e.next_seq_);
+    v("work", e.work_);
+    v("served_integral", e.served_integral_);
+    v("offered_integral", e.offered_integral_);
+    v("degraded", e.degraded_);
+    v("pressure_window", e.pressure_window_);
+    v("node_free", e.node_free_);
+    v("node_instances", e.node_instances_);
+    v("node_up", e.node_up_);
+    v.require(e.node_free_.size() == nodes &&
+                  e.node_instances_.size() == nodes &&
+                  e.node_up_.size() == nodes,
+              "node arrays must have node_count entries");
+    v.objects("instances", e.instances_, [&](auto& inst, auto& i) {
+      instance_fields(inst, i, vnfs, nodes, e.autoscale_on());
+    });
+    v.objects("live", e.live_, [&](auto& entry, auto& l) {
+      auto& [id, r] = entry;
+      request_fields(id, r, l, vnfs);
+      l("hops", r.hop_instance, e.instances_.size());
+      l.require(r.hop_instance.size() == r.chain.size(),
+                "live request hops/chain size mismatch");
+    });
+    v.objects("queue", e.queue_, [&](auto& p, auto& q) {
+      request_fields(p.id, p, q, vnfs);
+    });
+    v.objects("retry", e.retry_queue_, [&](auto& p, auto& q) {
+      request_fields(p.request.id, p.request, q, vnfs);
+      q("not_before", p.not_before);
+      q("attempts", p.attempts);
+    });
+    v("gone", e.gone_);  // std::set: already ascending
+    v.object("totals", [&](auto& t) { fields(e.totals_, t); });
+    v.objects("log", e.log_);
+    v.object("autoscale", [&](auto& a) { autoscale_fields(e, a); },
+             e.autoscale_on());
+    v.object("timeline", [&](auto& t) { timeline_fields(e, t); },
+             e.timeline_on());
+    v.objects("lifecycle", e.lifecycle_, Fields{}, e.lifecycle_on(),
+              /*tuples=*/true);
+  }
+
   static void save(const ServeEngine& e, std::uint64_t cursor,
                    std::ostream& out, const BinaryTraceCursor* btrace) {
+    CheckpointInfo head;
+    head.cursor = cursor;
+    head.has_btrace_cursor = btrace != nullptr;
+    if (btrace != nullptr) head.btrace = *btrace;
+    head.vnf_count = e.vnfs_.size();
+    head.node_count = e.node_free_.size();
     obs::JsonWriter w(out);
     w.begin_object();
     w.kv("schema", kCheckpointSchema);
-    w.kv("cursor", cursor);
-    if (btrace != nullptr) {
-      // Binary-trace position (absent for text traces, keeping those
-      // checkpoints byte-identical to the pre-btrace layout).  time_bits is
-      // a full 64-bit value — IEEE-754 bits of the last timestamp — which a
-      // JSON number (a double) cannot carry exactly, so it travels as a
-      // fixed-width hex string.
-      w.kv("trace_offset", btrace->byte_offset);
-      w.kv("trace_time_bits", hex_bits(btrace->time_bits));
-    }
-    w.kv("vnf_count", static_cast<std::uint64_t>(e.vnfs_.size()));
-    w.kv("node_count", static_cast<std::uint64_t>(e.node_free_.size()));
-
-    const ServeConfig& c = e.config_;
-    w.key("config");
-    w.begin_object();
-    w.kv("headroom", c.headroom);
-    w.kv("rebalance_threshold", c.rebalance_threshold);
-    w.kv("migration_budget", std::uint64_t{c.migration_budget});
-    w.kv("queue_capacity", static_cast<std::uint64_t>(c.queue_capacity));
-    w.key("link_latency");
-    if (c.link_latency.has_value()) {
-      w.value(*c.link_latency);
-    } else {
-      w.null();
-    }
-    w.kv("overload_window", static_cast<std::uint64_t>(c.overload_window));
-    w.kv("overload_threshold", c.overload_threshold);
-    w.kv("degraded_headroom", c.degraded_headroom);
-    w.kv("retry_backoff_base", c.retry_backoff_base);
-    w.kv("retry_budget", std::uint64_t{c.retry_budget});
-    // Telemetry fields only when enabled, so telemetry-off checkpoints
-    // stay byte-identical to the pre-telemetry format.
-    if (c.snapshot_every > 0.0) {
-      w.kv("snapshot_every", c.snapshot_every);
-      w.kv("timeline_span", static_cast<std::uint64_t>(c.timeline_span));
-    }
-    if (c.lifecycle) w.kv("lifecycle", true);
-    // Autoscale config only when the policy is on (same conditional-
-    // emission rule as the telemetry fields above).
-    if (c.autoscale.enabled()) {
-      w.kv("autoscale_policy", to_string(c.autoscale.policy));
-      w.kv("autoscale_interval", c.autoscale.scale_interval);
-      w.kv("autoscale_high", c.autoscale.high_watermark);
-      w.kv("autoscale_low", c.autoscale.low_watermark);
-      w.kv("autoscale_cooldown", std::uint64_t{c.autoscale.cooldown_windows});
-      w.kv("autoscale_step", std::uint64_t{c.autoscale.max_step});
-      w.kv("autoscale_alpha", c.autoscale.ewma_alpha);
-      w.kv("autoscale_forecast", c.autoscale.forecast_windows);
-      w.kv("autoscale_margin", c.autoscale.safety_margin);
-    }
-    w.end_object();
-
-    w.kv("last_time", e.last_time_);
-    w.kv("saw_event", e.saw_event_);
-    w.kv("next_seq", e.next_seq_);
-    w.kv("work", e.work_);
-    w.kv("served_integral", e.served_integral_);
-    w.kv("offered_integral", e.offered_integral_);
-    w.kv("degraded", e.degraded_);
-    w.key("pressure_window");
-    w.begin_array();
-    for (const std::uint8_t b : e.pressure_window_) w.value(std::uint64_t{b});
-    w.end_array();
-
-    w.key("node_free");
-    w.begin_array();
-    for (const double f : e.node_free_) w.value(f);
-    w.end_array();
-    w.key("node_instances");
-    w.begin_array();
-    for (const std::uint32_t n : e.node_instances_) w.value(std::uint64_t{n});
-    w.end_array();
-    w.key("node_up");
-    w.begin_array();
-    for (const std::uint8_t u : e.node_up_) w.value(std::uint64_t{u});
-    w.end_array();
-
-    w.key("instances");
-    w.begin_array();
-    for (const ServeEngine::Instance& inst : e.instances_) {
-      w.begin_object();
-      w.kv("vnf", std::uint64_t{inst.vnf});
-      w.kv("node", std::uint64_t{inst.node});
-      w.kv("seq", inst.seq);
-      w.kv("raw_load", inst.raw_load);
-      w.kv("effective_load", inst.effective_load);
-      w.kv("retired", inst.retired);
-      // Written only when set, so off-runs (where it is always false)
-      // serialize exactly as before.
-      if (inst.draining) w.kv("draining", true);
-      w.key("members");
-      w.begin_array();
-      for (const std::uint32_t id : inst.members) w.value(std::uint64_t{id});
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-
-    w.key("live");
-    w.begin_array();
-    for (const auto& [id, r] : e.live_) {
-      w.begin_object();
-      write_pending(w, id, r.rate, r.prob, r.chain);
-      w.key("hops");
-      w.begin_array();
-      for (const std::uint32_t slot : r.hop_instance) {
-        w.value(std::uint64_t{slot});
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-
-    w.key("queue");
-    w.begin_array();
-    for (const ServeEngine::PendingRequest& p : e.queue_) {
-      w.begin_object();
-      write_pending(w, p.id, p.rate, p.prob, p.chain);
-      w.end_object();
-    }
-    w.end_array();
-
-    w.key("retry");
-    w.begin_array();
-    for (const ServeEngine::RetryRequest& p : e.retry_queue_) {
-      w.begin_object();
-      write_pending(w, p.request.id, p.request.rate, p.request.prob,
-                    p.request.chain);
-      w.kv("not_before", p.not_before);
-      w.kv("attempts", std::uint64_t{p.attempts});
-      w.end_object();
-    }
-    w.end_array();
-
-    w.key("gone");  // std::set — already ascending
-    w.begin_array();
-    for (const std::uint32_t id : e.gone_) w.value(std::uint64_t{id});
-    w.end_array();
-
-    const ServeSummary& t = e.totals_;
-    w.key("totals");
-    w.begin_object();
-    w.kv("events", t.events);
-    w.kv("arrivals", t.arrivals);
-    w.kv("admitted", t.admitted);
-    w.kv("admitted_from_queue", t.admitted_from_queue);
-    w.kv("rejected", t.rejected);
-    w.kv("departures", t.departures);
-    w.kv("rate_changes", t.rate_changes);
-    w.kv("shed", t.shed);
-    w.kv("migrations", t.migrations);
-    w.kv("rebalances", t.rebalances);
-    w.kv("max_migrations_per_rebalance", t.max_migrations_per_rebalance);
-    w.kv("scale_outs", t.scale_outs);
-    w.kv("scale_ins", t.scale_ins);
-    w.kv("node_downs", t.node_downs);
-    w.kv("node_ups", t.node_ups);
-    w.kv("instances_closed", t.instances_closed);
-    w.kv("evacuated_requests", t.evacuated_requests);
-    w.kv("evacuation_migrations", t.evacuation_migrations);
-    w.kv("parked", t.parked);
-    w.kv("retry_admitted", t.retry_admitted);
-    w.kv("shed_fault", t.shed_fault);
-    w.kv("shed_overload", t.shed_overload);
-    w.kv("degradations", t.degradations);
-    w.kv("degraded_events", t.degraded_events);
-    w.end_object();
-
-    w.key("log");
-    w.begin_array();
-    for (const EventOutcome& o : e.log_) {
-      w.begin_object();
-      w.kv("index", o.index);
-      w.kv("t", o.time);
-      w.kv("kind", std::uint64_t{static_cast<std::uint8_t>(o.kind)});
-      w.kv("request", std::uint64_t{o.request});
-      w.kv("decision", std::uint64_t{static_cast<std::uint8_t>(o.decision)});
-      w.kv("migrations", std::uint64_t{o.migrations});
-      w.kv("scale_outs", std::uint64_t{o.scale_outs});
-      w.kv("scale_ins", std::uint64_t{o.scale_ins});
-      w.kv("admitted_from_queue", std::uint64_t{o.admitted_from_queue});
-      w.kv("evacuated", std::uint64_t{o.evacuated});
-      w.kv("evacuation_migrations", std::uint64_t{o.evacuation_migrations});
-      w.kv("parked", std::uint64_t{o.parked});
-      w.kv("retry_admitted", std::uint64_t{o.retry_admitted});
-      w.kv("shed_fault", std::uint64_t{o.shed_fault});
-      w.kv("shed_overload", std::uint64_t{o.shed_overload});
-      w.kv("degraded", o.degraded);
-      w.kv("mean_predicted_latency", o.mean_predicted_latency);
-      w.kv("p99_predicted_latency", o.p99_predicted_latency);
-      w.end_object();
-    }
-    w.end_array();
-
-    if (e.autoscale_on()) {
-      w.key("autoscale");
-      w.begin_object();
-      w.kv("window", e.as_window_);
-      w.kv("instance_seconds", e.instance_seconds_);
-      w.kv("opened", e.as_opened_);
-      w.kv("drained", e.as_drained_);
-      const AutoscaleTotals& at = e.scaler_->totals();
-      w.kv("decisions", at.decisions);
-      w.kv("flaps", at.flaps);
-      w.kv("blocked_cooldown", at.blocked_cooldown);
-      w.key("vnf_states");
-      w.begin_array();
-      for (const VnfPolicyState& st : e.scaler_->vnf_states()) {
-        w.begin_object();
-        w.kv("ewma", st.ewma);
-        w.kv("prev_ewma", st.prev_ewma);
-        w.kv("seeded", st.seeded);
-        w.kv("cooldown_until", st.cooldown_until);
-        w.kv("last_sign", static_cast<std::int64_t>(st.last_sign));
-        w.kv("last_action_window", st.last_action_window);
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-
-    if (e.timeline_on()) {
-      w.key("timeline");
-      w.begin_object();
-      w.kv("window_index", e.window_index_);
-      w.kv("win_served", e.win_served_);
-      w.kv("win_offered", e.win_offered_);
-      const ServeEngine::TimelineBaseline& b = e.win_base_;
-      w.key("win_base");
-      w.begin_object();
-      w.kv("events", b.events);
-      w.kv("admitted", b.admitted);
-      w.kv("admitted_from_queue", b.admitted_from_queue);
-      w.kv("retry_admitted", b.retry_admitted);
-      w.kv("rejected", b.rejected);
-      w.kv("shed", b.shed);
-      w.kv("shed_fault", b.shed_fault);
-      w.kv("shed_overload", b.shed_overload);
-      w.kv("evacuated_requests", b.evacuated_requests);
-      w.kv("parked", b.parked);
-      w.kv("migrations", b.migrations);
-      if (e.autoscale_on()) {
-        w.kv("scale_outs", b.scale_outs);
-        w.kv("scale_ins", b.scale_ins);
-      }
-      w.end_object();
-      w.key("pending_since");  // std::map — already ascending by id
-      w.begin_array();
-      for (const auto& [id, since] : e.pending_since_) {
-        w.begin_object();
-        w.kv("id", std::uint64_t{id});
-        w.kv("since", since);
-        w.end_object();
-      }
-      w.end_array();
-      const WindowedHistogram& wh = *e.wait_hist_;
-      w.key("wait_hist");
-      w.begin_object();
-      w.kv("lo", wh.lo());
-      w.kv("hi", wh.hi());
-      w.kv("buckets", static_cast<std::uint64_t>(wh.bucket_count()));
-      w.kv("span", static_cast<std::uint64_t>(wh.span()));
-      w.key("windows");
-      w.begin_array();
-      for (std::size_t i = 0; i < wh.window_count(); ++i) {
-        const Histogram& h = wh.window(i);
-        w.begin_object();
-        w.key("counts");
-        w.begin_array();
-        for (std::size_t bkt = 0; bkt < h.bucket_count(); ++bkt) {
-          w.value(std::uint64_t{h.bucket(bkt)});
-        }
-        w.end_array();
-        w.kv("underflow", std::uint64_t{h.underflow()});
-        w.kv("overflow", std::uint64_t{h.overflow()});
-        if (h.count() > 0) {
-          w.kv("min", h.min());
-          w.kv("max", h.max());
-        }
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-      w.key("rows");
-      w.begin_array();
-      for (const obs::TimelineRecord& r : e.timeline_rows_) {
-        w.begin_object();
-        w.kv("window", r.window);
-        w.kv("t_start", r.t_start);
-        w.kv("t_end", r.t_end);
-        w.kv("events", r.events);
-        w.kv("offered_rate", r.offered_rate);
-        w.kv("carried_rate", r.carried_rate);
-        w.kv("availability", r.availability);
-        w.kv("live", r.live);
-        w.kv("queued", r.queued);
-        w.kv("retrying", r.retrying);
-        w.kv("admitted", r.admitted);
-        w.kv("admitted_from_queue", r.admitted_from_queue);
-        w.kv("retry_admitted", r.retry_admitted);
-        w.kv("rejected", r.rejected);
-        w.kv("shed", r.shed);
-        w.kv("evacuated", r.evacuated);
-        w.kv("parked", r.parked);
-        w.kv("migrations", r.migrations);
-        w.kv("degraded", r.degraded);
-        w.kv("nodes_down", r.nodes_down);
-        w.key("node_util");
-        w.begin_array();
-        for (const double u : r.node_util) w.value(u);
-        w.end_array();
-        w.kv("wait_count", r.wait_count);
-        w.kv("wait_p50", r.wait_p50);
-        w.kv("wait_p90", r.wait_p90);
-        w.kv("wait_p99", r.wait_p99);
-        if (r.has_autoscale) {
-          w.kv("instances", r.instances);
-          w.kv("draining", r.draining);
-          w.kv("scale_outs", r.scale_outs);
-          w.kv("scale_ins", r.scale_ins);
-        }
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-
-    if (e.lifecycle_on()) {
-      w.key("lifecycle");  // compact [index, t, request, stage, node, rung]
-      w.begin_array();
-      for (const obs::LifecycleEvent& ev : e.lifecycle_) {
-        w.begin_array();
-        w.value(ev.event_index);
-        w.value(ev.time);
-        w.value(std::uint64_t{ev.request});
-        w.value(std::uint64_t{static_cast<std::uint8_t>(ev.stage)});
-        w.value(std::uint64_t{ev.node});
-        w.value(std::uint64_t{ev.rung});
-        w.end_array();
-      }
-      w.end_array();
-    }
-
+    Writer v(w);
+    fields(head, v);
+    v.object("config", [&](auto& c) { fields(e.config_, c); });
+    state_fields(e, v);
     w.end_object();
     out << '\n';
   }
 
+  /// Restores a freshly built engine whose config and universe came from
+  /// the same document, then checks what no single field can.
   static void apply(ServeEngine& e, const obs::JsonValue& doc) {
-    if (get_uint(doc, "vnf_count") != e.vnfs_.size()) {
-      ckpt_fail("vnf_count does not match the provided workload");
-    }
-    if (get_uint(doc, "node_count") != e.node_free_.size()) {
-      ckpt_fail("node_count does not match the provided topology");
-    }
-    const std::uint64_t vnf_count = e.vnfs_.size();
-    const std::uint64_t node_count = e.node_free_.size();
-
-    e.last_time_ = get_double(doc, "last_time");
-    e.saw_event_ = get_bool(doc, "saw_event");
-    e.next_seq_ = get_uint(doc, "next_seq");
-    e.work_ = get_uint(doc, "work");
-    e.served_integral_ = get_double(doc, "served_integral");
-    e.offered_integral_ = get_double(doc, "offered_integral");
-    e.degraded_ = get_bool(doc, "degraded");
-    e.pressure_window_.clear();
-    for (const obs::JsonValue& b : get_array(doc, "pressure_window")) {
-      if (!b.is_number()) ckpt_fail("pressure_window entries must be 0/1");
-      e.pressure_window_.push_back(b.as_number() != 0.0 ? 1 : 0);
-    }
-
-    const auto& node_free = get_array(doc, "node_free");
-    const auto& node_instances = get_array(doc, "node_instances");
-    const auto& node_up = get_array(doc, "node_up");
-    if (node_free.size() != node_count || node_instances.size() != node_count ||
-        node_up.size() != node_count) {
-      ckpt_fail("node arrays must have node_count entries");
-    }
-    for (std::size_t v = 0; v < node_count; ++v) {
-      if (!node_free[v].is_number() || !node_instances[v].is_number() ||
-          !node_up[v].is_number()) {
-        ckpt_fail("node arrays must hold numbers");
+    Reader v(doc);
+    state_fields(e, v);
+    // Each hop must sit on a live instance of its VNF, and each instance's
+    // members must be exactly the ids whose hops point at it.  live_ runs
+    // in ascending id order, so hops_at comes out sorted like members.
+    std::vector<std::vector<std::uint32_t>> hops_at(e.instances_.size());
+    for (const auto& [id, r] : e.live_) {
+      for (std::size_t h = 0; h < r.hop_instance.size(); ++h) {
+        const ServeEngine::Instance& inst = e.instances_[r.hop_instance[h]];
+        if (inst.retired) ckpt_fail("live request bound to a retired instance");
+        if (inst.vnf != r.chain[h]) {
+          ckpt_fail("live request hop bound to another VNF's instance");
+        }
+        hops_at[r.hop_instance[h]].push_back(id);
       }
-      e.node_free_[v] = node_free[v].as_number();
-      e.node_instances_[v] =
-          static_cast<std::uint32_t>(node_instances[v].as_number());
-      e.node_up_[v] = node_up[v].as_number() != 0.0 ? 1 : 0;
     }
-
-    e.instances_.clear();
     for (auto& act : e.active_of_vnf_) act.clear();
-    for (const obs::JsonValue& j : get_array(doc, "instances")) {
-      if (!j.is_object()) ckpt_fail("instance entries must be objects");
-      ServeEngine::Instance inst;
-      const std::uint64_t vnf = get_uint(j, "vnf");
-      const std::uint64_t node = get_uint(j, "node");
-      if (vnf >= vnf_count) ckpt_fail("instance vnf out of range");
-      if (node >= node_count) ckpt_fail("instance node out of range");
-      inst.vnf = static_cast<std::uint32_t>(vnf);
-      inst.node = static_cast<std::uint32_t>(node);
-      inst.seq = get_uint(j, "seq");
-      inst.raw_load = get_double(j, "raw_load");
-      inst.effective_load = get_double(j, "effective_load");
-      inst.retired = get_bool(j, "retired");
-      if (j.find("draining") != nullptr) {
-        if (!e.autoscale_on()) {
-          ckpt_fail("instance is draining but autoscaling is off");
-        }
-        inst.draining = get_bool(j, "draining");
-        if (inst.draining && inst.retired) {
-          ckpt_fail("instance cannot be both draining and retired");
-        }
+    for (std::uint32_t slot = 0; slot < e.instances_.size(); ++slot) {
+      const ServeEngine::Instance& inst = e.instances_[slot];
+      if (inst.members != hops_at[slot]) {
+        ckpt_fail("instance " + std::to_string(slot) +
+                  " members disagree with the live requests' hops");
       }
-      inst.members = get_u32_vector(
-          j, "members", std::numeric_limits<std::uint32_t>::max());
-      const auto slot = static_cast<std::uint32_t>(e.instances_.size());
       if (!inst.retired) e.active_of_vnf_[inst.vnf].push_back(slot);
-      e.instances_.push_back(std::move(inst));
-    }
-
-    e.live_.clear();
-    for (const obs::JsonValue& j : get_array(doc, "live")) {
-      if (!j.is_object()) ckpt_fail("live entries must be objects");
-      const auto id = static_cast<std::uint32_t>(get_uint(j, "id"));
-      ServeEngine::LiveRequest r;
-      r.rate = get_double(j, "rate");
-      r.prob = get_double(j, "prob");
-      r.chain = get_u32_vector(j, "chain", vnf_count);
-      r.hop_instance = get_u32_vector(j, "hops", e.instances_.size());
-      if (r.hop_instance.size() != r.chain.size()) {
-        ckpt_fail("live request hops/chain size mismatch");
-      }
-      for (const std::uint32_t slot : r.hop_instance) {
-        if (e.instances_[slot].retired) {
-          ckpt_fail("live request bound to a retired instance");
-        }
-      }
-      if (!e.live_.emplace(id, std::move(r)).second) {
-        ckpt_fail("duplicate live request id");
-      }
-    }
-
-    const auto read_pending = [&](const obs::JsonValue& j) {
-      if (!j.is_object()) ckpt_fail("queue entries must be objects");
-      ServeEngine::PendingRequest p;
-      p.id = static_cast<std::uint32_t>(get_uint(j, "id"));
-      p.rate = get_double(j, "rate");
-      p.prob = get_double(j, "prob");
-      p.chain = get_u32_vector(j, "chain", vnf_count);
-      return p;
-    };
-    e.queue_.clear();
-    for (const obs::JsonValue& j : get_array(doc, "queue")) {
-      e.queue_.push_back(read_pending(j));
-    }
-    e.retry_queue_.clear();
-    for (const obs::JsonValue& j : get_array(doc, "retry")) {
-      ServeEngine::RetryRequest r;
-      r.request = read_pending(j);
-      r.not_before = get_uint(j, "not_before");
-      r.attempts = static_cast<std::uint32_t>(get_uint(j, "attempts"));
-      e.retry_queue_.push_back(std::move(r));
-    }
-    e.gone_.clear();
-    for (const std::uint32_t id : get_u32_vector(
-             doc, "gone", std::numeric_limits<std::uint32_t>::max())) {
-      e.gone_.insert(id);
-    }
-
-    const obs::JsonValue& t = get_object(doc, "totals");
-    ServeSummary& s = e.totals_;
-    s.events = get_uint(t, "events");
-    s.arrivals = get_uint(t, "arrivals");
-    s.admitted = get_uint(t, "admitted");
-    s.admitted_from_queue = get_uint(t, "admitted_from_queue");
-    s.rejected = get_uint(t, "rejected");
-    s.departures = get_uint(t, "departures");
-    s.rate_changes = get_uint(t, "rate_changes");
-    s.shed = get_uint(t, "shed");
-    s.migrations = get_uint(t, "migrations");
-    s.rebalances = get_uint(t, "rebalances");
-    s.max_migrations_per_rebalance =
-        get_uint(t, "max_migrations_per_rebalance");
-    s.scale_outs = get_uint(t, "scale_outs");
-    s.scale_ins = get_uint(t, "scale_ins");
-    s.node_downs = get_uint(t, "node_downs");
-    s.node_ups = get_uint(t, "node_ups");
-    s.instances_closed = get_uint(t, "instances_closed");
-    s.evacuated_requests = get_uint(t, "evacuated_requests");
-    s.evacuation_migrations = get_uint(t, "evacuation_migrations");
-    s.parked = get_uint(t, "parked");
-    s.retry_admitted = get_uint(t, "retry_admitted");
-    s.shed_fault = get_uint(t, "shed_fault");
-    s.shed_overload = get_uint(t, "shed_overload");
-    s.degradations = get_uint(t, "degradations");
-    s.degraded_events = get_uint(t, "degraded_events");
-
-    e.log_.clear();
-    for (const obs::JsonValue& j : get_array(doc, "log")) {
-      if (!j.is_object()) ckpt_fail("log entries must be objects");
-      EventOutcome o;
-      o.index = get_uint(j, "index");
-      o.time = get_double(j, "t");
-      const std::uint64_t kind = get_uint(j, "kind");
-      if (kind > static_cast<std::uint64_t>(
-                     workload::StreamEventKind::kNodeUp)) {
-        ckpt_fail("log entry kind out of range");
-      }
-      o.kind = static_cast<workload::StreamEventKind>(kind);
-      o.request = static_cast<std::uint32_t>(get_uint(j, "request"));
-      const std::uint64_t decision = get_uint(j, "decision");
-      if (decision > static_cast<std::uint64_t>(Decision::kNodeUp)) {
-        ckpt_fail("log entry decision out of range");
-      }
-      o.decision = static_cast<Decision>(decision);
-      o.migrations = static_cast<std::uint32_t>(get_uint(j, "migrations"));
-      o.scale_outs = static_cast<std::uint32_t>(get_uint(j, "scale_outs"));
-      o.scale_ins = static_cast<std::uint32_t>(get_uint(j, "scale_ins"));
-      o.admitted_from_queue =
-          static_cast<std::uint32_t>(get_uint(j, "admitted_from_queue"));
-      o.evacuated = static_cast<std::uint32_t>(get_uint(j, "evacuated"));
-      o.evacuation_migrations =
-          static_cast<std::uint32_t>(get_uint(j, "evacuation_migrations"));
-      o.parked = static_cast<std::uint32_t>(get_uint(j, "parked"));
-      o.retry_admitted =
-          static_cast<std::uint32_t>(get_uint(j, "retry_admitted"));
-      o.shed_fault = static_cast<std::uint32_t>(get_uint(j, "shed_fault"));
-      o.shed_overload =
-          static_cast<std::uint32_t>(get_uint(j, "shed_overload"));
-      o.degraded = get_bool(j, "degraded");
-      o.mean_predicted_latency = get_double(j, "mean_predicted_latency");
-      o.p99_predicted_latency = get_double(j, "p99_predicted_latency");
-      e.log_.push_back(o);
-    }
-
-    const bool has_timeline = doc.find("timeline") != nullptr;
-    if (has_timeline != e.timeline_on()) {
-      ckpt_fail(has_timeline
-                    ? "timeline state present but config disables the timeline"
-                    : "config enables the timeline but state is missing");
-    }
-    if (has_timeline) apply_timeline(e, get_object(doc, "timeline"));
-
-    const bool has_autoscale = doc.find("autoscale") != nullptr;
-    if (has_autoscale != e.autoscale_on()) {
-      ckpt_fail(has_autoscale
-                    ? "autoscale state present but config disables autoscaling"
-                    : "config enables autoscaling but state is missing");
-    }
-    if (has_autoscale) {
-      const obs::JsonValue& a = get_object(doc, "autoscale");
-      e.as_window_ = get_uint(a, "window");
-      e.instance_seconds_ = get_double(a, "instance_seconds");
-      e.as_opened_ = get_uint(a, "opened");
-      e.as_drained_ = get_uint(a, "drained");
-      AutoscaleTotals at;
-      at.decisions = get_uint(a, "decisions");
-      at.flaps = get_uint(a, "flaps");
-      at.blocked_cooldown = get_uint(a, "blocked_cooldown");
-      std::vector<VnfPolicyState> states;
-      for (const obs::JsonValue& j : get_array(a, "vnf_states")) {
-        if (!j.is_object()) ckpt_fail("vnf_states entries must be objects");
-        VnfPolicyState st;
-        st.ewma = get_double(j, "ewma");
-        st.prev_ewma = get_double(j, "prev_ewma");
-        st.seeded = get_bool(j, "seeded");
-        st.cooldown_until = get_uint(j, "cooldown_until");
-        const double sign = get_double(j, "last_sign");
-        if (sign != -1.0 && sign != 0.0 && sign != 1.0) {
-          ckpt_fail("vnf_states last_sign must be -1, 0, or 1");
-        }
-        st.last_sign = static_cast<std::int8_t>(sign);
-        st.last_action_window = get_uint(j, "last_action_window");
-        states.push_back(st);
-      }
-      if (states.size() != vnf_count) {
-        ckpt_fail("vnf_states must have vnf_count entries");
-      }
-      e.scaler_->restore(std::move(states), at);
-    }
-
-    const bool has_lifecycle = doc.find("lifecycle") != nullptr;
-    if (has_lifecycle != e.lifecycle_on()) {
-      ckpt_fail(has_lifecycle
-                    ? "lifecycle log present but config disables it"
-                    : "config enables the lifecycle log but it is missing");
-    }
-    e.lifecycle_.clear();
-    if (has_lifecycle) {
-      for (const obs::JsonValue& j : get_array(doc, "lifecycle")) {
-        if (!j.is_array() || j.as_array().size() != 6) {
-          ckpt_fail("lifecycle entries must be 6-element arrays");
-        }
-        const auto& a = j.as_array();
-        const auto tuple_uint = [&](std::size_t i) {
-          if (!a[i].is_number() || a[i].as_number() < 0.0 ||
-              a[i].as_number() != std::floor(a[i].as_number()) ||
-              a[i].as_number() > 1.8e19) {
-            ckpt_fail("lifecycle tuple fields must be non-negative integers");
-          }
-          return static_cast<std::uint64_t>(a[i].as_number());
-        };
-        obs::LifecycleEvent ev;
-        ev.event_index = tuple_uint(0);
-        if (!a[1].is_number() || !std::isfinite(a[1].as_number())) {
-          ckpt_fail("lifecycle tuple time must be a finite number");
-        }
-        ev.time = a[1].as_number();
-        const std::uint64_t request = tuple_uint(2);
-        const std::uint64_t stage = tuple_uint(3);
-        const std::uint64_t node = tuple_uint(4);
-        const std::uint64_t rung = tuple_uint(5);
-        if (request > std::numeric_limits<std::uint32_t>::max() ||
-            node > std::numeric_limits<std::uint32_t>::max() ||
-            rung > std::numeric_limits<std::uint32_t>::max()) {
-          ckpt_fail("lifecycle tuple id fields are out of range");
-        }
-        if (stage > static_cast<std::uint64_t>(obs::LifecycleStage::kDepart)) {
-          ckpt_fail("lifecycle tuple stage is out of range");
-        }
-        ev.request = static_cast<std::uint32_t>(request);
-        ev.stage = static_cast<obs::LifecycleStage>(stage);
-        ev.node = static_cast<std::uint32_t>(node);
-        ev.rung = static_cast<std::uint32_t>(rung);
-        e.lifecycle_.push_back(ev);
-      }
-    }
-  }
-
-  static void apply_timeline(ServeEngine& e, const obs::JsonValue& tl) {
-    e.window_index_ = get_uint(tl, "window_index");
-    e.win_served_ = get_double(tl, "win_served");
-    e.win_offered_ = get_double(tl, "win_offered");
-
-    const obs::JsonValue& b = get_object(tl, "win_base");
-    ServeEngine::TimelineBaseline base;
-    base.events = get_uint(b, "events");
-    base.admitted = get_uint(b, "admitted");
-    base.admitted_from_queue = get_uint(b, "admitted_from_queue");
-    base.retry_admitted = get_uint(b, "retry_admitted");
-    base.rejected = get_uint(b, "rejected");
-    base.shed = get_uint(b, "shed");
-    base.shed_fault = get_uint(b, "shed_fault");
-    base.shed_overload = get_uint(b, "shed_overload");
-    base.evacuated_requests = get_uint(b, "evacuated_requests");
-    base.parked = get_uint(b, "parked");
-    base.migrations = get_uint(b, "migrations");
-    if (b.find("scale_outs") != nullptr) {
-      base.scale_outs = get_uint(b, "scale_outs");
-      base.scale_ins = get_uint(b, "scale_ins");
-    }
-    e.win_base_ = base;
-
-    e.pending_since_.clear();
-    for (const obs::JsonValue& j : get_array(tl, "pending_since")) {
-      if (!j.is_object()) ckpt_fail("pending_since entries must be objects");
-      const auto id = static_cast<std::uint32_t>(get_uint(j, "id"));
-      if (!e.pending_since_.emplace(id, get_double(j, "since")).second) {
-        ckpt_fail("duplicate pending_since id");
-      }
-    }
-
-    const obs::JsonValue& wj = get_object(tl, "wait_hist");
-    WindowedHistogram& wh = *e.wait_hist_;
-    if (get_double(wj, "lo") != wh.lo() || get_double(wj, "hi") != wh.hi() ||
-        get_uint(wj, "buckets") != wh.bucket_count() ||
-        get_uint(wj, "span") != wh.span()) {
-      ckpt_fail("wait_hist geometry does not match the embedded config");
-    }
-    std::deque<Histogram> slots;
-    for (const obs::JsonValue& j : get_array(wj, "windows")) {
-      if (!j.is_object()) ckpt_fail("wait_hist windows must be objects");
-      const auto& counts_json = get_array(j, "counts");
-      std::vector<std::size_t> counts;
-      counts.reserve(counts_json.size());
-      for (const obs::JsonValue& cj : counts_json) {
-        if (!cj.is_number() || cj.as_number() < 0.0 ||
-            cj.as_number() != std::floor(cj.as_number())) {
-          ckpt_fail("wait_hist counts must be non-negative integers");
-        }
-        counts.push_back(static_cast<std::size_t>(cj.as_number()));
-      }
-      const auto underflow =
-          static_cast<std::size_t>(get_uint(j, "underflow"));
-      const auto overflow = static_cast<std::size_t>(get_uint(j, "overflow"));
-      const bool has_samples = j.find("min") != nullptr;
-      const double mn = has_samples ? get_double(j, "min") : 0.0;
-      const double mx = has_samples ? get_double(j, "max") : 0.0;
-      Histogram h(wh.lo(), wh.hi(), wh.bucket_count());
-      try {
-        h.restore(counts, underflow, overflow, mn, mx);
-      } catch (const std::exception& ex) {
-        ckpt_fail(std::string("invalid wait_hist window: ") + ex.what());
-      }
-      if ((h.count() > 0) != has_samples) {
-        ckpt_fail("wait_hist window min/max presence mismatch");
-      }
-      slots.push_back(std::move(h));
-    }
-    try {
-      wh.restore(std::move(slots));
-    } catch (const std::exception& ex) {
-      ckpt_fail(std::string("invalid wait_hist state: ") + ex.what());
-    }
-
-    e.timeline_rows_.clear();
-    const std::size_t node_count = e.node_free_.size();
-    for (const obs::JsonValue& j : get_array(tl, "rows")) {
-      if (!j.is_object()) ckpt_fail("timeline rows must be objects");
-      obs::TimelineRecord r;
-      r.window = get_uint(j, "window");
-      r.t_start = get_double(j, "t_start");
-      r.t_end = get_double(j, "t_end");
-      r.events = get_uint(j, "events");
-      r.offered_rate = get_double(j, "offered_rate");
-      r.carried_rate = get_double(j, "carried_rate");
-      r.availability = get_double(j, "availability");
-      r.live = get_uint(j, "live");
-      r.queued = get_uint(j, "queued");
-      r.retrying = get_uint(j, "retrying");
-      r.admitted = get_uint(j, "admitted");
-      r.admitted_from_queue = get_uint(j, "admitted_from_queue");
-      r.retry_admitted = get_uint(j, "retry_admitted");
-      r.rejected = get_uint(j, "rejected");
-      r.shed = get_uint(j, "shed");
-      r.evacuated = get_uint(j, "evacuated");
-      r.parked = get_uint(j, "parked");
-      r.migrations = get_uint(j, "migrations");
-      r.degraded = get_bool(j, "degraded");
-      r.nodes_down = get_uint(j, "nodes_down");
-      for (const obs::JsonValue& u : get_array(j, "node_util")) {
-        if (!u.is_number()) ckpt_fail("node_util entries must be numbers");
-        r.node_util.push_back(u.as_number());
-      }
-      if (r.node_util.size() != node_count) {
-        ckpt_fail("timeline row node_util must have node_count entries");
-      }
-      r.wait_count = get_uint(j, "wait_count");
-      r.wait_p50 = get_double(j, "wait_p50");
-      r.wait_p90 = get_double(j, "wait_p90");
-      r.wait_p99 = get_double(j, "wait_p99");
-      if (j.find("instances") != nullptr) {
-        r.has_autoscale = true;
-        r.instances = get_uint(j, "instances");
-        r.draining = get_uint(j, "draining");
-        r.scale_outs = get_uint(j, "scale_outs");
-        r.scale_ins = get_uint(j, "scale_ins");
-      }
-      e.timeline_rows_.push_back(std::move(r));
     }
   }
 };
@@ -994,13 +798,10 @@ std::string save_checkpoint_string(const ServeEngine& engine,
 
 CheckpointInfo peek_checkpoint(std::string_view text) {
   const obs::JsonValue doc = parse_document(text);
-  CheckpointInfo info;
-  info.cursor = get_uint(doc, "cursor");
-  info.has_btrace_cursor = read_btrace_cursor(doc, &info.btrace);
-  info.vnf_count = get_uint(doc, "vnf_count");
-  info.node_count = get_uint(doc, "node_count");
-  info.live_requests = get_array(doc, "live").size();
-  info.logged_events = get_array(doc, "log").size();
+  CheckpointInfo info = read_head(doc);
+  Reader head(doc);
+  info.live_requests = head.length("live");
+  info.logged_events = head.length("log");
 
   // Full structural sweep: re-run the state walk against a throwaway
   // engine sized from the document itself, so the fuzz target exercises
@@ -1028,13 +829,14 @@ CheckpointInfo peek_checkpoint(std::string_view text) {
   }
   ServeConfig probe_config;
   probe_config.link_latency = 0.0;
-  // Honour the telemetry switches so apply() exercises (and validates) the
-  // timeline/lifecycle state walk too.
+  // Honour the telemetry and autoscale switches so apply() walks (and
+  // validates) those sections too.
   const obs::JsonValue* config_json = doc.find("config");
   if (config_json != nullptr && config_json->is_object()) {
-    read_telemetry_config(*config_json, probe_config);
-    read_autoscale_config(*config_json, probe_config);
+    Reader c(*config_json);
+    switch_fields(probe_config, c);
   }
+  validate(probe_config);
   ServeEngine probe(std::move(topo), std::move(vnfs), probe_config);
   CheckpointIo::apply(probe, doc);
   return info;
@@ -1045,42 +847,22 @@ ServeEngine restore_checkpoint(std::string_view text, topo::Topology topology,
                                std::uint64_t* cursor,
                                BinaryTraceCursor* btrace, bool* has_btrace) {
   const obs::JsonValue doc = parse_document(text);
-  const std::uint64_t at = get_uint(doc, "cursor");
-  const bool btrace_present = read_btrace_cursor(doc, btrace);
-  if (has_btrace != nullptr) *has_btrace = btrace_present;
-
-  const obs::JsonValue& c = get_object(doc, "config");
+  const CheckpointInfo head = read_head(doc);
   ServeConfig config;
-  config.headroom = get_double(c, "headroom");
-  config.rebalance_threshold = get_double(c, "rebalance_threshold");
-  config.migration_budget =
-      static_cast<std::uint32_t>(get_uint(c, "migration_budget"));
-  config.queue_capacity =
-      static_cast<std::size_t>(get_uint(c, "queue_capacity"));
-  const obs::JsonValue& link = member(c, "link_latency");
-  if (link.is_number()) {
-    config.link_latency = link.as_number();
-  } else if (!link.is_null()) {
-    ckpt_fail("config.link_latency must be a number or null");
+  Reader(doc).object("config", [&](auto& c) { fields(config, c); });
+  validate(config);
+  if (head.vnf_count != vnfs.size()) {
+    ckpt_fail("vnf_count does not match the provided workload");
   }
-  config.overload_window =
-      static_cast<std::size_t>(get_uint(c, "overload_window"));
-  config.overload_threshold = get_double(c, "overload_threshold");
-  config.degraded_headroom = get_double(c, "degraded_headroom");
-  config.retry_backoff_base = get_uint(c, "retry_backoff_base");
-  config.retry_budget =
-      static_cast<std::uint32_t>(get_uint(c, "retry_budget"));
-  read_telemetry_config(c, config);
-  read_autoscale_config(c, config);
-  try {
-    config.validate();
-  } catch (const std::invalid_argument& e) {
-    ckpt_fail(std::string("embedded config is invalid: ") + e.what());
+  if (head.node_count != topology.compute_count()) {
+    ckpt_fail("node_count does not match the provided topology");
   }
 
   ServeEngine engine(std::move(topology), std::move(vnfs), config);
   CheckpointIo::apply(engine, doc);
-  if (cursor != nullptr) *cursor = at;
+  if (cursor != nullptr) *cursor = head.cursor;
+  if (has_btrace != nullptr) *has_btrace = head.has_btrace_cursor;
+  if (btrace != nullptr && head.has_btrace_cursor) *btrace = head.btrace;
   return engine;
 }
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "nfv/common/error.h"
 #include "nfv/common/rng.h"
@@ -351,6 +352,46 @@ TEST(ParserRobustness,
       "autoscale checkpoint");
 }
 
+// A coherent 1-vnf/1-node checkpoint: request 7 live on one instance, one
+// logged arrival.  Each out-of-range crasher swaps exactly one substring.
+const std::string kOneRequestCheckpoint =
+    R"({"schema":"nfvpr.checkpoint/1","cursor":1,"vnf_count":1,)"
+    R"("node_count":1,"config":{"headroom":0.1,"rebalance_threshold":0.25,)"
+    R"("migration_budget":4,"queue_capacity":64,"link_latency":null,)"
+    R"("overload_window":32,"overload_threshold":0.75,)"
+    R"("degraded_headroom":0.25,"retry_backoff_base":4,"retry_budget":3},)"
+    R"("last_time":0,"saw_event":true,"next_seq":1,"work":1,)"
+    R"("served_integral":0,"offered_integral":0,"degraded":false,)"
+    R"("pressure_window":[0],"node_free":[0],"node_instances":[1],)"
+    R"("node_up":[1],"instances":[{"vnf":0,"node":0,"seq":0,)"
+    R"("raw_load":1,"effective_load":1,"retired":false,"members":[7]}],)"
+    R"("live":[{"id":7,"rate":1,"prob":1,"chain":[0],"hops":[0]}],)"
+    R"("queue":[],"retry":[],"gone":[],)"
+    R"("totals":{"events":1,"arrivals":1,"admitted":1,)"
+    R"("admitted_from_queue":0,"rejected":0,"departures":0,)"
+    R"("rate_changes":0,"shed":0,"migrations":0,"rebalances":0,)"
+    R"("max_migrations_per_rebalance":0,"scale_outs":1,"scale_ins":0,)"
+    R"("node_downs":0,"node_ups":0,"instances_closed":0,)"
+    R"("evacuated_requests":0,"evacuation_migrations":0,"parked":0,)"
+    R"("retry_admitted":0,"shed_fault":0,"shed_overload":0,)"
+    R"("degradations":0,"degraded_events":0},)"
+    R"("log":[{"index":0,"t":0,"kind":0,"request":7,"decision":0,)"
+    R"("migrations":0,"scale_outs":1,"scale_ins":0,"admitted_from_queue":0,)"
+    R"("evacuated":0,"evacuation_migrations":0,"parked":0,)"
+    R"("retry_admitted":0,"shed_fault":0,"shed_overload":0,)"
+    R"("degraded":false,"mean_predicted_latency":0,)"
+    R"("p99_predicted_latency":0}]})";
+
+/// kOneRequestCheckpoint with the first `from` replaced by `to`.
+std::string one_request_checkpoint_with(const std::string& from,
+                                        const std::string& to) {
+  std::string text = kOneRequestCheckpoint;
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
 TEST(ParserRobustness, PinnedCheckpointCrashersThrowDocumentedType) {
   const char* inputs[] = {
       "",
@@ -380,6 +421,27 @@ TEST(ParserRobustness, PinnedCheckpointCrashersThrowDocumentedType) {
     EXPECT_THROW((void)serve::peek_checkpoint(text),
                  serve::CheckpointParseError)
         << text;
+  }
+
+  // Integers outside their destination type: each once cast silently
+  // (7 + 2^32 restored as id 7, 2^32 + 1 migrations as 1) or, for a
+  // negative or huge double cast to uint32_t, undefined behaviour.
+  ASSERT_NO_THROW((void)serve::peek_checkpoint(kOneRequestCheckpoint));
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {R"("live":[{"id":7,)", R"("live":[{"id":4294967303,)"},
+      {R"("decision":0,"migrations":0,)",
+       R"("decision":0,"migrations":4294967297,)"},
+      {R"("node_instances":[1])", R"("node_instances":[-1])"},
+      {R"("node_instances":[1])", R"("node_instances":[2.5])"},
+      {R"("node_instances":[1])", R"("node_instances":[1e300])"},
+      {R"("node_up":[1])", R"("node_up":[2])"},
+      {R"("pressure_window":[0])", R"("pressure_window":[0.5])"},
+  };
+  for (const auto& [from, to] : out_of_range) {
+    const std::string text = one_request_checkpoint_with(from, to);
+    EXPECT_THROW((void)serve::peek_checkpoint(text),
+                 serve::CheckpointParseError)
+        << to;
   }
 }
 
