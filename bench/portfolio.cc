@@ -4,10 +4,13 @@
 //
 //   bench_portfolio --reps 5 --threads 4 --json portfolio.json
 //
-// Rows pair wall-clock (`wall_us`, machine-noisy) with the deterministic
+// Rows pair wall-clock columns (machine-noisy) with the deterministic
 // race columns, bit-identical for any thread count under the
 // deterministic budget:
 //
+//   wall_us     fastest of --reps races at --threads;
+//   wall_j1_us  fastest of --reps races on one thread;
+//   speedup     wall_j1_us / wall_us — what the threads buy;
 //   budget      shared work budget W (--work-budget);
 //   work        placement iterations charged by the row's winner;
 //   rejected    rejected requests in the winning solution;
@@ -15,13 +18,16 @@
 //
 // The binary itself enforces the portfolio contracts (exit 1): at every
 // budget the portfolio row's objective is <= every single backend's
-// (racing never costs quality), and re-running the race single-threaded
-// reproduces every deterministic column bit-for-bit.  JSON lands in the
+// (racing never costs quality), the one-thread races reproduce every
+// deterministic column bit-for-bit, and with --threads above 1 no
+// portfolio row is slower than on one thread.  JSON lands in the
 // "nfvpr.bench/1" schema for baseline diffing against
 // bench/baselines/portfolio.json: wall at 400% on shared runners,
 // deterministic columns at 1%.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -91,6 +97,22 @@ nfv::core::SolverConfig budgeted(const std::string& solver,
   return cfg;
 }
 
+/// Runs `driver`'s race `reps` times; returns the fastest wall time in µs
+/// and leaves the last outcome in `outcome`.
+double fastest_race_us(const nfv::core::PortfolioDriver& driver,
+                       const nfv::core::SystemModel& model, std::uint64_t seed,
+                       long long reps, nfv::core::SolverOutcome& outcome) {
+  double best = std::numeric_limits<double>::infinity();
+  for (long long rep = 0; rep < reps; ++rep) {
+    const auto start = Clock::now();
+    outcome = driver.run(model, seed);
+    best = std::min(
+        best, std::chrono::duration<double, std::micro>(Clock::now() - start)
+                  .count());
+  }
+  return best;
+}
+
 std::uint64_t rejected_count(const nfv::core::JointResult& r) {
   std::uint64_t rejected = 0;
   for (const auto& o : r.requests) {
@@ -120,10 +142,11 @@ int main(int argc, char** argv) {
       "Solver portfolio — quality vs. deterministic work budget",
       "One fixture instance raced through every --solver backend at\n"
       "increasing --work-budget under --deterministic-budget (DESIGN.md\n"
-      "§17).  Every column except wall_us is bit-identical for any\n"
+      "§17).  Every column but the wall clocks is bit-identical for any\n"
       "thread count; the binary itself fails (exit 1) if the portfolio\n"
-      "row ever loses to a single backend or if a single-threaded rerun\n"
-      "diverges from the threaded race.");
+      "row ever loses to a single backend, if a single-threaded rerun\n"
+      "diverges from the threaded race, or if the threaded portfolio\n"
+      "race is slower than the single-threaded one.");
 
   const auto model = make_fixture(static_cast<std::uint64_t>(seed));
   std::printf("instance: %zu nodes, %zu VNFs, %zu requests\n\n",
@@ -133,8 +156,9 @@ int main(int argc, char** argv) {
   const std::uint64_t budgets[] = {4, 16, 64};
   const std::vector<std::string> solvers = {"bfdsu", "pso", "lp", "portfolio"};
 
-  nfv::Table table({"case", "budget", "threads", "reps", "wall_us", "work",
-                    "rejected", "latency_us"});
+  nfv::Table table({"case", "budget", "threads", "reps", "wall_us",
+                    "wall_j1_us", "speedup", "work", "rejected",
+                    "latency_us"});
   table.set_precision(3);
   for (const std::uint64_t budget : budgets) {
     double portfolio_latency = 0.0;
@@ -145,14 +169,8 @@ int main(int argc, char** argv) {
           base_config(static_cast<std::uint32_t>(threads)),
           budgeted(solver, budget));
       nfv::core::SolverOutcome outcome;
-      const auto start = Clock::now();
-      for (long long rep = 0; rep < reps; ++rep) {
-        outcome = driver.run(model, static_cast<std::uint64_t>(seed));
-      }
-      const double us =
-          std::chrono::duration<double, std::micro>(Clock::now() - start)
-              .count() /
-          static_cast<double>(reps);
+      const double us = fastest_race_us(
+          driver, model, static_cast<std::uint64_t>(seed), reps, outcome);
       if (!outcome.result.feasible) {
         std::fprintf(stderr, "bench_portfolio: %s infeasible at budget %llu\n",
                      solver.c_str(),
@@ -160,11 +178,12 @@ int main(int argc, char** argv) {
         return 1;
       }
 
-      // Contract: the deterministic race is thread-count free — a
-      // single-threaded rerun must reproduce every deterministic column.
-      const nfv::core::SolverOutcome serial =
-          nfv::core::PortfolioDriver(base_config(1), budgeted(solver, budget))
-              .run(model, static_cast<std::uint64_t>(seed));
+      // Contract: the deterministic race is thread-count free — the
+      // single-threaded reruns must reproduce every deterministic column.
+      nfv::core::SolverOutcome serial;
+      const double us_j1 = fastest_race_us(
+          nfv::core::PortfolioDriver(base_config(1), budgeted(solver, budget)),
+          model, static_cast<std::uint64_t>(seed), reps, serial);
       if (serial.winner != outcome.winner ||
           serial.result.total_latency != outcome.result.total_latency ||
           serial.result.placement.assignment !=
@@ -179,6 +198,16 @@ int main(int argc, char** argv) {
       if (solver == "portfolio") {
         portfolio_latency = outcome.result.total_latency;
         portfolio_feasible = true;
+        // Contract: threads must pay for the race (ROADMAP O16).
+        if (threads > 1 && us > us_j1) {
+          std::fprintf(stderr,
+                       "bench_portfolio: portfolio at %lld threads (%.0f us) "
+                       "is slower than on one thread (%.0f us) at budget "
+                       "%llu\n",
+                       static_cast<long long>(threads), us, us_j1,
+                       static_cast<unsigned long long>(budget));
+          return 1;
+        }
       } else {
         single_latencies.push_back(outcome.result.total_latency);
       }
@@ -189,7 +218,7 @@ int main(int argc, char** argv) {
       table.add_row(
           {solver, static_cast<long long>(budget),
            static_cast<long long>(threads), static_cast<long long>(reps), us,
-           static_cast<long long>(winner_work),
+           us_j1, us_j1 / us, static_cast<long long>(winner_work),
            static_cast<long long>(rejected_count(outcome.result)),
            outcome.result.total_latency * 1e6});
     }

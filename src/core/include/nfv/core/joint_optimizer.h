@@ -4,7 +4,7 @@
 // inter-node link latency.
 #pragma once
 
-#include <functional>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,12 +34,6 @@ struct SystemModel {
 struct JointConfig {
   std::string placement_algorithm = "BFDSU";
   std::string scheduling_algorithm = "RCKK";
-  /// When set, phase 1 builds its algorithm from this factory instead of
-  /// make_placement_algorithm(placement_algorithm); the solver portfolio
-  /// (DESIGN.md §17) injects budgeted PSO/LP/BFDSU backends through it.
-  /// `placement_algorithm` stays the display name for reports.
-  std::function<std::unique_ptr<placement::PlacementAlgorithm>()>
-      placement_factory;
   /// Admission-control utilization ceiling ρ_max per instance.
   double rho_max = 0.999;
   /// Per-hop latency L of Eq. 16; defaults to the topology's mean link
@@ -73,6 +67,19 @@ struct RequestOutcome {
   }
 };
 
+/// Phase 2's output (Algorithm 2 plus ρ_max admission, per VNF).  It reads
+/// the workload (and, sharded, the shard plan) only — never a placement —
+/// so one phase 2 serves every placement of the same instance.
+struct ScheduleResult {
+  std::vector<VnfSchedulingContext> contexts;    ///< per VNF
+  std::vector<sched::Schedule> schedules;        ///< per VNF
+  std::vector<sched::AdmissionResult> admissions;///< per VNF
+  /// Sharded merge counters (shard::ShardStats); zero when monolithic.
+  std::uint64_t boundary_requests = 0;
+  std::uint64_t rebalances = 0;
+  std::uint64_t migrations = 0;
+};
+
 /// Complete result of one pipeline run.
 struct JointResult {
   bool feasible = false;  ///< placement succeeded & all schedules stable
@@ -89,32 +96,114 @@ struct JointResult {
   double avg_total_latency = 0.0;   ///< per admitted request
   double avg_response = 0.0;        ///< mean W over all service instances
   double job_rejection_rate = 0.0;  ///< rejected requests / |R|
+
+  /// Moves a phase-2 result in: contexts, schedules, admissions and the
+  /// sharded merge counters.
+  void adopt(ScheduleResult&& phase);
+};
+
+/// One instance prepared for the stages, once per run or race: Eq. 14's
+/// packing problem and, when sharding is on and splits the instance, the
+/// canonical shard plan (DESIGN.md §12).  Refers to `model`, which must
+/// outlive it.
+struct PreparedModel {
+  const SystemModel& model;
+  placement::PlacementProblem problem;
+  /// Set only for a plan of two or more shards: a connected instance is
+  /// one shard, and sharding it is the identity.
+  std::optional<shard::ShardPlan> plan;
+};
+
+/// Phase 2 as independent work items for one exec fan-out: call
+/// run_item(i) exactly once for every i in [0, items()), on any thread and
+/// in any order, then finish().  Monolithic: one item per VNF.  Sharded:
+/// one item for the whole sharded phase, whose per-shard waves fan out
+/// inside it.  Refers to the PreparedModel and JointOptimizer it came
+/// from, which must outlive it.
+class SchedulePass {
+ public:
+  [[nodiscard]] std::size_t items() const { return items_; }
+
+  /// Never throws: a failure is kept for finish().
+  void run_item(std::size_t i) noexcept;
+
+  /// The phase-2 result.  Rethrows the failure of building the contexts,
+  /// else that of the lowest failed item, so a workload phase 2 cannot
+  /// model fails only the runs that get this far.
+  [[nodiscard]] ScheduleResult finish() &&;
+
+ private:
+  friend class JointOptimizer;
+  SchedulePass(const PreparedModel& in, const JointConfig& config,
+               const sched::SchedulingAlgorithm& scheduler, bool sharded,
+               std::uint64_t seed);
+  void run_sharded();
+
+  const PreparedModel& in_;
+  const JointConfig& config_;
+  const sched::SchedulingAlgorithm& scheduler_;
+  const shard::ShardPlan* plan_ = nullptr;  ///< null: monolithic
+  Rng rng_;
+  std::vector<Rng> children_;               ///< per VNF (monolithic)
+  std::size_t items_ = 0;
+  ScheduleResult out_;
+  std::exception_ptr setup_error_;
+  std::vector<std::exception_ptr> item_errors_;
 };
 
 /// Two-phase optimizer.  Stateless; all randomness flows through the seed.
+///
+/// run() is three stages in sequence — place, schedule, evaluate — and the
+/// solver portfolio (DESIGN.md §17) composes the same stages: it places
+/// once per backend and schedules once per instance.
 class JointOptimizer {
  public:
+  /// Throws std::invalid_argument for an out-of-range knob or an unknown
+  /// scheduling algorithm.
   explicit JointOptimizer(JointConfig config);
 
   /// Runs placement, then per-VNF scheduling + admission, then evaluates
-  /// Eq. 16.  Throws std::invalid_argument for unknown algorithm names.
+  /// Eq. 16.  Throws std::invalid_argument for an unknown placement
+  /// algorithm.
   [[nodiscard]] JointResult run(const SystemModel& model,
                                 std::uint64_t seed) const;
+
+  /// Validates `model` and builds what every stage reads.
+  [[nodiscard]] PreparedModel prepare(const SystemModel& model) const;
+
+  /// Stage 1: `algo` places the instance from Rng(seed) — per shard,
+  /// merged and repaired when `in` has a plan, falling back to one
+  /// monolithic placement (shard_stats.fallback_monolithic) when repair
+  /// fails.  Fills placement, placement_metrics and shard_stats.
+  [[nodiscard]] JointResult place(const PreparedModel& in,
+                                  const placement::PlacementAlgorithm& algo,
+                                  std::uint64_t seed) const;
+
+  /// Stage 2: phase 2 for `in`, sharded along its plan when `sharded` is
+  /// set and `in` has one.  Its streams fork off `seed` alone, so the
+  /// result never depends on a placement.
+  [[nodiscard]] SchedulePass schedule(const PreparedModel& in, bool sharded,
+                                      std::uint64_t seed) const;
+
+  /// Stage 3: Eq. 16 for `result`'s (feasible) placement against `phase`.
+  /// Fills requests and the aggregates and sets feasible.
+  void evaluate(const SystemModel& model, const ScheduleResult& phase,
+                JointResult& result) const;
 
   [[nodiscard]] const JointConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] JointResult run_impl(const SystemModel& model,
-                                     std::uint64_t seed) const;
-  /// Sharded variant of run_impl (DESIGN.md §12): per-shard placement and
-  /// scheduling, boundary merge, same Eq. 16 evaluation.  Single-shard
-  /// plans delegate to run_impl — sharding a connected instance is the
-  /// identity.
-  [[nodiscard]] JointResult run_sharded(const SystemModel& model,
-                                        std::uint64_t seed) const;
+  [[nodiscard]] JointResult run_stages(const SystemModel& model,
+                                       std::uint64_t seed) const;
 
   JointConfig config_;
+  std::unique_ptr<const sched::SchedulingAlgorithm> scheduler_;
 };
+
+/// Adds one returned result to the core.joint.* counters: runs, admitted
+/// and rejected requests, and the shard counters.  run() calls it once per
+/// run, the portfolio race once per race (for its winner).
+void count_run(const JointResult& result);
 
 /// Builds the per-VNF scheduling contexts for a workload (member lists in
 /// request-id order).  Exposed for benches that schedule without placing.

@@ -107,20 +107,297 @@ ChainPositionIndex make_chain_position_index(
   return index;
 }
 
-/// Eq. 16 evaluation + aggregates, shared by the monolithic and sharded
-/// paths: admitted iff admitted at every chain VNF, response sums the
-/// post-admission W(f, k), link latency charges L per extra node.
-/// Requires placement/contexts/schedules/admissions filled in; sets
-/// requests, the aggregates, and feasible = true.
-void evaluate_objective(const SystemModel& model, const JointConfig& config,
-                        JointResult& result) {
-  const obs::ScopedSpan eval_span("core.joint.evaluate");
+}  // namespace
 
+void JointResult::adopt(ScheduleResult&& phase) {
+  contexts = std::move(phase.contexts);
+  schedules = std::move(phase.schedules);
+  admissions = std::move(phase.admissions);
+  shard_stats.boundary_requests = phase.boundary_requests;
+  shard_stats.rebalances = phase.rebalances;
+  shard_stats.migrations = phase.migrations;
+}
+
+SchedulePass::SchedulePass(const PreparedModel& in, const JointConfig& config,
+                           const sched::SchedulingAlgorithm& scheduler,
+                           bool sharded, std::uint64_t seed)
+    : in_(in),
+      config_(config),
+      scheduler_(scheduler),
+      plan_(sharded && in.plan ? &*in.plan : nullptr),
+      // Phase 2's own stream, forked off the seed: phase 1 draws from
+      // Rng(seed), and how much it draws must never reach phase 2.
+      rng_(Rng(seed).fork(0)) {
+  try {
+    out_.contexts = make_scheduling_contexts(in.model.workload);
+  } catch (...) {
+    setup_error_ = std::current_exception();
+    return;
+  }
+  if (plan_ != nullptr) {
+    items_ = 1;
+  } else {
+    // Fork first, in index order, so every child stream is the same
+    // whichever thread runs its item.
+    items_ = out_.contexts.size();
+    children_.reserve(items_);
+    for (std::size_t f = 0; f < items_; ++f) {
+      children_.push_back(rng_.fork(f));
+    }
+    out_.schedules.resize(items_);
+    out_.admissions.resize(items_);
+  }
+  item_errors_.resize(items_);
+}
+
+void SchedulePass::run_item(std::size_t i) noexcept {
+  try {
+    if (plan_ != nullptr) {
+      run_sharded();
+      return;
+    }
+    const VnfSchedulingContext& ctx = out_.contexts[i];
+    out_.schedules[i] = scheduler_.schedule(ctx.problem, children_[i]);
+    out_.admissions[i] = sched::apply_admission(
+        ctx.problem, out_.schedules[i], config_.rho_max);
+  } catch (...) {
+    item_errors_[i] = std::current_exception();
+  }
+}
+
+ScheduleResult SchedulePass::finish() && {
+  if (setup_error_) std::rethrow_exception(setup_error_);
+  for (const std::exception_ptr& e : item_errors_) {
+    if (e) std::rethrow_exception(e);
+  }
+  return std::move(out_);
+}
+
+void SchedulePass::run_sharded() {
+  // Each shard schedules the members its own requests contribute to its
+  // own VNFs; members owned by other shards (boundary members of a split
+  // component) are merged afterwards.
+  const workload::Workload& workload = in_.model.workload;
+  const shard::ShardPlan& plan = *plan_;
+  const std::vector<VnfSchedulingContext>& contexts = out_.contexts;
+  const std::size_t vnfs = contexts.size();
+  const std::size_t shards = plan.shard_count();
+
+  std::vector<std::uint32_t> owner_of_request(workload.requests.size());
+  for (std::size_t r = 0; r < workload.requests.size(); ++r) {
+    owner_of_request[r] =
+        plan.shard_of_vnf[workload.requests[r].chain.front().index()];
+  }
+  // Per-VNF member positions split into locally-owned vs boundary.
+  // Walk the member lists (request-id order) once — O(Σ|R_f|).
+  std::vector<std::vector<std::uint32_t>> local_pos(vnfs);
+  std::vector<std::vector<std::uint32_t>> boundary_pos(vnfs);
+  for (std::size_t f = 0; f < vnfs; ++f) {
+    const std::uint32_t s = plan.shard_of_vnf[f];
+    const auto& members = contexts[f].members;
+    const auto member_count = static_cast<std::uint32_t>(members.size());
+    for (std::uint32_t p = 0; p < member_count; ++p) {
+      if (owner_of_request[members[p].index()] == s) {
+        local_pos[f].push_back(p);
+      } else {
+        boundary_pos[f].push_back(p);
+      }
+    }
+  }
+
+  // Fork per-shard streams up-front in index order, then fan out in
+  // waves of the configured width — positional, so bit-identical for
+  // any width/thread count.
+  std::vector<Rng> children;
+  children.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) children.push_back(rng_.fork(s));
+  std::vector<std::vector<sched::Schedule>> per_shard(shards);
+  const std::size_t width =
+      std::max<std::uint32_t>(1, config_.shard.fanout());
+  std::size_t launched = 0;
+  while (launched < shards) {
+    const std::size_t wave = std::min(width, shards - launched);
+    std::vector<std::vector<sched::Schedule>> got =
+        exec::parallel_map(wave, [&, launched](std::size_t i) {
+          const std::size_t s = launched + i;
+          std::vector<sched::Schedule> out;
+          out.reserve(plan.vnfs_of_shard[s].size());
+          for (const std::uint32_t f : plan.vnfs_of_shard[s]) {
+            const auto& ctx = contexts[f];
+            sched::SchedulingProblem sub;
+            sub.instance_count = ctx.problem.instance_count;
+            sub.service_rate = ctx.problem.service_rate;
+            sub.delivery_prob = ctx.problem.delivery_prob;
+            sub.arrival_rates.reserve(local_pos[f].size());
+            for (const std::uint32_t p : local_pos[f]) {
+              sub.arrival_rates.push_back(ctx.problem.arrival_rates[p]);
+            }
+            sched::Schedule sc;  // all-boundary VNF: nothing local
+            if (!sub.arrival_rates.empty()) {
+              sc = scheduler_.schedule(sub, children[s]);
+            }
+            out.push_back(std::move(sc));
+          }
+          return out;
+        });
+    for (std::size_t i = 0; i < wave; ++i) {
+      per_shard[launched + i] = std::move(got[i]);
+    }
+    launched += wave;
+  }
+
+  // Merge in VNF index order: scatter the local assignments, append
+  // boundary members greedily, rebalance toward a full re-solve when
+  // the merged imbalance is out of band.
+  std::vector<std::uint32_t> slot_in_shard(vnfs, 0);
+  for (std::size_t s = 0; s < shards; ++s) {
+    for (std::size_t j = 0; j < plan.vnfs_of_shard[s].size(); ++j) {
+      slot_in_shard[plan.vnfs_of_shard[s][j]] = static_cast<std::uint32_t>(j);
+    }
+  }
+  out_.schedules.resize(vnfs);
+  for (std::size_t f = 0; f < vnfs; ++f) {
+    const auto& ctx = contexts[f];
+    sched::Schedule& merged = out_.schedules[f];
+    const sched::Schedule& local =
+        per_shard[plan.shard_of_vnf[f]][slot_in_shard[f]];
+    merged.work = local.work;
+    merged.instance_of.assign(ctx.problem.request_count(), shard::kUnassigned);
+    for (std::size_t i = 0; i < local_pos[f].size(); ++i) {
+      merged.instance_of[local_pos[f][i]] = local.instance_of[i];
+    }
+    if (boundary_pos[f].empty()) continue;
+    out_.boundary_requests += boundary_pos[f].size();
+    shard::complete_schedule(ctx.problem, merged.instance_of, boundary_pos[f]);
+    merged.work += boundary_pos[f].size();
+    const sched::Schedule target = scheduler_.schedule(ctx.problem, rng_);
+    merged.work += target.work;
+    const shard::RebalanceOutcome outcome = shard::rebalance_toward(
+        ctx.problem, merged.instance_of, target,
+        config_.shard.rebalance_threshold, config_.shard.migration_budget);
+    if (outcome.triggered) {
+      ++out_.rebalances;
+      out_.migrations += outcome.migrations;
+    }
+  }
+
+  out_.admissions = exec::parallel_map(vnfs, [&](std::size_t f) {
+    return sched::apply_admission(contexts[f].problem, out_.schedules[f],
+                                  config_.rho_max);
+  });
+}
+
+JointOptimizer::JointOptimizer(JointConfig config)
+    : config_(std::move(config)),
+      scheduler_(sched::make_scheduling_algorithm(config_.scheduling_algorithm)) {
+  NFV_REQUIRE(scheduler_ != nullptr);
+  NFV_REQUIRE(config_.rho_max > 0.0 && config_.rho_max <= 1.0);
+  if (config_.link_latency) NFV_REQUIRE(*config_.link_latency >= 0.0);
+  config_.exec.validate();
+  config_.shard.validate();
+}
+
+JointResult JointOptimizer::run(const SystemModel& model,
+                                std::uint64_t seed) const {
+  // Honor the configured thread count when no pool is installed yet; an
+  // already-installed pool (CLI --threads, bench harness) wins so nested
+  // runs share one fan-out width.
+  if (config_.exec.threads > 1 && exec::pool() == nullptr &&
+      !exec::ThreadPool::on_worker_thread()) {
+    exec::ThreadPool local(config_.exec.threads);
+    const exec::ScopedPool scope(local);
+    return run_stages(model, seed);
+  }
+  return run_stages(model, seed);
+}
+
+JointResult JointOptimizer::run_stages(const SystemModel& model,
+                                       std::uint64_t seed) const {
+  const obs::ScopedSpan run_span("core.joint.run");
+  const PreparedModel in = prepare(model);
+  const auto placer =
+      placement::make_placement_algorithm(config_.placement_algorithm);
+  NFV_REQUIRE(placer != nullptr);
+
+  JointResult result;
+  {
+    const obs::ScopedSpan span("core.joint.placement");
+    result = place(in, *placer, seed);
+  }
+  if (result.placement.feasible) {
+    SchedulePass pass =
+        schedule(in, !result.shard_stats.fallback_monolithic, seed);
+    {
+      const obs::ScopedSpan span("core.joint.scheduling");
+      exec::parallel_for(pass.items(),
+                         [&](std::size_t i) { pass.run_item(i); });
+    }
+    ScheduleResult phase = std::move(pass).finish();
+    {
+      const obs::ScopedSpan span("core.joint.evaluate");
+      evaluate(model, phase, result);
+    }
+    result.adopt(std::move(phase));
+  }
+  count_run(result);
+  return result;
+}
+
+PreparedModel JointOptimizer::prepare(const SystemModel& model) const {
+  model.validate();
+  PreparedModel in{model,
+                   placement::make_problem(model.topology, model.workload),
+                   std::nullopt};
+  if (config_.shard.enabled()) {
+    shard::ShardPlan plan = shard::make_shard_plan(
+        in.problem.vnf_count(), in.problem.chains, in.problem.demands,
+        config_.shard.split_fraction * in.problem.total_capacity());
+    if (plan.shard_count() > 1) in.plan = std::move(plan);
+  }
+  return in;
+}
+
+JointResult JointOptimizer::place(const PreparedModel& in,
+                                  const placement::PlacementAlgorithm& algo,
+                                  std::uint64_t seed) const {
+  JointResult result;
+  if (in.plan) {
+    shard::ShardStats& stats = result.shard_stats;
+    stats.enabled = true;
+    Rng rng(seed);
+    result.placement = shard::place_with_plan(in.problem, *in.plan, algo,
+                                              config_.shard, rng, stats);
+    if (result.placement.feasible) {
+      result.placement_metrics =
+          placement::evaluate(in.problem, result.placement);
+      return result;
+    }
+    // Boundary repair failed; the monolithic solve sees the whole
+    // instance at once.  Deterministic: the plan depends only on the
+    // model, so every width reaches the same fallback.
+    stats.fallback_monolithic = true;
+  }
+  Rng rng(seed);
+  result.placement = algo.place(in.problem, rng);
+  result.placement_metrics = placement::evaluate(in.problem, result.placement);
+  return result;
+}
+
+SchedulePass JointOptimizer::schedule(const PreparedModel& in, bool sharded,
+                                      std::uint64_t seed) const {
+  return SchedulePass(in, config_, *scheduler_, sharded, seed);
+}
+
+void JointOptimizer::evaluate(const SystemModel& model,
+                              const ScheduleResult& phase,
+                              JointResult& result) const {
+  // Admitted iff admitted at every chain VNF; response sums the
+  // post-admission W(f, k); link latency charges L per extra node.
   const double link_l =
-      config.link_latency.value_or(model.topology.mean_link_latency());
+      config_.link_latency.value_or(model.topology.mean_link_latency());
 
   const ChainPositionIndex positions =
-      make_chain_position_index(model.workload, result.contexts);
+      make_chain_position_index(model.workload, phase.contexts);
 
   result.requests.resize(model.workload.requests.size());
   std::size_t admitted_count = 0;
@@ -137,15 +414,15 @@ void evaluate_objective(const SystemModel& model, const JointConfig& config,
     for (std::size_t j = 0; j < r.chain.size(); ++j) {
       const VnfId f = r.chain[j];
       const std::uint32_t pos = positions.at(r.id.index(), j);
-      const auto& admission = result.admissions[f.index()];
+      const auto& admission = phase.admissions[f.index()];
       if (!admission.admitted[pos]) {
         out.admitted = false;
         break;
       }
-      const std::uint32_t k = result.schedules[f.index()].instance_of[pos];
+      const std::uint32_t k = phase.schedules[f.index()].instance_of[pos];
       const auto& m = admission.admitted_metrics;
-      const double mu_eff = result.contexts[f.index()].problem.delivery_prob *
-                            result.contexts[f.index()].problem.service_rate;
+      const double mu_eff = phase.contexts[f.index()].problem.delivery_prob *
+                            phase.contexts[f.index()].problem.service_rate;
       const double load = m.instance_load[k];
       NFV_CHECK(load < mu_eff);  // admission guarantees stability
       response += 1.0 / (mu_eff - load);  // W(f, k), Eq. 12
@@ -169,9 +446,6 @@ void evaluate_objective(const SystemModel& model, const JointConfig& config,
     total += out.total_latency();
     ++admitted_count;
   }
-  obs::count("core.joint.admitted", admitted_count);
-  obs::count("core.joint.rejected",
-             model.workload.requests.size() - admitted_count);
   result.total_latency = total;
   result.avg_total_latency =
       admitted_count > 0 ? total / static_cast<double>(admitted_count) : 0.0;
@@ -184,9 +458,9 @@ void evaluate_objective(const SystemModel& model, const JointConfig& config,
   double response_sum = 0.0;
   std::size_t instance_count = 0;
   for (std::size_t f = 0; f < vnf_count; ++f) {
-    const auto& m = result.admissions[f].admitted_metrics;
-    const double mu_eff = result.contexts[f].problem.delivery_prob *
-                          result.contexts[f].problem.service_rate;
+    const auto& m = phase.admissions[f].admitted_metrics;
+    const double mu_eff = phase.contexts[f].problem.delivery_prob *
+                          phase.contexts[f].problem.service_rate;
     for (const double load : m.instance_load) {
       NFV_CHECK(load < mu_eff);
       response_sum += 1.0 / (mu_eff - load);
@@ -200,267 +474,24 @@ void evaluate_objective(const SystemModel& model, const JointConfig& config,
   result.feasible = true;
 }
 
-}  // namespace
-
-JointOptimizer::JointOptimizer(JointConfig config)
-    : config_(std::move(config)) {
-  NFV_REQUIRE(config_.rho_max > 0.0 && config_.rho_max <= 1.0);
-  if (config_.link_latency) NFV_REQUIRE(*config_.link_latency >= 0.0);
-  config_.exec.validate();
-  config_.shard.validate();
-}
-
-JointResult JointOptimizer::run(const SystemModel& model,
-                                std::uint64_t seed) const {
-  // Honor the configured thread count when no pool is installed yet; an
-  // already-installed pool (CLI --threads, bench harness) wins so nested
-  // runs share one fan-out width.
-  if (config_.exec.threads > 1 && exec::pool() == nullptr &&
-      !exec::ThreadPool::on_worker_thread()) {
-    exec::ThreadPool local(config_.exec.threads);
-    const exec::ScopedPool scope(local);
-    return config_.shard.enabled() ? run_sharded(model, seed)
-                                   : run_impl(model, seed);
-  }
-  return config_.shard.enabled() ? run_sharded(model, seed)
-                                 : run_impl(model, seed);
-}
-
-JointResult JointOptimizer::run_impl(const SystemModel& model,
-                                     std::uint64_t seed) const {
-  const obs::ScopedSpan run_span("core.joint.run");
+void count_run(const JointResult& result) {
   obs::count("core.joint.runs");
-  model.validate();
-  const auto placer =
-      config_.placement_factory
-          ? config_.placement_factory()
-          : placement::make_placement_algorithm(config_.placement_algorithm);
-  NFV_REQUIRE(placer != nullptr);
-  const auto scheduler =
-      sched::make_scheduling_algorithm(config_.scheduling_algorithm);
-  NFV_REQUIRE(scheduler != nullptr);
-
-  JointResult result;
-  Rng rng(seed);
-
-  // Phase 1: placement (Algorithm 1 or a baseline).
-  {
-    const obs::ScopedSpan span("core.joint.placement");
-    const placement::PlacementProblem pp =
-        placement::make_problem(model.topology, model.workload);
-    result.placement = placer->place(pp, rng);
-    result.placement_metrics = placement::evaluate(pp, result.placement);
+  if (result.feasible) {
+    const auto admitted = static_cast<std::uint64_t>(
+        std::count_if(result.requests.begin(), result.requests.end(),
+                      [](const RequestOutcome& r) { return r.admitted; }));
+    obs::count("core.joint.admitted", admitted);
+    obs::count("core.joint.rejected", result.requests.size() - admitted);
   }
-  if (!result.placement.feasible) return result;  // feasible stays false
-
-  // Phase 2: per-VNF request scheduling + admission control.  The per-VNF
-  // problems are independent (Algorithm 2 runs once per VNF), so they fan
-  // out over the pool; child RNGs are forked serially in index order
-  // first, which keeps both the parent stream and each child stream
-  // identical to the serial execution.
-  {
-    const obs::ScopedSpan span("core.joint.scheduling");
-    result.contexts = make_scheduling_contexts(model.workload);
-    std::vector<Rng> children;
-    children.reserve(result.contexts.size());
-    for (std::size_t f = 0; f < result.contexts.size(); ++f) {
-      children.push_back(rng.fork(f));
-    }
-    struct VnfSolution {
-      sched::Schedule schedule;
-      sched::AdmissionResult admission;
-    };
-    std::vector<VnfSolution> solved =
-        exec::parallel_map(result.contexts.size(), [&](std::size_t f) {
-          const VnfSchedulingContext& ctx = result.contexts[f];
-          VnfSolution s;
-          s.schedule = scheduler->schedule(ctx.problem, children[f]);
-          s.admission =
-              sched::apply_admission(ctx.problem, s.schedule, config_.rho_max);
-          return s;
-        });
-    result.schedules.reserve(solved.size());
-    result.admissions.reserve(solved.size());
-    for (VnfSolution& s : solved) {
-      result.schedules.push_back(std::move(s.schedule));
-      result.admissions.push_back(std::move(s.admission));
-    }
-  }
-  evaluate_objective(model, config_, result);
-  return result;
-}
-
-JointResult JointOptimizer::run_sharded(const SystemModel& model,
-                                        std::uint64_t seed) const {
-  model.validate();
-  const placement::PlacementProblem pp =
-      placement::make_problem(model.topology, model.workload);
-  const shard::ShardPlan plan = shard::make_shard_plan(
-      pp.vnf_count(), pp.chains, pp.demands,
-      config_.shard.split_fraction * pp.total_capacity());
-  // A connected instance is one shard: sharding is the identity, so take
-  // the monolithic path before emitting any shard telemetry.
-  if (plan.shard_count() <= 1) return run_impl(model, seed);
-
-  const obs::ScopedSpan run_span("core.joint.shard.run");
-  obs::count("core.joint.runs");
+  const shard::ShardStats& stats = result.shard_stats;
+  if (!stats.enabled) return;
   obs::count("core.joint.shard.runs");
-  obs::count("core.joint.shard.shards", plan.shard_count());
-  obs::count("core.joint.shard.splits", plan.splits);
-  const auto placer =
-      config_.placement_factory
-          ? config_.placement_factory()
-          : placement::make_placement_algorithm(config_.placement_algorithm);
-  NFV_REQUIRE(placer != nullptr);
-  const auto scheduler =
-      sched::make_scheduling_algorithm(config_.scheduling_algorithm);
-  NFV_REQUIRE(scheduler != nullptr);
-
-  JointResult result;
-  shard::ShardStats& stats = result.shard_stats;
-  stats.enabled = true;
-  Rng rng(seed);
-
-  // Phase 1: per-shard placement, merged and repaired.
-  {
-    const obs::ScopedSpan span("core.joint.shard.placement");
-    result.placement =
-        shard::place_with_plan(pp, plan, *placer, config_.shard, rng, stats);
-  }
-  if (!result.placement.feasible) {
-    // Boundary repair failed; the monolithic solve sees the whole
-    // instance at once.  Deterministic: the plan depends only on the
-    // model, so every width reaches the same fallback.
-    obs::count("core.joint.shard.fallbacks");
-    shard::ShardStats fallback_stats = stats;
-    fallback_stats.fallback_monolithic = true;
-    JointResult mono = run_impl(model, seed);
-    mono.shard_stats = fallback_stats;
-    return mono;
-  }
-  result.placement_metrics = placement::evaluate(pp, result.placement);
-
-  // Phase 2: each shard schedules the members its own requests contribute
-  // to its own VNFs; members owned by other shards (boundary members of a
-  // split component) are merged afterwards.
-  {
-    const obs::ScopedSpan span("core.joint.shard.scheduling");
-    result.contexts = make_scheduling_contexts(model.workload);
-    const std::size_t vnfs = result.contexts.size();
-    const std::size_t shards = plan.shard_count();
-
-    std::vector<std::uint32_t> owner_of_request(model.workload.requests.size());
-    for (std::size_t r = 0; r < model.workload.requests.size(); ++r) {
-      owner_of_request[r] =
-          plan.shard_of_vnf[model.workload.requests[r].chain.front().index()];
-    }
-    // Per-VNF member positions split into locally-owned vs boundary.
-    // Walk the member lists (request-id order) once — O(Σ|R_f|).
-    std::vector<std::vector<std::uint32_t>> local_pos(vnfs);
-    std::vector<std::vector<std::uint32_t>> boundary_pos(vnfs);
-    for (std::size_t f = 0; f < vnfs; ++f) {
-      const std::uint32_t s = plan.shard_of_vnf[f];
-      const auto& members = result.contexts[f].members;
-      const auto member_count = static_cast<std::uint32_t>(members.size());
-      for (std::uint32_t p = 0; p < member_count; ++p) {
-        if (owner_of_request[members[p].index()] == s) {
-          local_pos[f].push_back(p);
-        } else {
-          boundary_pos[f].push_back(p);
-        }
-      }
-    }
-
-    // Fork per-shard streams up-front in index order, then fan out in
-    // waves of the configured width — positional, so bit-identical for
-    // any width/thread count.
-    std::vector<Rng> children;
-    children.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) children.push_back(rng.fork(s));
-    std::vector<std::vector<sched::Schedule>> per_shard(shards);
-    const std::size_t width =
-        std::max<std::uint32_t>(1, config_.shard.fanout());
-    std::size_t launched = 0;
-    while (launched < shards) {
-      const std::size_t wave = std::min(width, shards - launched);
-      std::vector<std::vector<sched::Schedule>> got =
-          exec::parallel_map(wave, [&, launched](std::size_t i) {
-            const std::size_t s = launched + i;
-            std::vector<sched::Schedule> out;
-            out.reserve(plan.vnfs_of_shard[s].size());
-            for (const std::uint32_t f : plan.vnfs_of_shard[s]) {
-              const auto& ctx = result.contexts[f];
-              sched::SchedulingProblem sub;
-              sub.instance_count = ctx.problem.instance_count;
-              sub.service_rate = ctx.problem.service_rate;
-              sub.delivery_prob = ctx.problem.delivery_prob;
-              sub.arrival_rates.reserve(local_pos[f].size());
-              for (const std::uint32_t p : local_pos[f]) {
-                sub.arrival_rates.push_back(ctx.problem.arrival_rates[p]);
-              }
-              sched::Schedule sc;  // all-boundary VNF: nothing local
-              if (!sub.arrival_rates.empty()) {
-                sc = scheduler->schedule(sub, children[s]);
-              }
-              out.push_back(std::move(sc));
-            }
-            return out;
-          });
-      for (std::size_t i = 0; i < wave; ++i) {
-        per_shard[launched + i] = std::move(got[i]);
-      }
-      launched += wave;
-    }
-
-    // Merge in VNF index order: scatter the local assignments, append
-    // boundary members greedily, rebalance toward a full re-solve when
-    // the merged imbalance is out of band.
-    std::vector<std::uint32_t> slot_in_shard(vnfs, 0);
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t j = 0; j < plan.vnfs_of_shard[s].size(); ++j) {
-        slot_in_shard[plan.vnfs_of_shard[s][j]] =
-            static_cast<std::uint32_t>(j);
-      }
-    }
-    result.schedules.resize(vnfs);
-    for (std::size_t f = 0; f < vnfs; ++f) {
-      const auto& ctx = result.contexts[f];
-      sched::Schedule& merged = result.schedules[f];
-      const sched::Schedule& local =
-          per_shard[plan.shard_of_vnf[f]][slot_in_shard[f]];
-      merged.work = local.work;
-      merged.instance_of.assign(ctx.problem.request_count(),
-                                shard::kUnassigned);
-      for (std::size_t i = 0; i < local_pos[f].size(); ++i) {
-        merged.instance_of[local_pos[f][i]] = local.instance_of[i];
-      }
-      if (boundary_pos[f].empty()) continue;
-      stats.boundary_requests += boundary_pos[f].size();
-      shard::complete_schedule(ctx.problem, merged.instance_of,
-                               boundary_pos[f]);
-      merged.work += boundary_pos[f].size();
-      const sched::Schedule target = scheduler->schedule(ctx.problem, rng);
-      merged.work += target.work;
-      const shard::RebalanceOutcome outcome = shard::rebalance_toward(
-          ctx.problem, merged.instance_of, target,
-          config_.shard.rebalance_threshold, config_.shard.migration_budget);
-      if (outcome.triggered) {
-        ++stats.rebalances;
-        stats.migrations += outcome.migrations;
-      }
-    }
-    obs::count("core.joint.shard.boundary_requests", stats.boundary_requests);
-    obs::count("core.joint.shard.repair_moves", stats.repair_moves);
-    obs::count("core.joint.shard.migrations", stats.migrations);
-
-    result.admissions =
-        exec::parallel_map(vnfs, [&](std::size_t f) {
-          return sched::apply_admission(result.contexts[f].problem,
-                                        result.schedules[f], config_.rho_max);
-        });
-  }
-  evaluate_objective(model, config_, result);
-  return result;
+  obs::count("core.joint.shard.shards", stats.shards);
+  obs::count("core.joint.shard.splits", stats.splits);
+  if (stats.fallback_monolithic) obs::count("core.joint.shard.fallbacks");
+  obs::count("core.joint.shard.boundary_requests", stats.boundary_requests);
+  obs::count("core.joint.shard.repair_moves", stats.repair_moves);
+  obs::count("core.joint.shard.migrations", stats.migrations);
 }
 
 }  // namespace nfv::core

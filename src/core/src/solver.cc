@@ -10,6 +10,7 @@
 
 #include "nfv/common/error.h"
 #include "nfv/obs/metrics.h"
+#include "nfv/obs/trace.h"
 #include "nfv/placement/lp_round.h"
 #include "nfv/placement/metrics.h"
 #include "nfv/placement/pso.h"
@@ -241,17 +242,52 @@ SolverOutcome PortfolioDriver::run(const SystemModel& model,
     scope.emplace(*local);
   }
 
+  // One parallel region: every backend's placement (id order), then the
+  // items of the one phase 2 they all share — Algorithm 2 reads the
+  // workload only, so scheduling per backend would solve it three times.
   // Every backend gets the SAME user seed: a single-backend race is the
   // identity, and adding a backend never perturbs another's stream.
-  std::vector<JointResult> results =
-      exec::parallel_map(ids.size(), [&](std::size_t i) {
-        JointConfig cfg = base_;
-        cfg.placement_algorithm = backend_algorithm(ids[i]);
-        cfg.placement_factory = [&effort, id = ids[i]] {
-          return make_backend(id, effort);
-        };
-        return JointOptimizer(cfg).run(model, seed);
-      });
+  const JointOptimizer joint(base_);
+  const PreparedModel in = joint.prepare(model);
+  std::vector<std::unique_ptr<placement::PlacementAlgorithm>> placers;
+  placers.reserve(ids.size());
+  for (const std::string& id : ids) placers.push_back(make_backend(id, effort));
+  SchedulePass shared = joint.schedule(in, /*sharded=*/true, seed);
+  std::vector<JointResult> results(ids.size());
+  exec::parallel_for(ids.size() + shared.items(), [&](std::size_t i) {
+    if (i < ids.size()) {
+      const obs::ScopedSpan span("core.solver.place");
+      results[i] = joint.place(in, *placers[i], seed);
+    } else {
+      const obs::ScopedSpan span("core.solver.schedule");
+      shared.run_item(i - ids.size());
+    }
+  });
+
+  // A backend whose sharded placement fell back to monolithic pairs with
+  // the monolithic phase 2, solved at most once.  Phase-2 failures only
+  // surface when some placement is feasible, as they did per backend.
+  std::optional<ScheduleResult> shared_phase;
+  std::optional<ScheduleResult> mono_phase;
+  std::vector<ScheduleResult*> phase_of(ids.size(), nullptr);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!results[i].placement.feasible) continue;
+    if (!results[i].shard_stats.fallback_monolithic) {
+      if (!shared_phase) shared_phase.emplace(std::move(shared).finish());
+      phase_of[i] = &*shared_phase;
+    } else {
+      if (!mono_phase) {
+        SchedulePass mono = joint.schedule(in, /*sharded=*/false, seed);
+        const obs::ScopedSpan span("core.solver.schedule");
+        exec::parallel_for(mono.items(),
+                           [&](std::size_t f) { mono.run_item(f); });
+        mono_phase.emplace(std::move(mono).finish());
+      }
+      phase_of[i] = &*mono_phase;
+    }
+    const obs::ScopedSpan span("core.solver.evaluate");
+    joint.evaluate(model, *phase_of[i], results[i]);
+  }
 
   SolverOutcome outcome;
   outcome.deterministic = solver_.deterministic_budget;
@@ -272,6 +308,10 @@ SolverOutcome PortfolioDriver::run(const SystemModel& model,
   }
   outcome.winner = ids[best];
   outcome.result = std::move(results[best]);
+  if (phase_of[best] != nullptr) {
+    outcome.result.adopt(std::move(*phase_of[best]));
+  }
+  count_run(outcome.result);
   obs::count("core.solver.races");
   obs::count("core.solver.work", outcome.backends[best].work);
   return outcome;

@@ -1,11 +1,13 @@
 // Deterministic parallel execution layer.
 //
 // A dependency-free fixed-size thread pool plus parallel_for / parallel_map
-// helpers with *static* chunking: item i always lands in chunk
-// floor(i·C/n), no work stealing, no dynamic scheduling.  Callers that
-// write result i into slot i therefore produce bit-identical output for
-// any thread count — the contract the joint pipeline's determinism tests
-// pin down (DESIGN.md §10).
+// helpers.  A region starts min(n, threads) tasks that claim item indices
+// from one shared counter, so a slow item never holds up the items queued
+// behind it.  Which thread runs item i is left to chance; determinism
+// comes from the callers: each item writes only its own slot i and draws
+// only from a stream forked for it beforehand, so the output is
+// bit-identical for any thread count — the contract the joint pipeline's
+// determinism tests pin down (DESIGN.md §10).
 //
 // Installation mirrors the obs null-sink design: fan-out sites call the
 // free helpers (exec::parallel_for / exec::parallel_map), which consult a
@@ -21,6 +23,7 @@
 // deadlocking on the shared queue.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -60,11 +63,12 @@ class ThreadPool {
   /// (any pool) — such calls must run inline to avoid queue deadlock.
   [[nodiscard]] static bool on_worker_thread() noexcept;
 
-  /// Invokes f(i) for every i in [0, n), fanned out over the workers in
-  /// statically chunked index ranges.  Blocks until all chunks finish.
-  /// The first exception thrown by any chunk is rethrown here (remaining
-  /// chunks still run to completion, their exceptions are dropped).
-  /// Runs inline when n <= 1 or when called from a worker thread.
+  /// Invokes f(i) exactly once for every i in [0, n), fanned out over the
+  /// workers: min(n, threads) tasks each claim the next unclaimed index
+  /// until none is left.  Blocks until every item finishes.  The first
+  /// exception thrown by any item is rethrown here (the other items still
+  /// run, their exceptions are dropped).  Runs inline when n <= 1 or when
+  /// called from a worker thread.
   template <typename F>
   void parallel_for(std::size_t n, F&& f) {
     if (n == 0) return;
@@ -72,25 +76,25 @@ class ThreadPool {
       run_inline(n, f);
       return;
     }
-    const std::size_t chunks =
+    const std::size_t tasks =
         n < static_cast<std::size_t>(thread_count())
             ? n
             : static_cast<std::size_t>(thread_count());
-    ParallelRegion region(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t begin = c * n / chunks;
-      const std::size_t end = (c + 1) * n / chunks;
-      submit([&region, &f, begin, end] {
-        try {
-          for (std::size_t i = begin; i < end; ++i) f(i);
-        } catch (...) {
-          region.capture_exception(std::current_exception());
+    ParallelRegion region(tasks);
+    for (std::size_t t = 0; t < tasks; ++t) {
+      submit([&region, &f, n] {
+        for (std::size_t i = region.claim(); i < n; i = region.claim()) {
+          try {
+            f(i);
+          } catch (...) {
+            region.capture_exception(std::current_exception());
+          }
         }
-        region.finish_chunk();
+        region.finish_task();
       });
     }
     region.wait_and_rethrow();
-    note_region(n, chunks);
+    note_region(n, tasks);
   }
 
   /// parallel_for that collects f(i) into slot i of the returned vector —
@@ -103,15 +107,21 @@ class ThreadPool {
   }
 
  private:
-  /// Completion barrier + first-exception store for one parallel region.
+  /// Shared item counter, completion barrier and first-exception store
+  /// for one parallel region.
   class ParallelRegion {
    public:
-    explicit ParallelRegion(std::size_t chunks) : remaining_(chunks) {}
+    explicit ParallelRegion(std::size_t tasks) : remaining_(tasks) {}
+    /// The next unclaimed item index; n or more once all are claimed.
+    std::size_t claim() noexcept {
+      return next_.fetch_add(1, std::memory_order_relaxed);
+    }
     void capture_exception(std::exception_ptr e);
-    void finish_chunk();
+    void finish_task();
     void wait_and_rethrow();
 
    private:
+    std::atomic<std::size_t> next_{0};
     std::mutex mu_;
     std::condition_variable done_;
     std::size_t remaining_;
@@ -126,7 +136,7 @@ class ThreadPool {
 
   void submit(std::function<void()> task);
   void worker_loop();
-  static void note_region(std::size_t items, std::size_t chunks);
+  static void note_region(std::size_t items, std::size_t tasks);
   static void note_inline(std::size_t items);
 
   std::mutex mu_;

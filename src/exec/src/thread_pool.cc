@@ -65,7 +65,7 @@ void ThreadPool::ParallelRegion::capture_exception(std::exception_ptr e) {
   if (!first_error_) first_error_ = std::move(e);
 }
 
-void ThreadPool::ParallelRegion::finish_chunk() {
+void ThreadPool::ParallelRegion::finish_task() {
   // Notify while holding the lock: the waiter may return and destroy the
   // region (it lives on the submitting thread's stack) as soon as it can
   // take mu_ and see remaining_ == 0, so done_ must not be touched after
@@ -83,9 +83,9 @@ void ThreadPool::ParallelRegion::wait_and_rethrow() {
   }
 }
 
-void ThreadPool::note_region(std::size_t items, std::size_t chunks) {
+void ThreadPool::note_region(std::size_t items, std::size_t tasks) {
   obs::count("exec.regions");
-  obs::count("exec.tasks", chunks);
+  obs::count("exec.tasks", tasks);
   obs::count("exec.items", items);
 }
 

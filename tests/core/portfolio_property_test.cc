@@ -12,6 +12,7 @@
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/core/report_builder.h"
 #include "nfv/core/solver.h"
+#include "nfv/obs/metrics.h"
 #include "nfv/obs/report.h"
 #include "nfv/topology/builders.h"
 
@@ -177,6 +178,31 @@ TEST(PortfolioProperty, WinnerTieBreakIsAlphabeticalOnExactTies) {
       EXPECT_LE(outcome.result.total_latency, b.objective);
     }
   }
+}
+
+TEST(PortfolioProperty, JointCountersCountOncePerRace) {
+  // A three-backend race solves one instance: core.joint.* counts it once
+  // (its winner), core.solver.* counts the race and each backend.
+  const SystemModel model = make_model(3);
+  obs::MetricsRegistry reg;
+  SolverOutcome outcome;
+  {
+    const obs::ScopedMetrics scope(reg);
+    outcome = PortfolioDriver(JointConfig{}, deterministic_config("portfolio"))
+                  .run(model, 3);
+  }
+  ASSERT_TRUE(outcome.result.feasible);
+  ASSERT_EQ(outcome.backends.size(), 3u);
+  std::uint64_t admitted = 0;
+  for (const RequestOutcome& r : outcome.result.requests) {
+    admitted += r.admitted ? 1 : 0;
+  }
+  EXPECT_EQ(reg.counter("core.solver.races").value(), 1u);
+  EXPECT_EQ(reg.counter("core.solver.backend_runs").value(), 3u);
+  EXPECT_EQ(reg.counter("core.joint.runs").value(), 1u);
+  EXPECT_EQ(reg.counter("core.joint.admitted").value(), admitted);
+  EXPECT_EQ(reg.counter("core.joint.rejected").value(),
+            model.workload.requests.size() - admitted);
 }
 
 }  // namespace

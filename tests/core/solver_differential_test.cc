@@ -2,14 +2,21 @@
 // on randomized small instances every backend must produce a feasible,
 // fully admitted solution within a bounded factor of the exact oracle
 // (Exact placement + DP2 scheduling), and the portfolio must match the
-// best single backend bit-for-bit — racing never costs quality.
+// best single backend bit-for-bit — racing never costs quality.  An
+// executable spec pins the race itself: sharing one phase 2 among the
+// backends must give, field for field, what a full pipeline per backend
+// followed by the argmin gives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/core/solver.h"
+#include "nfv/placement/lp_round.h"
+#include "nfv/placement/pso.h"
 #include "nfv/topology/builders.h"
 
 namespace nfv::core {
@@ -177,6 +184,268 @@ TEST(SolverDifferential, BackendWorkRespectsDeterministicBudget) {
     // by more than one PSO sweep's rounding.
     EXPECT_LE(b.work, kWorkBudget + 16) << b.id;
   }
+}
+
+// --- Executable spec of the race --------------------------------------
+
+/// Two or three disjoint chain families of three VNFs each (by seed) on
+/// nodes of `capacity`: a sharded solve splits the instance, and at tight
+/// capacity its boundary repair can fail.
+SystemModel make_component_model(std::uint64_t seed, double capacity) {
+  Rng rng(seed * 7919 + 3);
+  const std::size_t nodes = 4 + seed % 3;
+  const auto components = static_cast<std::uint32_t>(2 + seed % 2);
+  const std::uint32_t vnf_count = 3 * components;
+  SystemModel model;
+  model.topology = topo::make_star(nodes, topo::CapacitySpec{capacity, capacity},
+                                   topo::LinkSpec{1e-4}, rng);
+  for (std::uint32_t f = 0; f < vnf_count; ++f) {
+    workload::Vnf v;
+    v.id = VnfId{f};
+    v.name = "vnf" + std::to_string(f);
+    v.catalog_index = f;
+    v.demand_per_instance = 40.0 + static_cast<double>(rng.below(80));
+    v.instance_count = 2;
+    v.service_rate = 50.0;
+    model.workload.vnfs.push_back(std::move(v));
+  }
+  for (std::uint32_t r = 0; r < 4 * vnf_count; ++r) {
+    workload::Request req;
+    req.id = RequestId{r};
+    const std::uint32_t c = r % components;
+    const auto start = static_cast<std::uint32_t>((r / components + seed) % 3);
+    const std::uint32_t len = 2 + (r + seed) % 2;
+    for (std::uint32_t k = 0; k < len; ++k) {
+      req.chain.push_back(VnfId{3 * c + (start + k) % 3});
+    }
+    req.arrival_rate = 1.0 + static_cast<double>((r * 5 + seed) % 3);
+    req.delivery_prob = 0.95;
+    model.workload.requests.push_back(std::move(req));
+  }
+  return model;
+}
+
+/// Backend `id` under the documented deterministic budget mapping
+/// (solver.h): PSO sweeps = W / swarm, LP steps = W, BFDSU passes =
+/// min(W, 60) with the stall limit capped by the passes.
+std::unique_ptr<placement::PlacementAlgorithm> budgeted_backend(
+    const std::string& id, std::uint64_t work) {
+  const SolverConfig defaults;
+  if (id == "pso") {
+    placement::PsoPlacement::Options o;
+    o.swarm = defaults.pso_swarm;
+    o.iterations = static_cast<std::uint32_t>(
+        std::max<std::uint64_t>(1, work / o.swarm));
+    return std::make_unique<placement::PsoPlacement>(o);
+  }
+  if (id == "lp") {
+    placement::LpRoundPlacement::Options o;
+    o.iterations = static_cast<std::uint32_t>(work);
+    return std::make_unique<placement::LpRoundPlacement>(o);
+  }
+  placement::BfdsuPlacement::Options o;
+  o.max_passes = static_cast<std::uint32_t>(std::min<std::uint64_t>(work, 60));
+  o.stall_limit = std::min(o.stall_limit, o.max_passes);
+  return std::make_unique<placement::BfdsuPlacement>(o);
+}
+
+/// The race's specification: for each backend a whole pipeline — its own
+/// placement, its own phase 2 (sharded unless its placement fell back),
+/// its own Eq. 16 — then the argmin under the total order feasible,
+/// rejected, objective, backend id.
+SolverOutcome reference_race(const SystemModel& model, const JointConfig& base,
+                             std::uint64_t work, std::uint64_t seed) {
+  const JointOptimizer joint(base);
+  SolverOutcome out;
+  out.deterministic = true;
+  out.budget_work = work;
+  std::vector<JointResult> results;
+  std::size_t best = 0;
+  for (const std::string id : {"bfdsu", "lp", "pso"}) {
+    const PreparedModel in = joint.prepare(model);
+    JointResult r = joint.place(in, *budgeted_backend(id, work), seed);
+    if (r.placement.feasible) {
+      SchedulePass pass =
+          joint.schedule(in, !r.shard_stats.fallback_monolithic, seed);
+      for (std::size_t i = 0; i < pass.items(); ++i) pass.run_item(i);
+      ScheduleResult phase = std::move(pass).finish();
+      joint.evaluate(model, phase, r);
+      r.contexts = std::move(phase.contexts);
+      r.schedules = std::move(phase.schedules);
+      r.admissions = std::move(phase.admissions);
+      r.shard_stats.boundary_requests = phase.boundary_requests;
+      r.shard_stats.rebalances = phase.rebalances;
+      r.shard_stats.migrations = phase.migrations;
+    }
+    BackendRun entry;
+    entry.id = id;
+    entry.feasible = r.feasible;
+    entry.rejected = rejected_count(r);
+    entry.objective = r.total_latency;
+    entry.work = r.placement.iterations;
+    out.backends.push_back(entry);
+    results.push_back(std::move(r));
+    const BackendRun& a = out.backends.back();
+    const BackendRun& b = out.backends[best];
+    const bool better = a.feasible != b.feasible ? a.feasible
+                        : a.rejected != b.rejected ? a.rejected < b.rejected
+                                                   : a.objective < b.objective;
+    if (better) best = results.size() - 1;
+  }
+  out.winner = out.backends[best].id;
+  out.result = std::move(results[best]);
+  return out;
+}
+
+void expect_same_outcome(const SolverOutcome& got, const SolverOutcome& want,
+                         const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(got.winner, want.winner);
+  EXPECT_EQ(got.deterministic, want.deterministic);
+  EXPECT_EQ(got.budget_work, want.budget_work);
+  ASSERT_EQ(got.backends.size(), want.backends.size());
+  for (std::size_t i = 0; i < want.backends.size(); ++i) {
+    EXPECT_EQ(got.backends[i].id, want.backends[i].id);
+    EXPECT_EQ(got.backends[i].feasible, want.backends[i].feasible);
+    EXPECT_EQ(got.backends[i].rejected, want.backends[i].rejected);
+    EXPECT_EQ(got.backends[i].objective, want.backends[i].objective);
+    EXPECT_EQ(got.backends[i].work, want.backends[i].work);
+  }
+  const JointResult& g = got.result;
+  const JointResult& w = want.result;
+  EXPECT_EQ(g.feasible, w.feasible);
+  EXPECT_EQ(g.placement.assignment, w.placement.assignment);
+  EXPECT_EQ(g.placement.feasible, w.placement.feasible);
+  EXPECT_EQ(g.placement.iterations, w.placement.iterations);
+  EXPECT_EQ(g.placement_metrics.nodes_in_service,
+            w.placement_metrics.nodes_in_service);
+  EXPECT_EQ(g.placement_metrics.resource_occupation,
+            w.placement_metrics.resource_occupation);
+  EXPECT_EQ(g.placement_metrics.node_load, w.placement_metrics.node_load);
+  ASSERT_EQ(g.contexts.size(), w.contexts.size());
+  for (std::size_t f = 0; f < w.contexts.size(); ++f) {
+    EXPECT_EQ(g.contexts[f].members, w.contexts[f].members);
+    EXPECT_EQ(g.contexts[f].problem.arrival_rates,
+              w.contexts[f].problem.arrival_rates);
+  }
+  ASSERT_EQ(g.schedules.size(), w.schedules.size());
+  for (std::size_t f = 0; f < w.schedules.size(); ++f) {
+    EXPECT_EQ(g.schedules[f].instance_of, w.schedules[f].instance_of);
+    EXPECT_EQ(g.schedules[f].work, w.schedules[f].work);
+  }
+  ASSERT_EQ(g.admissions.size(), w.admissions.size());
+  for (std::size_t f = 0; f < w.admissions.size(); ++f) {
+    EXPECT_EQ(g.admissions[f].admitted, w.admissions[f].admitted);
+    EXPECT_EQ(g.admissions[f].admitted_metrics.instance_load,
+              w.admissions[f].admitted_metrics.instance_load);
+  }
+  ASSERT_EQ(g.requests.size(), w.requests.size());
+  for (std::size_t r = 0; r < w.requests.size(); ++r) {
+    EXPECT_EQ(g.requests[r].admitted, w.requests[r].admitted);
+    EXPECT_EQ(g.requests[r].response_latency, w.requests[r].response_latency);
+    EXPECT_EQ(g.requests[r].link_latency, w.requests[r].link_latency);
+    EXPECT_EQ(g.requests[r].nodes_traversed, w.requests[r].nodes_traversed);
+  }
+  EXPECT_EQ(g.total_latency, w.total_latency);
+  EXPECT_EQ(g.avg_total_latency, w.avg_total_latency);
+  EXPECT_EQ(g.avg_response, w.avg_response);
+  EXPECT_EQ(g.job_rejection_rate, w.job_rejection_rate);
+  const shard::ShardStats& gs = g.shard_stats;
+  const shard::ShardStats& ws = w.shard_stats;
+  EXPECT_EQ(gs.enabled, ws.enabled);
+  EXPECT_EQ(gs.fallback_monolithic, ws.fallback_monolithic);
+  EXPECT_EQ(gs.shards, ws.shards);
+  EXPECT_EQ(gs.components, ws.components);
+  EXPECT_EQ(gs.splits, ws.splits);
+  EXPECT_EQ(gs.repair_moves, ws.repair_moves);
+  EXPECT_EQ(gs.drain_moves, ws.drain_moves);
+  EXPECT_EQ(gs.drained_nodes, ws.drained_nodes);
+  EXPECT_EQ(gs.boundary_requests, ws.boundary_requests);
+  EXPECT_EQ(gs.rebalances, ws.rebalances);
+  EXPECT_EQ(gs.migrations, ws.migrations);
+  EXPECT_EQ(gs.shard_placement_work, ws.shard_placement_work);
+}
+
+/// Races `model` at threads 1, 2 and 4 and compares each outcome with the
+/// reference race.  Returns the reference for coverage checks.
+SolverOutcome expect_race_matches_reference(const SystemModel& model,
+                                            JointConfig base,
+                                            std::uint64_t work,
+                                            std::uint64_t seed,
+                                            const std::string& label) {
+  const SolverOutcome want = reference_race(model, base, work, seed);
+  SolverConfig scfg = budgeted("portfolio");
+  scfg.work_budget = work;
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    base.exec.threads = threads;
+    const SolverOutcome got = PortfolioDriver(base, scfg).run(model, seed);
+    expect_same_outcome(got, want,
+                        label + " threads " + std::to_string(threads));
+  }
+  return want;
+}
+
+/// The spec compares races, not schedulers: RCKK keeps it fast.
+JointConfig spec_config() {
+  JointConfig cfg = base_config();
+  cfg.scheduling_algorithm = "RCKK";
+  return cfg;
+}
+
+JointConfig sharded(JointConfig cfg) {
+  cfg.shard.policy = shard::ShardPolicy::kFixed;
+  cfg.shard.shards = 2;
+  return cfg;
+}
+
+TEST(SolverDifferential, RaceEqualsAPipelinePerBackendOnSeededInstances) {
+  std::size_t sharded_races = 0;
+  std::size_t boundary_races = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const std::string at = "seed " + std::to_string(seed);
+    for (const SystemModel& model :
+         {make_small_model(seed), make_component_model(seed, 500.0)}) {
+      expect_race_matches_reference(model, spec_config(), kWorkBudget, seed,
+                                    at);
+      const SolverOutcome want = expect_race_matches_reference(
+          model, sharded(spec_config()), kWorkBudget, seed, "sharded " + at);
+      sharded_races += want.result.shard_stats.enabled;
+      boundary_races += want.result.shard_stats.boundary_requests > 0;
+    }
+  }
+  EXPECT_GT(sharded_races, 0u);
+  EXPECT_GT(boundary_races, 0u);
+}
+
+TEST(SolverDifferential, RaceEqualsAPipelinePerBackendWhenOneBackendFails) {
+  // One BFDSU pass cannot pack this instance; LP and PSO can.
+  const SystemModel model = make_component_model(123, 350.0);
+  const SolverOutcome want =
+      expect_race_matches_reference(model, spec_config(), 1, 123, "monolithic");
+  ASSERT_EQ(want.backends.size(), 3u);
+  EXPECT_FALSE(want.backends[0].feasible);
+  EXPECT_TRUE(want.backends[1].feasible);
+  EXPECT_TRUE(want.backends[2].feasible);
+}
+
+TEST(SolverDifferential, FallenBackBackendGetsTheMonolithicPhaseTwo) {
+  // Sharded repair fails for BFDSU and PSO, which fall back to one
+  // monolithic placement each; LP's sharded placement holds.  The race
+  // then needs both the sharded and the monolithic phase 2.
+  const SystemModel model = make_component_model(19, 300.0);
+  const SolverOutcome want = expect_race_matches_reference(
+      model, sharded(spec_config()), kWorkBudget, 19, "sharded");
+  std::vector<bool> fell_back;
+  for (const std::string id : {"bfdsu", "lp", "pso"}) {
+    SolverConfig single = budgeted(id);
+    const SolverOutcome o =
+        PortfolioDriver(sharded(spec_config()), single).run(model, 19);
+    ASSERT_TRUE(o.result.feasible) << id;
+    ASSERT_TRUE(o.result.shard_stats.enabled) << id;
+    fell_back.push_back(o.result.shard_stats.fallback_monolithic);
+  }
+  EXPECT_EQ(fell_back, (std::vector<bool>{true, false, true}));
+  EXPECT_TRUE(want.result.feasible);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -24,6 +27,61 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(kN);
   pool.parallel_for(kN, [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ThreadPool, EveryIndexRunsExactlyOnceAtEveryWidth) {
+  for (std::uint32_t width = 1; width <= 4; ++width) {
+    ThreadPool pool(width);
+    for (const std::size_t n : {2u, 3u, 5u, 1000u}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for(n, [&](std::size_t i) { ++hits[i]; });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "width " << width << " n " << n << " index " << i;
+      }
+      const std::vector<std::size_t> mapped =
+          pool.parallel_map(n, [](std::size_t i) { return 3 * i + 1; });
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(mapped[i], 3 * i + 1);
+    }
+  }
+}
+
+TEST(ThreadPool, IdleWorkerTakesTheItemsQueuedBehindASlowOne) {
+  // Item 0 blocks until items 1-3 have run.  Under static chunking item 1
+  // shares item 0's chunk and cannot start until item 0 gives up; with
+  // self-scheduling the other worker claims items 1-3 meanwhile.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int others_done = 0;
+  bool released = false;
+  pool.parallel_for(4, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (i == 0) {
+      released = cv.wait_for(lock, std::chrono::seconds(5),
+                             [&] { return others_done == 3; });
+    } else {
+      ++others_done;
+      cv.notify_all();
+    }
+  });
+  EXPECT_TRUE(released);
+}
+
+TEST(ThreadPool, AThrowingItemDoesNotStopTheOthers) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(100);
+  EXPECT_THROW(pool.parallel_for(100,
+                                 [&](std::size_t i) {
+                                   if (i == 37) {
+                                     throw std::runtime_error("item failed");
+                                   }
+                                   ++hits[i];
+                                 }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), i == 37 ? 0 : 1) << "index " << i;
+  }
 }
 
 TEST(ThreadPool, ParallelMapFillsByIndex) {
