@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <stdexcept>
 
 #include "nfv/common/error.h"
@@ -15,25 +14,6 @@
 #include "nfv/workload/trace.h"
 
 namespace nfv::bench {
-
-namespace {
-
-/// Installs a pool of `threads` workers for the caller's scope, unless one
-/// is already installed (CLI --threads wins) or we are on a worker thread
-/// (nested fan-outs run inline).
-struct BenchPool {
-  explicit BenchPool(std::uint32_t threads) {
-    if (threads > 1 && exec::pool() == nullptr &&
-        !exec::ThreadPool::on_worker_thread()) {
-      local.emplace(threads);
-      scope.emplace(*local);
-    }
-  }
-  std::optional<exec::ThreadPool> local;
-  std::optional<exec::ScopedPool> scope;
-};
-
-}  // namespace
 
 void scale_workload_demand(workload::Workload& w, double target_total,
                            double max_piece) {
@@ -60,7 +40,7 @@ PlacementSummary run_placement(const PlacementScenario& scenario,
     placement::PlacementMetrics metrics;
     std::uint64_t iterations = 0;
   };
-  const BenchPool pool(scenario.threads);
+  const exec::LocalPool pool(scenario.threads);
   // Each run seeds its own Rng, so replications are independent; the fold
   // below consumes them in run order, keeping summaries bit-identical to
   // the serial loop for any thread count.
@@ -144,7 +124,7 @@ SchedulingSummary run_scheduling(const SchedulingScenario& scenario,
     double work = 0.0;
     bool stable = false;
   };
-  const BenchPool pool(scenario.threads);
+  const exec::LocalPool pool(scenario.threads);
   const std::vector<RunResult> results =
       exec::parallel_map(scenario.runs, [&](std::size_t run) {
     Rng rng(scenario.base_seed + run);
@@ -212,7 +192,7 @@ JointSummary run_joint(const JointScenario& scenario,
     double rejection = 0.0;
     double nodes = 0.0;
   };
-  const BenchPool pool(scenario.threads);
+  const exec::LocalPool pool(scenario.threads);
   const std::vector<RunResult> results =
       exec::parallel_map(scenario.runs, [&](std::size_t run) {
     RunResult out;

@@ -16,7 +16,6 @@
 #include "nfv/placement/metrics.h"
 #include "nfv/scheduling/algorithm.h"
 #include "nfv/scheduling/metrics.h"
-#include "nfv/shard/partition.h"
 #include "nfv/topology/topology.h"
 #include "nfv/workload/vnf.h"
 
@@ -39,13 +38,10 @@ struct JointConfig {
   /// Per-hop latency L of Eq. 16; defaults to the topology's mean link
   /// latency when unset.
   std::optional<double> link_latency;
-  /// Fan-out width for multi-start placement and per-VNF scheduling.
-  /// Results are bit-identical for any thread count (see DESIGN.md §10).
+  /// Fan-out width for per-VNF scheduling (and a portfolio race's
+  /// placements).  Results are bit-identical for any thread count (see
+  /// DESIGN.md §10).
   exec::ExecConfig exec;
-  /// Sharded solving (DESIGN.md §12).  Off by default; when enabled the
-  /// instance is partitioned canonically, so results are bit-identical
-  /// for any `--shards`/`--threads` combination.
-  shard::ShardConfig shard;
 };
 
 /// Scheduling context of one VNF: its m-way partitioning problem plus the
@@ -68,16 +64,12 @@ struct RequestOutcome {
 };
 
 /// Phase 2's output (Algorithm 2 plus ρ_max admission, per VNF).  It reads
-/// the workload (and, sharded, the shard plan) only — never a placement —
-/// so one phase 2 serves every placement of the same instance.
+/// the workload only — never a placement — so one phase 2 serves every
+/// placement of the same instance.
 struct ScheduleResult {
   std::vector<VnfSchedulingContext> contexts;    ///< per VNF
   std::vector<sched::Schedule> schedules;        ///< per VNF
   std::vector<sched::AdmissionResult> admissions;///< per VNF
-  /// Sharded merge counters (shard::ShardStats); zero when monolithic.
-  std::uint64_t boundary_requests = 0;
-  std::uint64_t rebalances = 0;
-  std::uint64_t migrations = 0;
 };
 
 /// Complete result of one pipeline run.
@@ -89,7 +81,6 @@ struct JointResult {
   std::vector<sched::Schedule> schedules;        ///< per VNF
   std::vector<sched::AdmissionResult> admissions;///< per VNF
   std::vector<RequestOutcome> requests;          ///< per request
-  shard::ShardStats shard_stats;                 ///< sharded-solve counters
 
   // Aggregates over admitted requests / all instances.
   double total_latency = 0.0;       ///< Eq. 16 objective
@@ -97,29 +88,21 @@ struct JointResult {
   double avg_response = 0.0;        ///< mean W over all service instances
   double job_rejection_rate = 0.0;  ///< rejected requests / |R|
 
-  /// Moves a phase-2 result in: contexts, schedules, admissions and the
-  /// sharded merge counters.
+  /// Moves a phase-2 result in: contexts, schedules and admissions.
   void adopt(ScheduleResult&& phase);
 };
 
 /// One instance prepared for the stages, once per run or race: Eq. 14's
-/// packing problem and, when sharding is on and splits the instance, the
-/// canonical shard plan (DESIGN.md §12).  Refers to `model`, which must
-/// outlive it.
+/// packing problem.  Refers to `model`, which must outlive it.
 struct PreparedModel {
   const SystemModel& model;
   placement::PlacementProblem problem;
-  /// Set only for a plan of two or more shards: a connected instance is
-  /// one shard, and sharding it is the identity.
-  std::optional<shard::ShardPlan> plan;
 };
 
-/// Phase 2 as independent work items for one exec fan-out: call
-/// run_item(i) exactly once for every i in [0, items()), on any thread and
-/// in any order, then finish().  Monolithic: one item per VNF.  Sharded:
-/// one item for the whole sharded phase, whose per-shard waves fan out
-/// inside it.  Refers to the PreparedModel and JointOptimizer it came
-/// from, which must outlive it.
+/// Phase 2 as independent work items for one exec fan-out, one item per
+/// VNF: call run_item(i) exactly once for every i in [0, items()), on any
+/// thread and in any order, then finish().  Refers to the PreparedModel
+/// and JointOptimizer it came from, which must outlive it.
 class SchedulePass {
  public:
   [[nodiscard]] std::size_t items() const { return items_; }
@@ -135,16 +118,12 @@ class SchedulePass {
  private:
   friend class JointOptimizer;
   SchedulePass(const PreparedModel& in, const JointConfig& config,
-               const sched::SchedulingAlgorithm& scheduler, bool sharded,
+               const sched::SchedulingAlgorithm& scheduler,
                std::uint64_t seed);
-  void run_sharded();
 
-  const PreparedModel& in_;
   const JointConfig& config_;
   const sched::SchedulingAlgorithm& scheduler_;
-  const shard::ShardPlan* plan_ = nullptr;  ///< null: monolithic
-  Rng rng_;
-  std::vector<Rng> children_;               ///< per VNF (monolithic)
+  std::vector<Rng> children_;               ///< per VNF
   std::size_t items_ = 0;
   ScheduleResult out_;
   std::exception_ptr setup_error_;
@@ -171,18 +150,15 @@ class JointOptimizer {
   /// Validates `model` and builds what every stage reads.
   [[nodiscard]] PreparedModel prepare(const SystemModel& model) const;
 
-  /// Stage 1: `algo` places the instance from Rng(seed) — per shard,
-  /// merged and repaired when `in` has a plan, falling back to one
-  /// monolithic placement (shard_stats.fallback_monolithic) when repair
-  /// fails.  Fills placement, placement_metrics and shard_stats.
+  /// Stage 1: `algo` places the instance from Rng(seed).  Fills placement
+  /// and placement_metrics.
   [[nodiscard]] JointResult place(const PreparedModel& in,
                                   const placement::PlacementAlgorithm& algo,
                                   std::uint64_t seed) const;
 
-  /// Stage 2: phase 2 for `in`, sharded along its plan when `sharded` is
-  /// set and `in` has one.  Its streams fork off `seed` alone, so the
+  /// Stage 2: phase 2 for `in`.  Its streams fork off `seed` alone, so the
   /// result never depends on a placement.
-  [[nodiscard]] SchedulePass schedule(const PreparedModel& in, bool sharded,
+  [[nodiscard]] SchedulePass schedule(const PreparedModel& in,
                                       std::uint64_t seed) const;
 
   /// Stage 3: Eq. 16 for `result`'s (feasible) placement against `phase`.
@@ -193,16 +169,13 @@ class JointOptimizer {
   [[nodiscard]] const JointConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] JointResult run_stages(const SystemModel& model,
-                                       std::uint64_t seed) const;
-
   JointConfig config_;
   std::unique_ptr<const sched::SchedulingAlgorithm> scheduler_;
 };
 
 /// Adds one returned result to the core.joint.* counters: runs, admitted
-/// and rejected requests, and the shard counters.  run() calls it once per
-/// run, the portfolio race once per race (for its winner).
+/// and rejected requests.  run() calls it once per run, the portfolio race
+/// once per race (for its winner).
 void count_run(const JointResult& result);
 
 /// Builds the per-VNF scheduling contexts for a workload (member lists in

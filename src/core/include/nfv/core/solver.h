@@ -38,7 +38,7 @@ struct SolverConfig {
   /// Work-unit budget per backend; 0 = backend defaults.
   std::uint64_t work_budget = 0;
   /// Ignore the clock: effort derives from work_budget only, so a run is
-  /// bit-identical for any --threads/--shards (the acceptance contract).
+  /// bit-identical for any --threads (the acceptance contract).
   bool deterministic_budget = false;
 
   // Backend effort defaults, used when work_budget == 0.
@@ -95,7 +95,7 @@ struct PlacementOutcome {
 class PortfolioDriver {
  public:
   /// `base` supplies everything but the placement backend (scheduling
-  /// algorithm, rho_max, link latency, exec/shard config); `solver` picks
+  /// algorithm, rho_max, link latency, exec config); `solver` picks
   /// the backends and budget.  Both are validated here.
   PortfolioDriver(JointConfig base, SolverConfig solver);
 

@@ -1,14 +1,11 @@
 #include "nfv/core/joint_optimizer.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "nfv/common/error.h"
 #include "nfv/exec/thread_pool.h"
 #include "nfv/obs/metrics.h"
 #include "nfv/obs/trace.h"
-#include "nfv/shard/merge.h"
-#include "nfv/shard/placement.h"
 
 namespace nfv::core {
 
@@ -113,49 +110,35 @@ void JointResult::adopt(ScheduleResult&& phase) {
   contexts = std::move(phase.contexts);
   schedules = std::move(phase.schedules);
   admissions = std::move(phase.admissions);
-  shard_stats.boundary_requests = phase.boundary_requests;
-  shard_stats.rebalances = phase.rebalances;
-  shard_stats.migrations = phase.migrations;
 }
 
 SchedulePass::SchedulePass(const PreparedModel& in, const JointConfig& config,
                            const sched::SchedulingAlgorithm& scheduler,
-                           bool sharded, std::uint64_t seed)
-    : in_(in),
-      config_(config),
-      scheduler_(scheduler),
-      plan_(sharded && in.plan ? &*in.plan : nullptr),
-      // Phase 2's own stream, forked off the seed: phase 1 draws from
-      // Rng(seed), and how much it draws must never reach phase 2.
-      rng_(Rng(seed).fork(0)) {
+                           std::uint64_t seed)
+    : config_(config), scheduler_(scheduler) {
   try {
     out_.contexts = make_scheduling_contexts(in.model.workload);
   } catch (...) {
     setup_error_ = std::current_exception();
     return;
   }
-  if (plan_ != nullptr) {
-    items_ = 1;
-  } else {
-    // Fork first, in index order, so every child stream is the same
-    // whichever thread runs its item.
-    items_ = out_.contexts.size();
-    children_.reserve(items_);
-    for (std::size_t f = 0; f < items_; ++f) {
-      children_.push_back(rng_.fork(f));
-    }
-    out_.schedules.resize(items_);
-    out_.admissions.resize(items_);
+  // Phase 2's own stream, forked off the seed: phase 1 draws from
+  // Rng(seed), and how much it draws must never reach phase 2.  Fork the
+  // per-VNF children first, in index order, so every child stream is the
+  // same whichever thread runs its item.
+  Rng rng = Rng(seed).fork(0);
+  items_ = out_.contexts.size();
+  children_.reserve(items_);
+  for (std::size_t f = 0; f < items_; ++f) {
+    children_.push_back(rng.fork(f));
   }
+  out_.schedules.resize(items_);
+  out_.admissions.resize(items_);
   item_errors_.resize(items_);
 }
 
 void SchedulePass::run_item(std::size_t i) noexcept {
   try {
-    if (plan_ != nullptr) {
-      run_sharded();
-      return;
-    }
     const VnfSchedulingContext& ctx = out_.contexts[i];
     out_.schedules[i] = scheduler_.schedule(ctx.problem, children_[i]);
     out_.admissions[i] = sched::apply_admission(
@@ -173,120 +156,6 @@ ScheduleResult SchedulePass::finish() && {
   return std::move(out_);
 }
 
-void SchedulePass::run_sharded() {
-  // Each shard schedules the members its own requests contribute to its
-  // own VNFs; members owned by other shards (boundary members of a split
-  // component) are merged afterwards.
-  const workload::Workload& workload = in_.model.workload;
-  const shard::ShardPlan& plan = *plan_;
-  const std::vector<VnfSchedulingContext>& contexts = out_.contexts;
-  const std::size_t vnfs = contexts.size();
-  const std::size_t shards = plan.shard_count();
-
-  std::vector<std::uint32_t> owner_of_request(workload.requests.size());
-  for (std::size_t r = 0; r < workload.requests.size(); ++r) {
-    owner_of_request[r] =
-        plan.shard_of_vnf[workload.requests[r].chain.front().index()];
-  }
-  // Per-VNF member positions split into locally-owned vs boundary.
-  // Walk the member lists (request-id order) once — O(Σ|R_f|).
-  std::vector<std::vector<std::uint32_t>> local_pos(vnfs);
-  std::vector<std::vector<std::uint32_t>> boundary_pos(vnfs);
-  for (std::size_t f = 0; f < vnfs; ++f) {
-    const std::uint32_t s = plan.shard_of_vnf[f];
-    const auto& members = contexts[f].members;
-    const auto member_count = static_cast<std::uint32_t>(members.size());
-    for (std::uint32_t p = 0; p < member_count; ++p) {
-      if (owner_of_request[members[p].index()] == s) {
-        local_pos[f].push_back(p);
-      } else {
-        boundary_pos[f].push_back(p);
-      }
-    }
-  }
-
-  // Fork per-shard streams up-front in index order, then fan out in
-  // waves of the configured width — positional, so bit-identical for
-  // any width/thread count.
-  std::vector<Rng> children;
-  children.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) children.push_back(rng_.fork(s));
-  std::vector<std::vector<sched::Schedule>> per_shard(shards);
-  const std::size_t width =
-      std::max<std::uint32_t>(1, config_.shard.fanout());
-  std::size_t launched = 0;
-  while (launched < shards) {
-    const std::size_t wave = std::min(width, shards - launched);
-    std::vector<std::vector<sched::Schedule>> got =
-        exec::parallel_map(wave, [&, launched](std::size_t i) {
-          const std::size_t s = launched + i;
-          std::vector<sched::Schedule> out;
-          out.reserve(plan.vnfs_of_shard[s].size());
-          for (const std::uint32_t f : plan.vnfs_of_shard[s]) {
-            const auto& ctx = contexts[f];
-            sched::SchedulingProblem sub;
-            sub.instance_count = ctx.problem.instance_count;
-            sub.service_rate = ctx.problem.service_rate;
-            sub.delivery_prob = ctx.problem.delivery_prob;
-            sub.arrival_rates.reserve(local_pos[f].size());
-            for (const std::uint32_t p : local_pos[f]) {
-              sub.arrival_rates.push_back(ctx.problem.arrival_rates[p]);
-            }
-            sched::Schedule sc;  // all-boundary VNF: nothing local
-            if (!sub.arrival_rates.empty()) {
-              sc = scheduler_.schedule(sub, children[s]);
-            }
-            out.push_back(std::move(sc));
-          }
-          return out;
-        });
-    for (std::size_t i = 0; i < wave; ++i) {
-      per_shard[launched + i] = std::move(got[i]);
-    }
-    launched += wave;
-  }
-
-  // Merge in VNF index order: scatter the local assignments, append
-  // boundary members greedily, rebalance toward a full re-solve when
-  // the merged imbalance is out of band.
-  std::vector<std::uint32_t> slot_in_shard(vnfs, 0);
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (std::size_t j = 0; j < plan.vnfs_of_shard[s].size(); ++j) {
-      slot_in_shard[plan.vnfs_of_shard[s][j]] = static_cast<std::uint32_t>(j);
-    }
-  }
-  out_.schedules.resize(vnfs);
-  for (std::size_t f = 0; f < vnfs; ++f) {
-    const auto& ctx = contexts[f];
-    sched::Schedule& merged = out_.schedules[f];
-    const sched::Schedule& local =
-        per_shard[plan.shard_of_vnf[f]][slot_in_shard[f]];
-    merged.work = local.work;
-    merged.instance_of.assign(ctx.problem.request_count(), shard::kUnassigned);
-    for (std::size_t i = 0; i < local_pos[f].size(); ++i) {
-      merged.instance_of[local_pos[f][i]] = local.instance_of[i];
-    }
-    if (boundary_pos[f].empty()) continue;
-    out_.boundary_requests += boundary_pos[f].size();
-    shard::complete_schedule(ctx.problem, merged.instance_of, boundary_pos[f]);
-    merged.work += boundary_pos[f].size();
-    const sched::Schedule target = scheduler_.schedule(ctx.problem, rng_);
-    merged.work += target.work;
-    const shard::RebalanceOutcome outcome = shard::rebalance_toward(
-        ctx.problem, merged.instance_of, target,
-        config_.shard.rebalance_threshold, config_.shard.migration_budget);
-    if (outcome.triggered) {
-      ++out_.rebalances;
-      out_.migrations += outcome.migrations;
-    }
-  }
-
-  out_.admissions = exec::parallel_map(vnfs, [&](std::size_t f) {
-    return sched::apply_admission(contexts[f].problem, out_.schedules[f],
-                                  config_.rho_max);
-  });
-}
-
 JointOptimizer::JointOptimizer(JointConfig config)
     : config_(std::move(config)),
       scheduler_(sched::make_scheduling_algorithm(config_.scheduling_algorithm)) {
@@ -294,7 +163,6 @@ JointOptimizer::JointOptimizer(JointConfig config)
   NFV_REQUIRE(config_.rho_max > 0.0 && config_.rho_max <= 1.0);
   if (config_.link_latency) NFV_REQUIRE(*config_.link_latency >= 0.0);
   config_.exec.validate();
-  config_.shard.validate();
 }
 
 JointResult JointOptimizer::run(const SystemModel& model,
@@ -302,17 +170,7 @@ JointResult JointOptimizer::run(const SystemModel& model,
   // Honor the configured thread count when no pool is installed yet; an
   // already-installed pool (CLI --threads, bench harness) wins so nested
   // runs share one fan-out width.
-  if (config_.exec.threads > 1 && exec::pool() == nullptr &&
-      !exec::ThreadPool::on_worker_thread()) {
-    exec::ThreadPool local(config_.exec.threads);
-    const exec::ScopedPool scope(local);
-    return run_stages(model, seed);
-  }
-  return run_stages(model, seed);
-}
-
-JointResult JointOptimizer::run_stages(const SystemModel& model,
-                                       std::uint64_t seed) const {
+  const exec::LocalPool pool(config_.exec.threads);
   const obs::ScopedSpan run_span("core.joint.run");
   const PreparedModel in = prepare(model);
   const auto placer =
@@ -325,8 +183,7 @@ JointResult JointOptimizer::run_stages(const SystemModel& model,
     result = place(in, *placer, seed);
   }
   if (result.placement.feasible) {
-    SchedulePass pass =
-        schedule(in, !result.shard_stats.fallback_monolithic, seed);
+    SchedulePass pass = schedule(in, seed);
     {
       const obs::ScopedSpan span("core.joint.scheduling");
       exec::parallel_for(pass.items(),
@@ -345,47 +202,22 @@ JointResult JointOptimizer::run_stages(const SystemModel& model,
 
 PreparedModel JointOptimizer::prepare(const SystemModel& model) const {
   model.validate();
-  PreparedModel in{model,
-                   placement::make_problem(model.topology, model.workload),
-                   std::nullopt};
-  if (config_.shard.enabled()) {
-    shard::ShardPlan plan = shard::make_shard_plan(
-        in.problem.vnf_count(), in.problem.chains, in.problem.demands,
-        config_.shard.split_fraction * in.problem.total_capacity());
-    if (plan.shard_count() > 1) in.plan = std::move(plan);
-  }
-  return in;
+  return {model, placement::make_problem(model.topology, model.workload)};
 }
 
 JointResult JointOptimizer::place(const PreparedModel& in,
                                   const placement::PlacementAlgorithm& algo,
                                   std::uint64_t seed) const {
   JointResult result;
-  if (in.plan) {
-    shard::ShardStats& stats = result.shard_stats;
-    stats.enabled = true;
-    Rng rng(seed);
-    result.placement = shard::place_with_plan(in.problem, *in.plan, algo,
-                                              config_.shard, rng, stats);
-    if (result.placement.feasible) {
-      result.placement_metrics =
-          placement::evaluate(in.problem, result.placement);
-      return result;
-    }
-    // Boundary repair failed; the monolithic solve sees the whole
-    // instance at once.  Deterministic: the plan depends only on the
-    // model, so every width reaches the same fallback.
-    stats.fallback_monolithic = true;
-  }
   Rng rng(seed);
   result.placement = algo.place(in.problem, rng);
   result.placement_metrics = placement::evaluate(in.problem, result.placement);
   return result;
 }
 
-SchedulePass JointOptimizer::schedule(const PreparedModel& in, bool sharded,
+SchedulePass JointOptimizer::schedule(const PreparedModel& in,
                                       std::uint64_t seed) const {
-  return SchedulePass(in, config_, *scheduler_, sharded, seed);
+  return SchedulePass(in, config_, *scheduler_, seed);
 }
 
 void JointOptimizer::evaluate(const SystemModel& model,
@@ -483,15 +315,6 @@ void count_run(const JointResult& result) {
     obs::count("core.joint.admitted", admitted);
     obs::count("core.joint.rejected", result.requests.size() - admitted);
   }
-  const shard::ShardStats& stats = result.shard_stats;
-  if (!stats.enabled) return;
-  obs::count("core.joint.shard.runs");
-  obs::count("core.joint.shard.shards", stats.shards);
-  obs::count("core.joint.shard.splits", stats.splits);
-  if (stats.fallback_monolithic) obs::count("core.joint.shard.fallbacks");
-  obs::count("core.joint.shard.boundary_requests", stats.boundary_requests);
-  obs::count("core.joint.shard.repair_moves", stats.repair_moves);
-  obs::count("core.joint.shard.migrations", stats.migrations);
 }
 
 }  // namespace nfv::core

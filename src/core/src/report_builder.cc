@@ -94,22 +94,6 @@ void fill_des(const sim::SimResult& sim, obs::DesSection& out) {
   }
 }
 
-void fill_shard(const ReportInputs& in, obs::ShardSection& out) {
-  const shard::ShardStats& s = in.result->shard_stats;
-  if (!s.enabled) return;  // monolithic run: no shard section at all
-  out.present = true;
-  out.shards = s.shards;
-  out.components = s.components;
-  out.splits = s.splits;
-  out.fallback_monolithic = s.fallback_monolithic;
-  out.repair_moves = s.repair_moves;
-  out.drain_moves = s.drain_moves;
-  out.drained_nodes = s.drained_nodes;
-  out.boundary_requests = s.boundary_requests;
-  out.rebalances = s.rebalances;
-  out.migrations = s.migrations;
-}
-
 void fill_solver(const ReportInputs& in, obs::SolverSection& out) {
   const SolverOutcome& s = *in.solver;
   out.present = true;
@@ -141,7 +125,6 @@ obs::RunReport build_run_report(const ReportInputs& inputs) {
     fill_placement(inputs, report.placement);
     fill_scheduling(inputs, report.scheduling);
     fill_requests(inputs, report.requests);
-    fill_shard(inputs, report.shard);
   }
   if (inputs.sim != nullptr) fill_des(*inputs.sim, report.des);
   if (inputs.serve != nullptr) report.serve = *inputs.serve;

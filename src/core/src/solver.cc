@@ -232,15 +232,9 @@ SolverOutcome PortfolioDriver::run(const SystemModel& model,
   const auto deadline = race_deadline(solver_);
   const Effort effort = effort_for(solver_, deadline);
 
-  // Race on the installed pool; install one for the scope when the exec
-  // config asks for threads and none is active (mirrors JointOptimizer).
-  std::optional<exec::ThreadPool> local;
-  std::optional<exec::ScopedPool> scope;
-  if (base_.exec.threads > 1 && exec::pool() == nullptr &&
-      !exec::ThreadPool::on_worker_thread()) {
-    local.emplace(base_.exec.threads);
-    scope.emplace(*local);
-  }
+  // Race on the installed pool, or on one installed for the scope when
+  // the exec config asks for threads and none is active.
+  const exec::LocalPool pool(base_.exec.threads);
 
   // One parallel region: every backend's placement (id order), then the
   // items of the one phase 2 they all share — Algorithm 2 reads the
@@ -252,7 +246,7 @@ SolverOutcome PortfolioDriver::run(const SystemModel& model,
   std::vector<std::unique_ptr<placement::PlacementAlgorithm>> placers;
   placers.reserve(ids.size());
   for (const std::string& id : ids) placers.push_back(make_backend(id, effort));
-  SchedulePass shared = joint.schedule(in, /*sharded=*/true, seed);
+  SchedulePass shared = joint.schedule(in, seed);
   std::vector<JointResult> results(ids.size());
   exec::parallel_for(ids.size() + shared.items(), [&](std::size_t i) {
     if (i < ids.size()) {
@@ -264,29 +258,14 @@ SolverOutcome PortfolioDriver::run(const SystemModel& model,
     }
   });
 
-  // A backend whose sharded placement fell back to monolithic pairs with
-  // the monolithic phase 2, solved at most once.  Phase-2 failures only
-  // surface when some placement is feasible, as they did per backend.
-  std::optional<ScheduleResult> shared_phase;
-  std::optional<ScheduleResult> mono_phase;
-  std::vector<ScheduleResult*> phase_of(ids.size(), nullptr);
+  // Phase-2 failures only surface when some placement is feasible, as
+  // they did per backend.
+  std::optional<ScheduleResult> phase;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (!results[i].placement.feasible) continue;
-    if (!results[i].shard_stats.fallback_monolithic) {
-      if (!shared_phase) shared_phase.emplace(std::move(shared).finish());
-      phase_of[i] = &*shared_phase;
-    } else {
-      if (!mono_phase) {
-        SchedulePass mono = joint.schedule(in, /*sharded=*/false, seed);
-        const obs::ScopedSpan span("core.solver.schedule");
-        exec::parallel_for(mono.items(),
-                           [&](std::size_t f) { mono.run_item(f); });
-        mono_phase.emplace(std::move(mono).finish());
-      }
-      phase_of[i] = &*mono_phase;
-    }
+    if (!phase) phase.emplace(std::move(shared).finish());
     const obs::ScopedSpan span("core.solver.evaluate");
-    joint.evaluate(model, *phase_of[i], results[i]);
+    joint.evaluate(model, *phase, results[i]);
   }
 
   SolverOutcome outcome;
@@ -308,8 +287,8 @@ SolverOutcome PortfolioDriver::run(const SystemModel& model,
   }
   outcome.winner = ids[best];
   outcome.result = std::move(results[best]);
-  if (phase_of[best] != nullptr) {
-    outcome.result.adopt(std::move(*phase_of[best]));
+  if (outcome.result.placement.feasible) {
+    outcome.result.adopt(std::move(*phase));
   }
   count_run(outcome.result);
   obs::count("core.solver.races");
@@ -323,14 +302,7 @@ PlacementOutcome PortfolioDriver::place(
   const std::vector<std::string> ids = backend_ids();
   const auto deadline = race_deadline(solver_);
   const Effort effort = effort_for(solver_, deadline);
-
-  std::optional<exec::ThreadPool> local;
-  std::optional<exec::ScopedPool> scope;
-  if (base_.exec.threads > 1 && exec::pool() == nullptr &&
-      !exec::ThreadPool::on_worker_thread()) {
-    local.emplace(base_.exec.threads);
-    scope.emplace(*local);
-  }
+  const exec::LocalPool pool(base_.exec.threads);
 
   struct Entry {
     placement::Placement placement;

@@ -14,7 +14,8 @@
 // globally installed pool.  With no pool installed — the default — the
 // helpers run inline on the calling thread: zero threads, zero allocation,
 // identical results.  A scope (CLI command, bench main, JointOptimizer
-// run) enables parallelism by installing a pool with ScopedPool.
+// run, portfolio race) enables parallelism by installing a pool with
+// LocalPool, or an existing one with ScopedPool.
 //
 // Nested fan-out is safe by construction: a parallel_for issued from
 // inside a pool worker runs inline on that worker (counted by
@@ -29,6 +30,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -166,6 +168,24 @@ class ScopedPool {
   ThreadPool* prev_;
 };
 
+/// Owns and installs a pool of `threads` workers for the caller's scope —
+/// unless `threads` is 1, a pool is already installed (the outer scope's
+/// width wins, so nested runs share one fan-out), or the caller is a pool
+/// worker (its fan-outs run inline anyway).  Then it does nothing.
+class LocalPool {
+ public:
+  explicit LocalPool(std::uint32_t threads) {
+    if (threads > 1 && pool() == nullptr && !ThreadPool::on_worker_thread()) {
+      local_.emplace(threads);
+      scope_.emplace(*local_);
+    }
+  }
+
+ private:
+  std::optional<ThreadPool> local_;
+  std::optional<ScopedPool> scope_;
+};
+
 // ---------------------------------------------------------------------------
 // Fast-path helpers: one relaxed atomic load, then either the installed
 // pool's fan-out or a plain inline loop.
@@ -185,16 +205,6 @@ auto parallel_map(std::size_t n, F&& f) -> std::vector<decltype(f(std::size_t{0}
   std::vector<decltype(f(std::size_t{0}))> out(n);
   parallel_for(n, [&](std::size_t i) { out[i] = f(i); });
   return out;
-}
-
-/// Worker threads available for fan-out in the current scope: the
-/// installed pool's size, or 1 when running serially.  Batch-oriented
-/// call sites (BFDSU's stall-bounded multi-start) size their waves with
-/// this so serial runs keep their early-exit behavior.
-[[nodiscard]] inline std::uint32_t current_concurrency() noexcept {
-  const ThreadPool* p = pool();
-  return p != nullptr && !ThreadPool::on_worker_thread() ? p->thread_count()
-                                                         : 1;
 }
 
 }  // namespace nfv::exec

@@ -1,6 +1,6 @@
 // Machine-readable run reports: a stable JSON schema describing one whole
 // pipeline run (placement summary, per-instance loads and response times,
-// DES counters, serving counters, shard and solver-race summaries,
+// DES counters, serving counters, solver-race summary,
 // metrics-registry snapshot).
 //
 // The obs library owns the schema, serialization, loading, pretty-printing
@@ -32,9 +32,6 @@
 //                    autoscale: {...}?, availability, admission_rate,
 //                    mean_predicted_latency, p99_predicted_latency, work,
 //                    timeline: {...}?, events_log: [...]?},
-//     "shard":      {shards, components, splits, fallback_monolithic,
-//                    repair_moves, drain_moves, drained_nodes,
-//                    boundary_requests, rebalances, migrations},
 //     "solver":     {solver, winner, deterministic, budget, budget_ms,
 //                    backends: [{id, feasible, rejected, objective, work}]},
 //     "metrics":    {counters: {...}, gauges: {...}, histograms: {...}}
@@ -197,21 +194,6 @@ struct ServeSection {
   std::vector<ServeEventEntry> events_log;
 };
 
-/// Counters of one sharded solve (src/shard, DESIGN.md §12).
-struct ShardSection {
-  bool present = false;
-  std::uint64_t shards = 0;
-  std::uint64_t components = 0;
-  std::uint64_t splits = 0;
-  bool fallback_monolithic = false;
-  std::uint64_t repair_moves = 0;
-  std::uint64_t drain_moves = 0;
-  std::uint64_t drained_nodes = 0;
-  std::uint64_t boundary_requests = 0;
-  std::uint64_t rebalances = 0;
-  std::uint64_t migrations = 0;
-};
-
 /// One backend's line in a solver portfolio race (DESIGN.md §17).
 struct SolverBackendEntry {
   std::string id;  ///< "bfdsu" | "lp" | "pso"
@@ -240,7 +222,6 @@ struct RunReport {
   RequestSection requests;
   DesSection des;
   ServeSection serve;
-  ShardSection shard;
   SolverSection solver;
   MetricsSection metrics;
 };

@@ -3,7 +3,7 @@
 // A timeline is a header line plus one JSONL record per event-time window
 // of `snapshot_every` trace-time units.  Records are produced by the engine
 // purely from event time — never wall clock — so the stream is
-// byte-identical for any --threads/--shards and across checkpoint/resume.
+// byte-identical for any --threads and across checkpoint/resume.
 #pragma once
 
 #include <concepts>

@@ -238,23 +238,6 @@ void write_run_report(const RunReport& report, std::ostream& os) {
     w.end_object();
   }
 
-  if (report.shard.present) {
-    const ShardSection& s = report.shard;
-    w.key("shard");
-    w.begin_object();
-    w.kv("shards", s.shards);
-    w.kv("components", s.components);
-    w.kv("splits", s.splits);
-    w.kv("fallback_monolithic", s.fallback_monolithic);
-    w.kv("repair_moves", s.repair_moves);
-    w.kv("drain_moves", s.drain_moves);
-    w.kv("drained_nodes", s.drained_nodes);
-    w.kv("boundary_requests", s.boundary_requests);
-    w.kv("rebalances", s.rebalances);
-    w.kv("migrations", s.migrations);
-    w.end_object();
-  }
-
   if (report.solver.present) {
     const SolverSection& s = report.solver;
     w.key("solver");
@@ -464,32 +447,6 @@ std::string pretty_print_report(const JsonValue& report) {
        << " s (Eq. 16)\n";
   }
 
-  if (const JsonValue* s = report.find("shard")) {
-    // Rendered like serve: an unknown-to-the-printer section must never be
-    // silently dropped from the summary.
-    os << "\nsharded solve (" << format_number(s->number_or("shards"))
-       << " shards)\n";
-    os << "  components        : "
-       << format_number(s->number_or("components")) << " ("
-       << format_number(s->number_or("splits")) << " split)\n";
-    const JsonValue* fallback = s->find("fallback_monolithic");
-    os << "  fallback          : "
-       << ((fallback != nullptr && fallback->is_bool() && fallback->as_bool())
-               ? "monolithic re-solve"
-               : "none")
-       << "\n";
-    os << "  repair moves      : "
-       << format_number(s->number_or("repair_moves")) << " (+"
-       << format_number(s->number_or("drain_moves")) << " drain, "
-       << format_number(s->number_or("drained_nodes"))
-       << " nodes drained)\n";
-    os << "  boundary requests : "
-       << format_number(s->number_or("boundary_requests")) << "\n";
-    os << "  rebalances        : "
-       << format_number(s->number_or("rebalances")) << " ("
-       << format_number(s->number_or("migrations")) << " migrations)\n";
-  }
-
   if (const JsonValue* s = report.find("solver")) {
     os << "\nsolver race (" << s->string_or("solver", "?") << ")\n";
     os << "  winner            : " << s->string_or("winner", "?") << "\n";
@@ -560,7 +517,7 @@ constexpr std::string_view kHigherWorse[] = {
     "latency", "response", "rejection", "rejected", "shed",     "drop",
     "downtime", "retransmission", "failure",        "occupation",
     "nodes_in_service", "queue_depth", "imbalance", "wall",     "work",
-    "gap", "repair_moves", "unaccounted", "queued", "retrying",
+    "gap", "unaccounted", "queued", "retrying",
     "flaps", "instance_seconds", "objective",
 };
 

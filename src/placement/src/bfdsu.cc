@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "nfv/exec/thread_pool.h"
 #include "nfv/obs/metrics.h"
 #include "nfv/obs/trace.h"
 #include "nfv/placement/algorithm.h"
@@ -92,23 +91,14 @@ Placement BfdsuPlacement::place(const PlacementProblem& problem,
   // Begin" restarts and count toward iterations but not toward stalls
   // until a feasible placement exists.
   //
-  // Pass i always draws from rng.fork(i), forked up-front in index order:
-  // the caller's rng advances identically however the passes execute, and
-  // the reduction below consumes pass results in index order with the
-  // serial stall rule — so the winning placement is bit-identical for any
-  // thread count.  Passes run in waves of the current fan-out width; a
-  // wave may compute a few passes past the stall cutoff, which are
-  // discarded (wasted work bounded by one wave), never folded in.
+  // Pass i draws from rng.fork(i), forked up-front in index order, so the
+  // caller's rng advances by max_passes forks however early the stall
+  // rule stops the loop.
   std::vector<Rng> pass_rng;
   pass_rng.reserve(options_.max_passes);
   for (std::uint32_t i = 0; i < options_.max_passes; ++i) {
     pass_rng.push_back(rng.fork(i));
   }
-
-  struct PassResult {
-    Placement placement;
-    PlacementMetrics metrics;
-  };
 
   Placement best;
   double best_util = -1.0;
@@ -116,40 +106,25 @@ Placement BfdsuPlacement::place(const PlacementProblem& problem,
   std::uint32_t stall = 0;
   std::uint64_t passes = 0;
   std::uint64_t restarts = 0;
-  std::uint32_t launched = 0;
-  while (launched < options_.max_passes && stall < options_.stall_limit) {
-    const std::uint32_t wave = std::min(exec::current_concurrency(),
-                                        options_.max_passes - launched);
-    std::vector<PassResult> results =
-        exec::parallel_map(wave, [&, launched](std::size_t i) {
-          PassResult r;
-          r.placement =
-              single_pass(problem, pass_rng[launched + static_cast<std::uint32_t>(i)]);
-          if (r.placement.feasible) {
-            r.metrics = evaluate(problem, r.placement);
-          }
-          return r;
-        });
-    launched += wave;
-    // Index-ordered reduction replaying the serial stopping rule.
-    for (PassResult& r : results) {
-      if (stall >= options_.stall_limit) break;  // computed past the cutoff
-      ++passes;
-      if (!r.placement.feasible) {
-        ++restarts;
-        if (best.feasible) ++stall;
-        continue;
-      }
-      if (r.metrics.nodes_in_service < best_nodes ||
-          (r.metrics.nodes_in_service == best_nodes &&
-           r.metrics.avg_utilization_of_used > best_util)) {
-        best = std::move(r.placement);
-        best_nodes = r.metrics.nodes_in_service;
-        best_util = r.metrics.avg_utilization_of_used;
-        stall = 0;
-      } else {
-        ++stall;
-      }
+  for (std::uint32_t i = 0;
+       i < options_.max_passes && stall < options_.stall_limit; ++i) {
+    ++passes;
+    Placement pass = single_pass(problem, pass_rng[i]);
+    if (!pass.feasible) {
+      ++restarts;
+      if (best.feasible) ++stall;
+      continue;
+    }
+    const PlacementMetrics metrics = evaluate(problem, pass);
+    if (metrics.nodes_in_service < best_nodes ||
+        (metrics.nodes_in_service == best_nodes &&
+         metrics.avg_utilization_of_used > best_util)) {
+      best = std::move(pass);
+      best_nodes = metrics.nodes_in_service;
+      best_util = metrics.avg_utilization_of_used;
+      stall = 0;
+    } else {
+      ++stall;
     }
   }
   best.iterations = passes;

@@ -7,7 +7,7 @@
 // The resume contract is byte-identity: a run killed at any event index
 // and restored from its last checkpoint produces exactly the same final
 // report, summary, and events log as the uninterrupted run, for any
-// --threads/--shards setting.  To guarantee that, every incrementally
+// --threads setting.  To guarantee that, every incrementally
 // maintained float (instance loads, node residuals, availability
 // integrals) is serialized verbatim with round-trip precision and restored
 // verbatim — never recomputed, because a recomputation would re-associate

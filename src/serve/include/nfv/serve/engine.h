@@ -107,7 +107,7 @@ struct ServeConfig {
   /// Streaming telemetry (DESIGN.md §14).  When > 0, the engine closes one
   /// timeline window every `snapshot_every` trace-time units and emits a
   /// "nfvpr.timeline/1" record per window — driven purely by event time,
-  /// so the stream is byte-identical for any --threads/--shards and across
+  /// so the stream is byte-identical for any --threads and across
   /// checkpoint/resume.  0 disables the timeline.
   double snapshot_every = 0.0;
   /// Sliding span (in windows) of the admission-wait percentile histogram.

@@ -15,7 +15,7 @@
 //
 // Both are pure functions of (config, observation, forecaster state) — no
 // RNG, no wall clock — so decisions are bit-identical for any --threads /
-// --shards / batch size and across checkpoint/resume.
+// batch size and across checkpoint/resume.
 #pragma once
 
 #include <cstdint>

@@ -189,8 +189,7 @@ TEST(SolverDifferential, BackendWorkRespectsDeterministicBudget) {
 // --- Executable spec of the race --------------------------------------
 
 /// Two or three disjoint chain families of three VNFs each (by seed) on
-/// nodes of `capacity`: a sharded solve splits the instance, and at tight
-/// capacity its boundary repair can fail.
+/// nodes of `capacity`; at tight capacity some backends cannot pack it.
 SystemModel make_component_model(std::uint64_t seed, double capacity) {
   Rng rng(seed * 7919 + 3);
   const std::size_t nodes = 4 + seed % 3;
@@ -250,8 +249,8 @@ std::unique_ptr<placement::PlacementAlgorithm> budgeted_backend(
 }
 
 /// The race's specification: for each backend a whole pipeline — its own
-/// placement, its own phase 2 (sharded unless its placement fell back),
-/// its own Eq. 16 — then the argmin under the total order feasible,
+/// placement, its own phase 2, its own Eq. 16 — then the argmin under the
+/// total order feasible,
 /// rejected, objective, backend id.
 SolverOutcome reference_race(const SystemModel& model, const JointConfig& base,
                              std::uint64_t work, std::uint64_t seed) {
@@ -265,17 +264,13 @@ SolverOutcome reference_race(const SystemModel& model, const JointConfig& base,
     const PreparedModel in = joint.prepare(model);
     JointResult r = joint.place(in, *budgeted_backend(id, work), seed);
     if (r.placement.feasible) {
-      SchedulePass pass =
-          joint.schedule(in, !r.shard_stats.fallback_monolithic, seed);
+      SchedulePass pass = joint.schedule(in, seed);
       for (std::size_t i = 0; i < pass.items(); ++i) pass.run_item(i);
       ScheduleResult phase = std::move(pass).finish();
       joint.evaluate(model, phase, r);
       r.contexts = std::move(phase.contexts);
       r.schedules = std::move(phase.schedules);
       r.admissions = std::move(phase.admissions);
-      r.shard_stats.boundary_requests = phase.boundary_requests;
-      r.shard_stats.rebalances = phase.rebalances;
-      r.shard_stats.migrations = phase.migrations;
     }
     BackendRun entry;
     entry.id = id;
@@ -350,20 +345,6 @@ void expect_same_outcome(const SolverOutcome& got, const SolverOutcome& want,
   EXPECT_EQ(g.avg_total_latency, w.avg_total_latency);
   EXPECT_EQ(g.avg_response, w.avg_response);
   EXPECT_EQ(g.job_rejection_rate, w.job_rejection_rate);
-  const shard::ShardStats& gs = g.shard_stats;
-  const shard::ShardStats& ws = w.shard_stats;
-  EXPECT_EQ(gs.enabled, ws.enabled);
-  EXPECT_EQ(gs.fallback_monolithic, ws.fallback_monolithic);
-  EXPECT_EQ(gs.shards, ws.shards);
-  EXPECT_EQ(gs.components, ws.components);
-  EXPECT_EQ(gs.splits, ws.splits);
-  EXPECT_EQ(gs.repair_moves, ws.repair_moves);
-  EXPECT_EQ(gs.drain_moves, ws.drain_moves);
-  EXPECT_EQ(gs.drained_nodes, ws.drained_nodes);
-  EXPECT_EQ(gs.boundary_requests, ws.boundary_requests);
-  EXPECT_EQ(gs.rebalances, ws.rebalances);
-  EXPECT_EQ(gs.migrations, ws.migrations);
-  EXPECT_EQ(gs.shard_placement_work, ws.shard_placement_work);
 }
 
 /// Races `model` at threads 1, 2 and 4 and compares each outcome with the
@@ -392,29 +373,15 @@ JointConfig spec_config() {
   return cfg;
 }
 
-JointConfig sharded(JointConfig cfg) {
-  cfg.shard.policy = shard::ShardPolicy::kFixed;
-  cfg.shard.shards = 2;
-  return cfg;
-}
-
 TEST(SolverDifferential, RaceEqualsAPipelinePerBackendOnSeededInstances) {
-  std::size_t sharded_races = 0;
-  std::size_t boundary_races = 0;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const std::string at = "seed " + std::to_string(seed);
     for (const SystemModel& model :
          {make_small_model(seed), make_component_model(seed, 500.0)}) {
       expect_race_matches_reference(model, spec_config(), kWorkBudget, seed,
                                     at);
-      const SolverOutcome want = expect_race_matches_reference(
-          model, sharded(spec_config()), kWorkBudget, seed, "sharded " + at);
-      sharded_races += want.result.shard_stats.enabled;
-      boundary_races += want.result.shard_stats.boundary_requests > 0;
     }
   }
-  EXPECT_GT(sharded_races, 0u);
-  EXPECT_GT(boundary_races, 0u);
 }
 
 TEST(SolverDifferential, RaceEqualsAPipelinePerBackendWhenOneBackendFails) {
@@ -426,26 +393,6 @@ TEST(SolverDifferential, RaceEqualsAPipelinePerBackendWhenOneBackendFails) {
   EXPECT_FALSE(want.backends[0].feasible);
   EXPECT_TRUE(want.backends[1].feasible);
   EXPECT_TRUE(want.backends[2].feasible);
-}
-
-TEST(SolverDifferential, FallenBackBackendGetsTheMonolithicPhaseTwo) {
-  // Sharded repair fails for BFDSU and PSO, which fall back to one
-  // monolithic placement each; LP's sharded placement holds.  The race
-  // then needs both the sharded and the monolithic phase 2.
-  const SystemModel model = make_component_model(19, 300.0);
-  const SolverOutcome want = expect_race_matches_reference(
-      model, sharded(spec_config()), kWorkBudget, 19, "sharded");
-  std::vector<bool> fell_back;
-  for (const std::string id : {"bfdsu", "lp", "pso"}) {
-    SolverConfig single = budgeted(id);
-    const SolverOutcome o =
-        PortfolioDriver(sharded(spec_config()), single).run(model, 19);
-    ASSERT_TRUE(o.result.feasible) << id;
-    ASSERT_TRUE(o.result.shard_stats.enabled) << id;
-    fell_back.push_back(o.result.shard_stats.fallback_monolithic);
-  }
-  EXPECT_EQ(fell_back, (std::vector<bool>{true, false, true}));
-  EXPECT_TRUE(want.result.feasible);
 }
 
 }  // namespace

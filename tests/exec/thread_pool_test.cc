@@ -134,7 +134,6 @@ TEST(ThreadPool, NestedParallelForRunsInlineOnWorkers) {
 
 TEST(ThreadPool, FreeFunctionsRunInlineWithoutPool) {
   ASSERT_EQ(pool(), nullptr);
-  EXPECT_EQ(current_concurrency(), 1u);
   std::size_t sum = 0;  // no atomics needed: must run on this thread
   parallel_for(10, [&](std::size_t i) { sum += i; });
   EXPECT_EQ(sum, 45u);
@@ -149,13 +148,35 @@ TEST(ThreadPool, ScopedPoolInstallsAndRestores) {
     ThreadPool workers(3);
     const ScopedPool scope(workers);
     EXPECT_EQ(pool(), &workers);
-    EXPECT_EQ(current_concurrency(), 3u);
     std::atomic<std::size_t> covered{0};
     parallel_for(64, [&](std::size_t) { ++covered; });
     EXPECT_EQ(covered.load(), 64u);
   }
   EXPECT_EQ(pool(), nullptr);
-  EXPECT_EQ(current_concurrency(), 1u);
+}
+
+TEST(ThreadPool, LocalPoolInstallsOnlyWhenNoneIsActive) {
+  ASSERT_EQ(pool(), nullptr);
+  {
+    const LocalPool serial(1);
+    EXPECT_EQ(pool(), nullptr);
+  }
+  {
+    const LocalPool outer(3);
+    ThreadPool* installed = pool();
+    ASSERT_NE(installed, nullptr);
+    EXPECT_EQ(installed->thread_count(), 3u);
+    {
+      const LocalPool inner(2);  // the outer scope's width wins
+      EXPECT_EQ(pool(), installed);
+    }
+    EXPECT_EQ(pool(), installed);
+    installed->parallel_for(4, [&](std::size_t) {
+      const LocalPool on_worker(2);  // a worker's fan-outs run inline
+      EXPECT_EQ(pool(), installed);
+    });
+  }
+  EXPECT_EQ(pool(), nullptr);
 }
 
 TEST(ThreadPool, SingleWorkerAndEmptyRegionsDegradeGracefully) {

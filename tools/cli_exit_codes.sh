@@ -52,11 +52,9 @@ for sub in place schedule pipeline simulate serve; do
   expect_exit 2 "$sub --threads x is a usage error" "$NFVPR" "$sub" --threads x
 done
 
-# --shards must be a positive integer on every shard-capable subcommand.
-for sub in place schedule pipeline serve; do
-  expect_exit 2 "$sub --shards 0 is a usage error" "$NFVPR" "$sub" --shards 0
-  expect_exit 2 "$sub --shards x is a usage error" "$NFVPR" "$sub" --shards x
-done
+# --shards is no longer an option: a stale script passing it must fail
+# loudly instead of silently getting a different run.
+expect_exit 2 "pipeline --shards 2 is a usage error" "$NFVPR" pipeline --shards 2
 
 # --- end-to-end telemetry -------------------------------------------------
 expect_exit 0 "generate-topology" \
@@ -115,60 +113,6 @@ else
   failures=$((failures + 1))
 fi
 
-# --- sharding is a wall-clock knob only -----------------------------------
-# One chain covering every VNF => one incidence component => sharding is
-# the identity: the sharded pipeline must match the unsharded one byte for
-# byte, report included (DESIGN.md §12).
-cat > "$WORK/single.wl" <<'EOF'
-vnf a 0 10 2 50
-vnf b 1 10 2 50
-vnf c 2 10 2 50
-request 3.0 0.98 0 1 2
-request 2.0 0.98 2 1 0
-EOF
-expect_exit 0 "pipeline unsharded reference" \
-  sh -c "'$NFVPR' pipeline -t '$WORK/dc.topo' -w '$WORK/single.wl' --seed 7 \
-         --metrics-out '$WORK/plain.json' > '$WORK/plain.txt'"
-expect_exit 0 "pipeline sharded run" \
-  sh -c "'$NFVPR' pipeline -t '$WORK/dc.topo' -w '$WORK/single.wl' --seed 7 \
-         --shards 4 --metrics-out '$WORK/shard.json' > '$WORK/shard.txt'"
-for pair in "plain.txt shard.txt stdout" "plain.json shard.json report"; do
-  set -- $pair
-  if cmp -s "$WORK/$1" "$WORK/$2"; then
-    echo "ok: --shards 4 $3 is identical on a one-component instance"
-  else
-    echo "FAIL: --shards 4 $3 differs on a one-component instance" >&2
-    diff "$WORK/$1" "$WORK/$2" | sed 's/^/  /' >&2
-    failures=$((failures + 1))
-  fi
-done
-
-# Two disjoint chains => two components => a real sharded solve; the
-# fan-out cap and thread count must still never change the answer.
-cat > "$WORK/two.wl" <<'EOF'
-vnf a 0 10 2 50
-vnf b 1 10 2 50
-vnf c 2 10 2 50
-vnf d 3 10 2 50
-request 3.0 0.98 0 1
-request 2.0 0.98 1 0
-request 4.0 0.98 2 3
-request 1.0 0.98 3 2
-EOF
-expect_exit 0 "sharded pipeline, 2 shards serial" \
-  sh -c "'$NFVPR' pipeline -t '$WORK/dc.topo' -w '$WORK/two.wl' --seed 7 \
-         --shards 2 -j 1 > '$WORK/s2.txt'"
-expect_exit 0 "sharded pipeline, 5 shards threaded" \
-  sh -c "'$NFVPR' pipeline -t '$WORK/dc.topo' -w '$WORK/two.wl' --seed 7 \
-         --shards 5 -j 8 > '$WORK/s5.txt'"
-if cmp -s "$WORK/s2.txt" "$WORK/s5.txt"; then
-  echo "ok: --shards 2 -j 1 and --shards 5 -j 8 outputs are identical"
-else
-  echo "FAIL: sharded outputs differ across fan-out/thread counts" >&2
-  diff "$WORK/s2.txt" "$WORK/s5.txt" | sed 's/^/  /' >&2
-  failures=$((failures + 1))
-fi
-
 # --- solver portfolio (DESIGN.md §17) --------------------------------------
 # Unknown algorithm names and solver ids are usage errors, not runtime
 # failures.
@@ -190,9 +134,6 @@ expect_exit 2 "--pso-swarm 0 exits 2" \
 expect_exit 2 "negative --budget-ms exits 2" \
   "$NFVPR" pipeline -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
   --solver portfolio --budget-ms=-1
-expect_exit 2 "place --solver with --shards exits 2" \
-  "$NFVPR" place -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
-  --solver portfolio --shards 2
 
 # Under --deterministic-budget the race is thread-count free: stdout and
 # the report are byte-identical for any -j.

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -41,7 +40,6 @@
 #include "nfv/scheduling/metrics.h"
 #include "nfv/serve/checkpoint.h"
 #include "nfv/serve/engine.h"
-#include "nfv/shard/placement.h"
 #include "nfv/sim/des.h"
 #include "nfv/topology/builders.h"
 #include "nfv/topology/io.h"
@@ -82,9 +80,6 @@ int usage() {
       "place/schedule/pipeline/simulate/serve accept --metrics-out\n"
       "<path> (JSON run report), --trace-out <path> (Chrome trace-event JSON)\n"
       "and --threads N (parallel fan-out; results are identical for any N).\n"
-      "place/schedule/pipeline/serve also accept --shards K (sharded solve:\n"
-      "canonical partition, K sub-solves in flight; results are identical\n"
-      "for any K — see DESIGN.md §12).\n"
       "place/pipeline/serve also accept --solver bfdsu|pso|lp|portfolio\n"
       "(race placement backends under --budget-ms / --work-budget; with\n"
       "--deterministic-budget results are bit-identical for any --threads\n"
@@ -152,10 +147,7 @@ class ThreadsFlag {
                    static_cast<long long>(threads_));
       return false;
     }
-    if (threads_ > 1) {
-      pool_.emplace(static_cast<std::uint32_t>(threads_));
-      scope_.emplace(*pool_);
-    }
+    pool_.emplace(static_cast<std::uint32_t>(threads_));
     return true;
   }
 
@@ -165,68 +157,8 @@ class ThreadsFlag {
 
  private:
   const std::int64_t& threads_;
-  std::optional<nfv::exec::ThreadPool> pool_;
-  std::optional<nfv::exec::ScopedPool> scope_;
+  std::optional<nfv::exec::LocalPool> pool_;
 };
-
-/// Registers --shards on a subcommand.  The partition is canonical —
-/// derived from the model alone (DESIGN.md §12) — so like --threads this
-/// is purely a wall-clock knob: results are byte-identical for any K.
-class ShardsFlag {
- public:
-  /// Sentinel default: CliParser cannot tell "absent" from "default", so
-  /// the off state is a value no user would pass.
-  static constexpr std::int64_t kOff =
-      std::numeric_limits<std::int64_t>::min();
-
-  explicit ShardsFlag(nfv::CliParser& cli)
-      : shards_(cli.add_int(
-            "shards", 'S',
-            "sharded solve with at most K sub-instances in flight (>= 1; "
-            "off when omitted; results identical for any K)", kOff)) {}
-
-  /// Returns false on 0/negative input (callers exit 2: usage error).
-  [[nodiscard]] bool validate() const {
-    if (shards_ != kOff && shards_ < 1) {
-      std::fprintf(stderr, "--shards must be >= 1 (got %lld)\n",
-                   static_cast<long long>(shards_));
-      return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool enabled() const { return shards_ != kOff; }
-
-  [[nodiscard]] nfv::shard::ShardConfig config() const {
-    nfv::shard::ShardConfig cfg;
-    if (enabled()) {
-      cfg.policy = nfv::shard::ShardPolicy::kFixed;
-      cfg.shards = static_cast<std::uint32_t>(shards_);
-    }
-    return cfg;
-  }
-
- private:
-  const std::int64_t& shards_;
-};
-
-/// One summary line for a sharded solve; printed only when a sharded
-/// solve actually ran, so single-component runs stay byte-identical to
-/// their unsharded twins.
-void print_shard_stats(const nfv::shard::ShardStats& s,
-                       std::FILE* out = stdout) {
-  if (!s.enabled) return;
-  std::fprintf(out,
-      "sharded solve         : %llu shards (%llu components, %llu splits), "
-      "%llu repair + %llu drain moves, %llu boundary requests%s\n",
-      static_cast<unsigned long long>(s.shards),
-      static_cast<unsigned long long>(s.components),
-      static_cast<unsigned long long>(s.splits),
-      static_cast<unsigned long long>(s.repair_moves),
-      static_cast<unsigned long long>(s.drain_moves),
-      static_cast<unsigned long long>(s.boundary_requests),
-      s.fallback_monolithic ? " — FELL BACK to monolithic" : "");
-}
 
 /// Registers the --solver flag family (DESIGN.md §17) on a subcommand.
 /// Off when --solver is omitted — the command keeps its legacy path and
@@ -253,7 +185,7 @@ class SolverFlags {
         deterministic_(cli.add_flag(
             "deterministic-budget", '\0',
             "ignore the clock: effort derives from --work-budget only, so "
-            "results are bit-identical for any --threads/--shards")),
+            "results are bit-identical for any --threads")),
         pso_swarm_(cli.add_int("pso-swarm", '\0', "PSO particles", 16)),
         pso_iters_(cli.add_int("pso-iters", '\0', "PSO sweeps", 48)),
         lp_iters_(cli.add_int("lp-iters", '\0', "LP subgradient steps", 240)) {
@@ -450,18 +382,11 @@ int cmd_place(int argc, const char* const* argv) {
       "BFDSU");
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   ThreadsFlag threads(cli);
-  ShardsFlag shards(cli);
   SolverFlags solver(cli);
   Telemetry tele(cli);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
-  if (!shards.validate()) return 2;
   if (!solver.validate()) return 2;
-  if (solver.enabled() && shards.enabled()) {
-    std::fputs("nfvpr place: --solver and --shards are mutually exclusive\n",
-               stderr);
-    return 2;
-  }
   std::unique_ptr<nfv::placement::PlacementAlgorithm> algo;
   if (!solver.enabled()) {
     // --solver overrides --algorithm, so the name is only resolved (and
@@ -478,7 +403,6 @@ int cmd_place(int argc, const char* const* argv) {
   const auto problem =
       nfv::placement::make_problem(model.topology, model.workload);
   tele.activate();
-  nfv::shard::ShardStats shard_stats;
   nfv::placement::Placement placement;
   nfv::core::SolverOutcome race;  // report/summary shell for --solver
   if (solver.enabled()) {
@@ -494,10 +418,6 @@ int cmd_place(int argc, const char* const* argv) {
     race.budget_work = scfg.work_budget;
     race.budget_ms = scfg.budget_ms;
     race.backends = std::move(raced.backends);
-  } else if (shards.enabled()) {
-    placement = nfv::shard::place_sharded(problem, *algo, shards.config(),
-                                          static_cast<std::uint64_t>(seed),
-                                          &shard_stats);
   } else {
     nfv::Rng rng(static_cast<std::uint64_t>(seed));
     placement = algo->place(problem, rng);
@@ -507,7 +427,6 @@ int cmd_place(int argc, const char* const* argv) {
   // sections stay absent for a placement-only run.
   nfv::core::JointResult partial;
   partial.placement = placement;
-  partial.shard_stats = shard_stats;
   if (placement.feasible) {
     partial.placement_metrics = nfv::placement::evaluate(problem, placement);
   }
@@ -545,7 +464,6 @@ int cmd_place(int argc, const char* const* argv) {
       metrics.nodes_in_service, model.topology.compute_count(),
       100.0 * metrics.avg_utilization_of_used, metrics.resource_occupation,
       static_cast<unsigned long long>(placement.iterations));
-  print_shard_stats(shard_stats);
   if (solver.enabled()) print_solver_outcome(race);
   return 0;
 }
@@ -558,13 +476,9 @@ int cmd_schedule(int argc, const char* const* argv) {
       "algorithm", 'a', "RCKK|CGA|CGA-online|LPT|RR|KK-fwd|CKK|DP2", "RCKK");
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   ThreadsFlag threads(cli);
-  // A single VNF is always one shard, so --shards is validated for
-  // interface symmetry and is otherwise the identity here.
-  ShardsFlag shards(cli);
   Telemetry tele(cli);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
-  if (!shards.validate()) return 2;
   const auto workload = read_workload(workload_file);
   if (static_cast<std::size_t>(vnf) >= workload.vnfs.size()) {
     std::fprintf(stderr, "vnf index out of range (have %zu)\n",
@@ -635,14 +549,12 @@ int cmd_pipeline(int argc, const char* const* argv) {
   const auto& report_out = cli.add_string(
       "report-out", '\0',
       "write the run report here (deterministic: no registry snapshot, "
-      "byte-identical for any --threads/--shards)", "");
+      "byte-identical for any --threads)", "");
   ThreadsFlag threads(cli);
-  ShardsFlag shards(cli);
   SolverFlags solver(cli);
   Telemetry tele(cli);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
-  if (!shards.validate()) return 2;
   if (!solver.validate()) return 2;
   // Unknown algorithm names are usage errors, surfaced before any file is
   // read (--solver supplies its own placement backends).
@@ -663,7 +575,6 @@ int cmd_pipeline(int argc, const char* const* argv) {
   cfg.scheduling_algorithm = scheduler;
   if (link >= 0.0) cfg.link_latency = link;
   cfg.exec.threads = threads.count();
-  cfg.shard = shards.config();
   tele.activate();
   nfv::core::SolverOutcome race;  // populated only with --solver
   nfv::core::JointResult result;
@@ -732,7 +643,6 @@ int cmd_pipeline(int argc, const char* const* argv) {
               result.avg_total_latency);
   std::printf("job rejection rate    : %.2f%%\n",
               100.0 * result.job_rejection_rate);
-  print_shard_stats(result.shard_stats);
   if (solver.enabled()) print_solver_outcome(race);
   if (sim) {
     std::printf("DES replay events     : %llu (%.0f s)\n",
@@ -1023,7 +933,7 @@ int cmd_serve(int argc, const char* const* argv) {
   const auto& snapshot_every = cli.add_double(
       "snapshot-every", '\0',
       "close a timeline window every N trace-time units (event-time driven; "
-      "the stream is byte-identical for any --threads/--shards; 0 = off)",
+      "the stream is byte-identical for any --threads; 0 = off)",
       0.0);
   const auto& timeline_span = cli.add_int(
       "timeline-span", '\0',
@@ -1075,16 +985,13 @@ int cmd_serve(int argc, const char* const* argv) {
   const auto& seed = cli.add_int("seed", 's', "RNG seed (recorded only; the "
                                  "engine is deterministic)", 1);
   ThreadsFlag threads(cli);
-  // --shards runs an offline sharded re-solve of the live state after the
-  // replay — the consolidation gap between online serving and a
-  // from-scratch sharded optimum.  --solver races placement backends in
-  // that same offline re-solve (DESIGN.md §17).
-  ShardsFlag shards(cli);
+  // --solver runs an offline re-solve of the live state after the replay,
+  // racing placement backends (DESIGN.md §17) — the consolidation gap
+  // between online serving and a from-scratch optimum.
   SolverFlags solver(cli);
   Telemetry tele(cli);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
-  if (!shards.validate()) return 2;
   if (!solver.validate()) return 2;
   if (topology_file.empty() || workload_file.empty() || trace_file.empty()) {
     std::fputs("nfvpr serve: --topology, --workload and --trace are required\n",
@@ -1406,45 +1313,34 @@ int cmd_serve(int argc, const char* const* argv) {
     std::fprintf(hout, "predicted latency     : mean %.5f s, p99 %.5f s (Eq. 16)\n",
                 summary.mean_predicted_latency,
                 summary.p99_predicted_latency);
-    if ((shards.enabled() || solver.enabled()) &&
-        summary.live_requests > 0) {
-      // Offline sharded re-solve of the live state: the consolidation gap
-      // between the online deployment and a from-scratch optimum.  With
-      // --solver the re-solve races placement backends (DESIGN.md §17).
+    if (solver.enabled() && summary.live_requests > 0) {
+      // Offline re-solve of the live state: the consolidation gap between
+      // the online deployment and a from-scratch optimum.
       try {
         nfv::core::SystemModel live_model;
         live_model.topology = topology;
         live_model.workload = engine->live_workload();
         nfv::core::JointConfig jcfg;
-        jcfg.shard = shards.config();
         if (link >= 0.0) jcfg.link_latency = link;
-        nfv::core::SolverOutcome race;
-        nfv::core::JointResult offline;
-        if (solver.enabled()) {
-          race = nfv::core::PortfolioDriver(jcfg, solver.config())
-                     .run(live_model, static_cast<std::uint64_t>(seed));
-          offline = std::move(race.result);
-        } else {
-          offline = nfv::core::JointOptimizer(jcfg).run(
-              live_model, static_cast<std::uint64_t>(seed));
-        }
-        if (offline.feasible) {
+        const nfv::core::SolverOutcome race =
+            nfv::core::PortfolioDriver(jcfg, solver.config())
+                .run(live_model, static_cast<std::uint64_t>(seed));
+        if (race.result.feasible) {
           std::fprintf(
               hout,
-              "offline sharded solve : %zu nodes vs %llu live "
+              "offline re-solve      : %zu nodes vs %llu live "
               "(avg latency %.5f s)\n",
-              offline.placement_metrics.nodes_in_service,
+              race.result.placement_metrics.nodes_in_service,
               static_cast<unsigned long long>(summary.nodes_in_service),
-              offline.avg_total_latency);
-          print_shard_stats(offline.shard_stats, hout);
-          if (solver.enabled()) print_solver_outcome(race, hout);
+              race.result.avg_total_latency);
+          print_solver_outcome(race, hout);
         } else {
-          std::fprintf(hout, "%s\n", "offline sharded solve : infeasible");
+          std::fprintf(hout, "%s\n", "offline re-solve      : infeasible");
         }
       } catch (const std::exception& e) {
         // A live state the offline solver cannot model (e.g. a VNF with
         // no live members) skips the comparison, never fails the replay.
-        std::fprintf(hout, "offline sharded solve : skipped (%s)\n", e.what());
+        std::fprintf(hout, "offline re-solve      : skipped (%s)\n", e.what());
       }
     }
     if (summary.arrivals > 0 &&
