@@ -1,9 +1,11 @@
 #include "harness.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <thread>
 
 #include "nfv/common/error.h"
 #include "nfv/exec/thread_pool.h"
@@ -256,6 +258,19 @@ JointSummary run_joint(const JointScenario& scenario,
   summary.rejection_rate = rejection.mean();
   summary.nodes_in_service = nodes.mean();
   return summary;
+}
+
+void warm_up_cores(std::uint32_t threads) {
+  if (threads <= 1) return;
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::vector<std::thread> spinners;
+  for (std::uint32_t t = 0; t < threads; ++t) {
+    spinners.emplace_back([until] {
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    });
+  }
+  for (std::thread& t : spinners) t.join();
 }
 
 void print_banner(std::string_view figure, std::string_view description) {

@@ -153,6 +153,13 @@ void print_banner(std::string_view figure, std::string_view description);
 void write_table_json(const Table& table, std::string_view bench,
                       const std::string& path);
 
+/// Keeps `threads` threads busy, untimed, for 5 s; a no-op for one
+/// thread.  On a virtual host whose vCPUs have sat idle, a fan-out gets
+/// about one core's worth of speed for its first seconds (2–4 s after 45 s
+/// idle, measured on a 4-vCPU VM), so benches that time `--threads N`
+/// against one thread call this before their first timed run.
+void warm_up_cores(std::uint32_t threads);
+
 /// (baseline − ours) / baseline as a percentage string-friendly double.
 [[nodiscard]] double enhancement_percent(double baseline, double ours);
 

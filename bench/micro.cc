@@ -19,6 +19,7 @@
 #include "nfv/common/table.h"
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/placement/algorithm.h"
+#include "nfv/placement/lp_round.h"
 #include "nfv/scheduling/algorithm.h"
 #include "nfv/workload/generator.h"
 
@@ -174,6 +175,22 @@ int main(int argc, char** argv) {
     });
     table.add_row({std::string("rckk_serve_shape"), 1LL,
                    static_cast<long long>(reps * 100), us,
+                   static_cast<long long>(work)});
+  }
+
+  // LP-relaxation placement at the Sec. V-A maximum shape (50 nodes, 30
+  // VNFs) and the portfolio's default 240 subgradient steps; work counts
+  // the steps.  Appended last, like the row above.
+  {
+    const nfv::placement::LpRoundPlacement algo;
+    const auto problem = placement_instance(30, 50, base_seed);
+    std::uint64_t work = 0;
+    const double us = wall_us(reps * 10, [&] {
+      nfv::Rng rng(base_seed + 1);
+      work = algo.place(problem, rng).iterations;
+    });
+    table.add_row({std::string("lp_place"), 1LL,
+                   static_cast<long long>(reps * 10), us,
                    static_cast<long long>(work)});
   }
 

@@ -9,12 +9,16 @@
 // deterministic budget:
 //
 //   wall_us     fastest of --reps races at --threads;
-//   wall_j1_us  fastest of --reps races on one thread;
+//   wall_j1_us  fastest of --reps races on one thread, interleaved with
+//               the threaded ones so both see the same host stretches;
 //   speedup     wall_j1_us / wall_us — what the threads buy;
 //   budget      shared work budget W (--work-budget);
 //   work        placement iterations charged by the row's winner;
 //   rejected    rejected requests in the winning solution;
 //   latency_us  Eq. 16 objective of the winning solution, in µs.
+//
+// With --threads above 1, the rows start after bench::warm_up_cores, which
+// brings a host that has sat idle up to its full core count.
 //
 // The binary itself enforces the portfolio contracts (exit 1): at every
 // budget the portfolio row's objective is <= every single backend's
@@ -97,18 +101,32 @@ nfv::core::SolverConfig budgeted(const std::string& solver,
   return cfg;
 }
 
-/// Runs `driver`'s race `reps` times; returns the fastest wall time in µs
-/// and leaves the last outcome in `outcome`.
-double fastest_race_us(const nfv::core::PortfolioDriver& driver,
-                       const nfv::core::SystemModel& model, std::uint64_t seed,
-                       long long reps, nfv::core::SolverOutcome& outcome) {
-  double best = std::numeric_limits<double>::infinity();
-  for (long long rep = 0; rep < reps; ++rep) {
+struct PairTimes {
+  double threaded_us = std::numeric_limits<double>::infinity();
+  double serial_us = std::numeric_limits<double>::infinity();
+};
+
+/// Fastest of `reps` races of `threaded` and of `serial`, in µs.  The
+/// reps alternate (threaded, serial, threaded, ...) so both minima see
+/// the same stretches of a host whose speed drifts.  The last outcome of
+/// each lands in `outcome` / `serial_outcome`.
+PairTimes fastest_race_pair_us(const nfv::core::PortfolioDriver& threaded,
+                               const nfv::core::PortfolioDriver& serial,
+                               const nfv::core::SystemModel& model,
+                               std::uint64_t seed, long long reps,
+                               nfv::core::SolverOutcome& outcome,
+                               nfv::core::SolverOutcome& serial_outcome) {
+  const auto race_us = [&](const nfv::core::PortfolioDriver& driver,
+                           nfv::core::SolverOutcome& out) {
     const auto start = Clock::now();
-    outcome = driver.run(model, seed);
-    best = std::min(
-        best, std::chrono::duration<double, std::micro>(Clock::now() - start)
-                  .count());
+    out = driver.run(model, seed);
+    return std::chrono::duration<double, std::micro>(Clock::now() - start)
+        .count();
+  };
+  PairTimes best;
+  for (long long rep = 0; rep < reps; ++rep) {
+    best.threaded_us = std::min(best.threaded_us, race_us(threaded, outcome));
+    best.serial_us = std::min(best.serial_us, race_us(serial, serial_outcome));
   }
   return best;
 }
@@ -156,6 +174,8 @@ int main(int argc, char** argv) {
   const std::uint64_t budgets[] = {4, 16, 64};
   const std::vector<std::string> solvers = {"bfdsu", "pso", "lp", "portfolio"};
 
+  nfv::bench::warm_up_cores(static_cast<std::uint32_t>(threads));
+
   nfv::Table table({"case", "budget", "threads", "reps", "wall_us",
                     "wall_j1_us", "speedup", "work", "rejected",
                     "latency_us"});
@@ -169,8 +189,13 @@ int main(int argc, char** argv) {
           base_config(static_cast<std::uint32_t>(threads)),
           budgeted(solver, budget));
       nfv::core::SolverOutcome outcome;
-      const double us = fastest_race_us(
-          driver, model, static_cast<std::uint64_t>(seed), reps, outcome);
+      nfv::core::SolverOutcome serial;
+      const PairTimes times = fastest_race_pair_us(
+          driver,
+          nfv::core::PortfolioDriver(base_config(1), budgeted(solver, budget)),
+          model, static_cast<std::uint64_t>(seed), reps, outcome, serial);
+      const double us = times.threaded_us;
+      const double us_j1 = times.serial_us;
       if (!outcome.result.feasible) {
         std::fprintf(stderr, "bench_portfolio: %s infeasible at budget %llu\n",
                      solver.c_str(),
@@ -180,10 +205,6 @@ int main(int argc, char** argv) {
 
       // Contract: the deterministic race is thread-count free — the
       // single-threaded reruns must reproduce every deterministic column.
-      nfv::core::SolverOutcome serial;
-      const double us_j1 = fastest_race_us(
-          nfv::core::PortfolioDriver(base_config(1), budgeted(solver, budget)),
-          model, static_cast<std::uint64_t>(seed), reps, serial);
       if (serial.winner != outcome.winner ||
           serial.result.total_latency != outcome.result.total_latency ||
           serial.result.placement.assignment !=

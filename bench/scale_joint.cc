@@ -9,7 +9,7 @@
 //
 //   wall_us   fastest of --reps runs at the row's thread count (the reps
 //             of the two rows interleave, so a change in the host's speed
-//             reaches both);
+//             reaches both, and start after bench::warm_up_cores);
 //   speedup   wall_us(monolithic, 1 thread) / wall_us(row) — what the
 //             per-VNF scheduling fan-out buys on this host;
 //   work      placement iterations + scheduling work;
@@ -172,6 +172,7 @@ int main(int argc, char** argv) {
       {"monolithic_par", static_cast<std::uint32_t>(threads), kNone,
        std::nullopt},
   };
+  nfv::bench::warm_up_cores(static_cast<std::uint32_t>(threads));
   for (long long rep = 0; rep < reps; ++rep) {
     for (Row& row : rows) {
       nfv::core::JointConfig cfg;

@@ -72,6 +72,12 @@ struct ScheduleResult {
   std::vector<sched::AdmissionResult> admissions;///< per VNF
 };
 
+/// Eq. 16's placement-independent terms for one phase 2 (phase_terms()).
+struct PhaseTerms {
+  std::vector<RequestOutcome> requests;  ///< admitted, response; no links
+  double avg_response = 0.0;             ///< mean W over all instances
+};
+
 /// Complete result of one pipeline run.
 struct JointResult {
   bool feasible = false;  ///< placement succeeded & all schedules stable
@@ -134,7 +140,8 @@ class SchedulePass {
 ///
 /// run() is three stages in sequence — place, schedule, evaluate — and the
 /// solver portfolio (DESIGN.md §17) composes the same stages: it places
-/// once per backend and schedules once per instance.
+/// once per backend, and schedules and takes the phase_terms() once per
+/// instance.
 class JointOptimizer {
  public:
   /// Throws std::invalid_argument for an out-of-range knob or an unknown
@@ -161,9 +168,10 @@ class JointOptimizer {
   [[nodiscard]] SchedulePass schedule(const PreparedModel& in,
                                       std::uint64_t seed) const;
 
-  /// Stage 3: Eq. 16 for `result`'s (feasible) placement against `phase`.
-  /// Fills requests and the aggregates and sets feasible.
-  void evaluate(const SystemModel& model, const ScheduleResult& phase,
+  /// Stage 3: Eq. 16 for `result`'s (feasible) placement on top of the
+  /// phase_terms() of its phase 2: adds the distinct-node link terms,
+  /// fills requests and the aggregates and sets feasible.
+  void evaluate(const SystemModel& model, const PhaseTerms& terms,
                 JointResult& result) const;
 
   [[nodiscard]] const JointConfig& config() const { return config_; }
@@ -172,6 +180,12 @@ class JointOptimizer {
   JointConfig config_;
   std::unique_ptr<const sched::SchedulingAlgorithm> scheduler_;
 };
+
+/// Stage 3's placement-independent part: each request's admission and
+/// Σ_chain W(f, k_r), and the mean W over all service instances.  Taken
+/// once per phase 2, however many placements are evaluated against it.
+[[nodiscard]] PhaseTerms phase_terms(const SystemModel& model,
+                                     const ScheduleResult& phase);
 
 /// Adds one returned result to the core.joint.* counters: runs, admitted
 /// and rejected requests.  run() calls it once per run, the portfolio race

@@ -192,7 +192,7 @@ JointResult JointOptimizer::run(const SystemModel& model,
     ScheduleResult phase = std::move(pass).finish();
     {
       const obs::ScopedSpan span("core.joint.evaluate");
-      evaluate(model, phase, result);
+      evaluate(model, phase_terms(model, phase), result);
     }
     result.adopt(std::move(phase));
   }
@@ -220,28 +220,17 @@ SchedulePass JointOptimizer::schedule(const PreparedModel& in,
   return SchedulePass(in, config_, *scheduler_, seed);
 }
 
-void JointOptimizer::evaluate(const SystemModel& model,
-                              const ScheduleResult& phase,
-                              JointResult& result) const {
+PhaseTerms phase_terms(const SystemModel& model, const ScheduleResult& phase) {
   // Admitted iff admitted at every chain VNF; response sums the
-  // post-admission W(f, k); link latency charges L per extra node.
-  const double link_l =
-      config_.link_latency.value_or(model.topology.mean_link_latency());
-
+  // post-admission W(f, k).
   const ChainPositionIndex positions =
       make_chain_position_index(model.workload, phase.contexts);
 
-  result.requests.resize(model.workload.requests.size());
-  std::size_t admitted_count = 0;
-  double total = 0.0;
-  // Distinct-node scratch reused across requests: chains are short, so a
-  // sort+unique over a small vector beats a per-request std::set (one
-  // node allocation per chain element) by a wide margin.
-  std::vector<std::uint32_t> nodes_scratch;
+  PhaseTerms terms;
+  terms.requests.resize(model.workload.requests.size());
   for (const auto& r : model.workload.requests) {
-    RequestOutcome& out = result.requests[r.id.index()];
+    RequestOutcome& out = terms.requests[r.id.index()];
     out.admitted = true;
-    nodes_scratch.clear();
     double response = 0.0;
     for (std::size_t j = 0; j < r.chain.size(); ++j) {
       const VnfId f = r.chain[j];
@@ -258,32 +247,9 @@ void JointOptimizer::evaluate(const SystemModel& model,
       const double load = m.instance_load[k];
       NFV_CHECK(load < mu_eff);  // admission guarantees stability
       response += 1.0 / (mu_eff - load);  // W(f, k), Eq. 12
-      nodes_scratch.push_back(
-          result.placement.assignment[f.index()]->value());
     }
-    if (!out.admitted) {
-      out.response_latency = 0.0;
-      out.link_latency = 0.0;
-      out.nodes_traversed = 0;
-      continue;
-    }
-    std::sort(nodes_scratch.begin(), nodes_scratch.end());
-    nodes_scratch.erase(
-        std::unique(nodes_scratch.begin(), nodes_scratch.end()),
-        nodes_scratch.end());
-    out.response_latency = response;
-    out.nodes_traversed = static_cast<std::uint32_t>(nodes_scratch.size());
-    out.link_latency =
-        static_cast<double>(out.nodes_traversed - 1) * link_l;
-    total += out.total_latency();
-    ++admitted_count;
+    if (out.admitted) out.response_latency = response;
   }
-  result.total_latency = total;
-  result.avg_total_latency =
-      admitted_count > 0 ? total / static_cast<double>(admitted_count) : 0.0;
-  result.job_rejection_rate =
-      1.0 - static_cast<double>(admitted_count) /
-                static_cast<double>(model.workload.requests.size());
 
   // Mean W over all service instances (post-admission loads).
   const std::size_t vnf_count = model.workload.vnfs.size();
@@ -299,10 +265,51 @@ void JointOptimizer::evaluate(const SystemModel& model,
       ++instance_count;
     }
   }
-  result.avg_response =
+  terms.avg_response =
       instance_count > 0
           ? response_sum / static_cast<double>(instance_count)
           : 0.0;
+  return terms;
+}
+
+void JointOptimizer::evaluate(const SystemModel& model, const PhaseTerms& terms,
+                              JointResult& result) const {
+  // Link latency charges L per extra node an admitted chain traverses.
+  const double link_l =
+      config_.link_latency.value_or(model.topology.mean_link_latency());
+
+  result.requests = terms.requests;
+  std::size_t admitted_count = 0;
+  double total = 0.0;
+  // Distinct-node scratch reused across requests: chains are short, so a
+  // sort+unique over a small vector beats a per-request std::set (one
+  // node allocation per chain element) by a wide margin.
+  std::vector<std::uint32_t> nodes_scratch;
+  for (const auto& r : model.workload.requests) {
+    RequestOutcome& out = result.requests[r.id.index()];
+    if (!out.admitted) continue;
+    nodes_scratch.clear();
+    for (const VnfId f : r.chain) {
+      nodes_scratch.push_back(
+          result.placement.assignment[f.index()]->value());
+    }
+    std::sort(nodes_scratch.begin(), nodes_scratch.end());
+    nodes_scratch.erase(
+        std::unique(nodes_scratch.begin(), nodes_scratch.end()),
+        nodes_scratch.end());
+    out.nodes_traversed = static_cast<std::uint32_t>(nodes_scratch.size());
+    out.link_latency =
+        static_cast<double>(out.nodes_traversed - 1) * link_l;
+    total += out.total_latency();
+    ++admitted_count;
+  }
+  result.total_latency = total;
+  result.avg_total_latency =
+      admitted_count > 0 ? total / static_cast<double>(admitted_count) : 0.0;
+  result.job_rejection_rate =
+      1.0 - static_cast<double>(admitted_count) /
+                static_cast<double>(model.workload.requests.size());
+  result.avg_response = terms.avg_response;
   result.feasible = true;
 }
 

@@ -259,13 +259,16 @@ SolverOutcome PortfolioDriver::run(const SystemModel& model,
   });
 
   // Phase-2 failures only surface when some placement is feasible, as
-  // they did per backend.
+  // they did per backend.  Eq. 16's placement-independent terms are taken
+  // once; each feasible placement adds only its link terms.
   std::optional<ScheduleResult> phase;
+  std::optional<PhaseTerms> terms;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (!results[i].placement.feasible) continue;
     if (!phase) phase.emplace(std::move(shared).finish());
     const obs::ScopedSpan span("core.solver.evaluate");
-    joint.evaluate(model, *phase, results[i]);
+    if (!terms) terms.emplace(phase_terms(model, *phase));
+    joint.evaluate(model, *terms, results[i]);
   }
 
   SolverOutcome outcome;

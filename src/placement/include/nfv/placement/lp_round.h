@@ -1,13 +1,16 @@
 // LP-relaxation placement with deterministic rounding (ROADMAP O5,
 // DESIGN.md §17).
 //
-// The fractional placement LP assigns each VNF a distribution x_{f,v} over
-// nodes (Σ_v x_{f,v} = 1, x ≥ 0) and is solved dependency-free by projected
+// The fractional placement LP gives each VNF a distribution x_{f,v} over
+// nodes (Σ_v x_{f,v} = 1, x ≥ 0), solved dependency-free by projected
 // subgradient descent on a concentration objective with a growing capacity
-// penalty.  Rounding is deterministic largest-fraction: VNFs in descending
-// demand order each take the highest-mass node among those with remaining
-// capacity (lowest index on ties), which repairs fractional choices the
-// earlier, larger VNFs have already filled.
+// penalty.  Every row starts uniform and the per-node subgradient has no f
+// term, so the rows never differ: the solver keeps one shared node
+// distribution x_v and projects it once per step.  Rounding is a
+// mass-ranked first fit: nodes ranked by descending x_v (lowest index on
+// ties), VNFs in descending demand order each take the first ranked node
+// that still fits, so later, smaller VNFs fill in where the larger ones
+// left room.
 #pragma once
 
 #include <chrono>
@@ -19,7 +22,7 @@
 namespace nfv::placement {
 
 /// Projected-subgradient solver for the fractional placement LP plus
-/// largest-fraction rounding.  Fully deterministic — the Rng argument is
+/// mass-ranked first-fit rounding.  Fully deterministic — the Rng argument is
 /// never drawn from.  `iterations` of the returned Placement counts
 /// subgradient steps, the work unit the portfolio budget is charged in.
 class LpRoundPlacement final : public PlacementAlgorithm {

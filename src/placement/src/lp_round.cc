@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "nfv/common/error.h"
@@ -49,9 +50,10 @@ Placement LpRoundPlacement::place(const PlacementProblem& problem,
   const std::size_t vnfs = problem.vnf_count();
   const std::size_t nodes = problem.node_count();
 
-  // x[f*nodes + v]: fractional assignment rows, each on the simplex.
-  std::vector<double> x(vnfs * nodes,
-                        1.0 / static_cast<double>(nodes));
+  // x[v]: the fractional row x_{f,·} of every VNF f.  Each starts uniform
+  // and takes the same step (the score has no f term), so they never
+  // differ.
+  std::vector<double> x(nodes, 1.0 / static_cast<double>(nodes));
   std::vector<double> load(nodes);
   std::vector<double> score(nodes);
   std::vector<double> sorted_scratch(nodes);
@@ -65,10 +67,12 @@ Placement LpRoundPlacement::place(const PlacementProblem& problem,
       break;  // anytime: round the fractional point reached so far
     }
     ++steps;
+    // Σ_f d_f·x_v accumulated per f, not as (Σ_f d_f)·x_v: the rounding
+    // of each partial sum is part of the answer LpRoundSpec pins.
     std::fill(load.begin(), load.end(), 0.0);
     for (std::size_t f = 0; f < vnfs; ++f) {
       for (std::size_t v = 0; v < nodes; ++v) {
-        load[v] += problem.demands[f] * x[f * nodes + v];
+        load[v] += problem.demands[f] * x[v];
       }
     }
     // Per-node subgradient: concentrate onto large nodes (capacity cost)
@@ -84,21 +88,16 @@ Placement LpRoundPlacement::place(const PlacementProblem& problem,
       score[v] = max_capacity / capacity - 1.0 + beta * overload;
     }
     const double eta = options_.step / std::sqrt(static_cast<double>(t));
-    for (std::size_t f = 0; f < vnfs; ++f) {
-      std::vector<double> row(x.begin() +
-                                  static_cast<std::ptrdiff_t>(f * nodes),
-                              x.begin() +
-                                  static_cast<std::ptrdiff_t>((f + 1) * nodes));
-      for (std::size_t v = 0; v < nodes; ++v) row[v] -= eta * score[v];
-      project_to_simplex(row, sorted_scratch);
-      std::copy(row.begin(), row.end(),
-                x.begin() + static_cast<std::ptrdiff_t>(f * nodes));
-    }
+    for (std::size_t v = 0; v < nodes; ++v) x[v] -= eta * score[v];
+    project_to_simplex(x, sorted_scratch);
   }
 
-  // Deterministic largest-fraction rounding with best-fit capacity repair:
-  // descending-demand VNFs take their highest-mass node that still fits
-  // (lowest index on ties), falling back to the tightest feasible node.
+  // Mass-ranked first fit: descending-demand VNFs each take the first node
+  // in descending-mass order (lowest index on ties) that still fits.
+  std::vector<std::uint32_t> by_mass(nodes);
+  std::iota(by_mass.begin(), by_mass.end(), 0u);
+  std::stable_sort(by_mass.begin(), by_mass.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return x[a] > x[b]; });
   Placement result;
   result.assignment.assign(vnfs, std::nullopt);
   result.iterations = steps;
@@ -106,23 +105,15 @@ Placement LpRoundPlacement::place(const PlacementProblem& problem,
   bool feasible = true;
   for (const std::uint32_t f : detail::demand_order_desc(problem)) {
     const double demand = problem.demands[f];
-    std::uint32_t chosen = 0xffffffffu;
-    double best_mass = -1.0;
-    for (std::uint32_t v = 0; v < nodes; ++v) {
-      if (!detail::fits(residual[v], demand)) continue;
-      const double mass = x[f * nodes + v];
-      if (mass > best_mass) {
-        best_mass = mass;
-        chosen = v;
-      }
-    }
-    if (chosen == 0xffffffffu) {
-      // No feasible node at all for this VNF: the rounded solution is
-      // infeasible (best-fit would scan the same empty candidate set).
-      feasible = false;
+    const auto chosen =
+        std::find_if(by_mass.begin(), by_mass.end(), [&](std::uint32_t v) {
+          return detail::fits(residual[v], demand);
+        });
+    if (chosen == by_mass.end()) {
+      feasible = false;  // no node can hold this VNF any more
       continue;
     }
-    detail::assign(result, residual, f, chosen, demand);
+    detail::assign(result, residual, f, *chosen, demand);
   }
   result.feasible = feasible;
   obs::count("placement.lp.steps", steps);

@@ -1,7 +1,8 @@
 #include "nfv/placement/problem.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
+#include <utility>
 
 #include "nfv/common/error.h"
 
@@ -54,25 +55,33 @@ PlacementProblem make_problem(const topo::Topology& topology,
     NFV_REQUIRE(f.id.index() == p.demands.size());  // dense VnfIds
     p.demands.push_back(f.total_demand());
   }
-  // Deduplicate chains; keep descending frequency so chain-based algorithms
-  // handle the hottest chains first.
-  std::map<std::vector<std::uint32_t>, std::size_t> frequency;
-  for (const auto& r : workload.requests) {
-    std::vector<std::uint32_t> chain;
-    chain.reserve(r.chain.size());
-    for (const VnfId f : r.chain) chain.push_back(f.value());
-    ++frequency[std::move(chain)];
+  // Deduplicate chains: sort the requests on their chains (the order a
+  // std::map keyed by chain has) and count each run of equal chains, then
+  // stable-sort by descending count so chain-based algorithms handle the
+  // hottest chains first; ties stay in ascending chain order.
+  const auto& requests = workload.requests;
+  std::vector<std::uint32_t> order(requests.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return requests[a].chain < requests[b].chain;
+  });
+  std::vector<std::pair<std::uint32_t, std::size_t>> runs;  // (request, count)
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i > 0 && requests[order[i]].chain == requests[order[i - 1]].chain) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(order[i], 1);
+    }
   }
-  std::vector<std::pair<std::vector<std::uint32_t>, std::size_t>> ordered(
-      frequency.begin(), frequency.end());
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  p.chains.reserve(ordered.size());
-  p.chain_weights.reserve(ordered.size());
-  for (auto& [chain, count] : ordered) {
-    p.chains.push_back(std::move(chain));
+  std::stable_sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+    return a.second > b.second;
+  });
+  p.chains.reserve(runs.size());
+  p.chain_weights.reserve(runs.size());
+  for (const auto& [r, count] : runs) {
+    auto& chain = p.chains.emplace_back();
+    chain.reserve(requests[r].chain.size());
+    for (const VnfId f : requests[r].chain) chain.push_back(f.value());
     p.chain_weights.push_back(static_cast<double>(count));
   }
   p.validate();

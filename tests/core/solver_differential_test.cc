@@ -5,7 +5,9 @@
 // best single backend bit-for-bit — racing never costs quality.  An
 // executable spec pins the race itself: sharing one phase 2 among the
 // backends must give, field for field, what a full pipeline per backend
-// followed by the argmin gives.
+// followed by the argmin gives; another pins stage 3: phase_terms() once
+// plus evaluate() per placement must give what the one-pass evaluation
+// of Eq. 16 gave.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -267,7 +269,7 @@ SolverOutcome reference_race(const SystemModel& model, const JointConfig& base,
       SchedulePass pass = joint.schedule(in, seed);
       for (std::size_t i = 0; i < pass.items(); ++i) pass.run_item(i);
       ScheduleResult phase = std::move(pass).finish();
-      joint.evaluate(model, phase, r);
+      joint.evaluate(model, phase_terms(model, phase), r);
       r.contexts = std::move(phase.contexts);
       r.schedules = std::move(phase.schedules);
       r.admissions = std::move(phase.admissions);
@@ -393,6 +395,178 @@ TEST(SolverDifferential, RaceEqualsAPipelinePerBackendWhenOneBackendFails) {
   EXPECT_FALSE(want.backends[0].feasible);
   EXPECT_TRUE(want.backends[1].feasible);
   EXPECT_TRUE(want.backends[2].feasible);
+}
+
+// --- Executable spec of stage 3 ---------------------------------------
+
+/// The one-pass Eq. 16 evaluation that phase_terms() + evaluate() split:
+/// chain positions, admission, Σ W(f, k), distinct nodes and totals per
+/// request in a single sweep, then the mean W over all instances.
+struct SpecChainPositionIndex {
+  std::vector<std::size_t> offsets;
+  std::vector<std::uint32_t> position;
+
+  [[nodiscard]] std::uint32_t at(std::size_t request_index,
+                                 std::size_t chain_offset) const {
+    return position[offsets[request_index] + chain_offset];
+  }
+};
+
+SpecChainPositionIndex spec_chain_position_index(
+    const workload::Workload& workload,
+    const std::vector<VnfSchedulingContext>& contexts) {
+  SpecChainPositionIndex index;
+  index.offsets.resize(workload.requests.size() + 1, 0);
+  for (std::size_t r = 0; r < workload.requests.size(); ++r) {
+    index.offsets[r + 1] = index.offsets[r] + workload.requests[r].chain.size();
+  }
+  index.position.resize(index.offsets.back());
+  constexpr std::uint32_t kNoRequest = 0xffffffffu;
+  std::vector<std::uint32_t> cursor(contexts.size(), 0);
+  std::vector<std::uint32_t> seen_in(contexts.size(), kNoRequest);
+  std::vector<std::uint32_t> first_pos(contexts.size(), 0);
+  for (std::uint32_t r_idx = 0; r_idx < workload.requests.size(); ++r_idx) {
+    const auto& chain = workload.requests[r_idx].chain;
+    for (std::size_t j = 0; j < chain.size(); ++j) {
+      const std::size_t f = chain[j].index();
+      if (seen_in[f] != r_idx) {
+        seen_in[f] = r_idx;
+        first_pos[f] = cursor[f]++;
+      }
+      index.position[index.offsets[r_idx] + j] = first_pos[f];
+    }
+  }
+  return index;
+}
+
+void spec_evaluate(const SystemModel& model, const ScheduleResult& phase,
+                   double link_l, JointResult& result) {
+  const SpecChainPositionIndex positions =
+      spec_chain_position_index(model.workload, phase.contexts);
+
+  result.requests.resize(model.workload.requests.size());
+  std::size_t admitted_count = 0;
+  double total = 0.0;
+  std::vector<std::uint32_t> nodes_scratch;
+  for (const auto& r : model.workload.requests) {
+    RequestOutcome& out = result.requests[r.id.index()];
+    out.admitted = true;
+    nodes_scratch.clear();
+    double response = 0.0;
+    for (std::size_t j = 0; j < r.chain.size(); ++j) {
+      const VnfId f = r.chain[j];
+      const std::uint32_t pos = positions.at(r.id.index(), j);
+      const auto& admission = phase.admissions[f.index()];
+      if (!admission.admitted[pos]) {
+        out.admitted = false;
+        break;
+      }
+      const std::uint32_t k = phase.schedules[f.index()].instance_of[pos];
+      const auto& m = admission.admitted_metrics;
+      const double mu_eff = phase.contexts[f.index()].problem.delivery_prob *
+                            phase.contexts[f.index()].problem.service_rate;
+      const double load = m.instance_load[k];
+      NFV_CHECK(load < mu_eff);
+      response += 1.0 / (mu_eff - load);
+      nodes_scratch.push_back(
+          result.placement.assignment[f.index()]->value());
+    }
+    if (!out.admitted) {
+      out.response_latency = 0.0;
+      out.link_latency = 0.0;
+      out.nodes_traversed = 0;
+      continue;
+    }
+    std::sort(nodes_scratch.begin(), nodes_scratch.end());
+    nodes_scratch.erase(
+        std::unique(nodes_scratch.begin(), nodes_scratch.end()),
+        nodes_scratch.end());
+    out.response_latency = response;
+    out.nodes_traversed = static_cast<std::uint32_t>(nodes_scratch.size());
+    out.link_latency =
+        static_cast<double>(out.nodes_traversed - 1) * link_l;
+    total += out.total_latency();
+    ++admitted_count;
+  }
+  result.total_latency = total;
+  result.avg_total_latency =
+      admitted_count > 0 ? total / static_cast<double>(admitted_count) : 0.0;
+  result.job_rejection_rate =
+      1.0 - static_cast<double>(admitted_count) /
+                static_cast<double>(model.workload.requests.size());
+
+  const std::size_t vnf_count = model.workload.vnfs.size();
+  double response_sum = 0.0;
+  std::size_t instance_count = 0;
+  for (std::size_t f = 0; f < vnf_count; ++f) {
+    const auto& m = phase.admissions[f].admitted_metrics;
+    const double mu_eff = phase.contexts[f].problem.delivery_prob *
+                          phase.contexts[f].problem.service_rate;
+    for (const double load : m.instance_load) {
+      NFV_CHECK(load < mu_eff);
+      response_sum += 1.0 / (mu_eff - load);
+      ++instance_count;
+    }
+  }
+  result.avg_response =
+      instance_count > 0
+          ? response_sum / static_cast<double>(instance_count)
+          : 0.0;
+  result.feasible = true;
+}
+
+TEST(SolverDifferential, SplitEvaluateMatchesOnePassUnderAdmissionPressure) {
+  std::size_t rejected = 0;
+  std::size_t admitted = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    // Arrival rates scaled 4..9×, so ρ_max admission rejects part of the
+    // load on most seeds.
+    SystemModel model = make_small_model(seed);
+    for (auto& r : model.workload.requests) {
+      r.arrival_rate *= static_cast<double>(4 + seed % 6);
+    }
+    JointConfig with_l = spec_config();
+    JointConfig mean_l = spec_config();
+    mean_l.link_latency.reset();  // the topology's mean link latency
+    for (const JointConfig& cfg : {with_l, mean_l}) {
+      const JointOptimizer joint(cfg);
+      const PreparedModel in = joint.prepare(model);
+      SchedulePass pass = joint.schedule(in, seed);
+      for (std::size_t i = 0; i < pass.items(); ++i) pass.run_item(i);
+      const ScheduleResult phase = std::move(pass).finish();
+      const PhaseTerms terms = phase_terms(model, phase);
+      const double link_l = cfg.link_latency.value_or(
+          model.topology.mean_link_latency());
+      for (const std::string id : {"bfdsu", "lp", "pso"}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " " + id);
+        JointResult got =
+            joint.place(in, *budgeted_backend(id, kWorkBudget), seed);
+        ASSERT_TRUE(got.placement.feasible);
+        JointResult want = got;
+        joint.evaluate(model, terms, got);
+        spec_evaluate(model, phase, link_l, want);
+        EXPECT_EQ(got.feasible, want.feasible);
+        ASSERT_EQ(got.requests.size(), want.requests.size());
+        for (std::size_t r = 0; r < want.requests.size(); ++r) {
+          EXPECT_EQ(got.requests[r].admitted, want.requests[r].admitted);
+          EXPECT_EQ(got.requests[r].response_latency,
+                    want.requests[r].response_latency);
+          EXPECT_EQ(got.requests[r].link_latency,
+                    want.requests[r].link_latency);
+          EXPECT_EQ(got.requests[r].nodes_traversed,
+                    want.requests[r].nodes_traversed);
+          ++(want.requests[r].admitted ? admitted : rejected);
+        }
+        EXPECT_EQ(got.total_latency, want.total_latency);
+        EXPECT_EQ(got.avg_total_latency, want.avg_total_latency);
+        EXPECT_EQ(got.job_rejection_rate, want.job_rejection_rate);
+        EXPECT_EQ(got.avg_response, want.avg_response);
+      }
+    }
+  }
+  // Both the admitted and the rejected path are exercised.
+  EXPECT_GT(rejected, admitted / 10);
+  EXPECT_GT(admitted, rejected / 10);
 }
 
 }  // namespace

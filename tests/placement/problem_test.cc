@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "nfv/topology/builders.h"
 #include "nfv/workload/generator.h"
 
@@ -90,6 +96,134 @@ TEST(MakeProblem, ChainsAreDeduplicatedAndFrequencyOrdered) {
   // The {0,1} chain occurs three times -> listed first.
   EXPECT_EQ(p.chains[0], (std::vector<std::uint32_t>{0, 1}));
   EXPECT_EQ(p.chains[1], (std::vector<std::uint32_t>{0}));
+}
+
+/// make_problem's chain dedup as a std::map keyed by chain: ascending
+/// chain order, then a stable sort by descending request count.
+std::pair<std::vector<std::vector<std::uint32_t>>, std::vector<double>>
+map_reference_chains(const workload::Workload& workload) {
+  std::map<std::vector<std::uint32_t>, std::size_t> frequency;
+  for (const auto& r : workload.requests) {
+    std::vector<std::uint32_t> chain;
+    for (const VnfId f : r.chain) chain.push_back(f.value());
+    ++frequency[std::move(chain)];
+  }
+  std::vector<std::pair<std::vector<std::uint32_t>, std::size_t>> ordered(
+      frequency.begin(), frequency.end());
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second > b.second;
+                   });
+  std::pair<std::vector<std::vector<std::uint32_t>>, std::vector<double>> out;
+  for (auto& [chain, count] : ordered) {
+    out.first.push_back(std::move(chain));
+    out.second.push_back(static_cast<double>(count));
+  }
+  return out;
+}
+
+/// `requests` requests over `vnfs` VNFs with chains of 1..max_len VNFs
+/// drawn with repetition (a VNF may recur inside one chain).  Few VNFs and
+/// short chains make duplicates and count ties common.
+workload::Workload random_chain_workload(Rng& rng, std::uint32_t vnfs,
+                                         std::uint32_t requests,
+                                         std::uint32_t max_len) {
+  workload::Workload w;
+  for (std::uint32_t f = 0; f < vnfs; ++f) {
+    workload::Vnf v;
+    v.id = VnfId{f};
+    v.demand_per_instance = 10.0;
+    v.service_rate = 100.0;
+    w.vnfs.push_back(v);
+  }
+  for (std::uint32_t i = 0; i < requests; ++i) {
+    workload::Request r;
+    r.id = RequestId{i};
+    const auto len = static_cast<std::uint32_t>(1 + rng.below(max_len));
+    for (std::uint32_t k = 0; k < len; ++k) {
+      r.chain.push_back(VnfId{static_cast<std::uint32_t>(rng.below(vnfs))});
+    }
+    r.arrival_rate = 1.0;
+    w.requests.push_back(std::move(r));
+  }
+  return w;
+}
+
+void expect_chains_match_map_reference(const topo::Topology& topology,
+                                       const workload::Workload& w,
+                                       const std::string& where) {
+  SCOPED_TRACE(where);
+  const auto [chains, weights] = map_reference_chains(w);
+  const PlacementProblem p = make_problem(topology, w);
+  EXPECT_EQ(p.chains, chains);
+  EXPECT_EQ(p.chain_weights, weights);
+}
+
+TEST(MakeProblem, ChainDedupMatchesMapReference) {
+  Rng topo_rng(3);
+  const auto topology = topo::make_star(
+      4, topo::CapacitySpec{1e6, 1e6}, topo::LinkSpec{}, topo_rng);
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const auto vnfs = static_cast<std::uint32_t>(1 + rng.below(4));
+    const auto requests = static_cast<std::uint32_t>(1 + rng.below(200));
+    const auto max_len = static_cast<std::uint32_t>(1 + rng.below(4));
+    expect_chains_match_map_reference(
+        topology, random_chain_workload(rng, vnfs, requests, max_len),
+        "seed " + std::to_string(seed));
+  }
+  // Generated workloads: independent chains, and a few templates shared
+  // by many requests.
+  for (const std::uint32_t templates : {0u, 3u, 16u}) {
+    workload::WorkloadConfig cfg;
+    cfg.vnf_count = 12;
+    cfg.request_count = 400;
+    cfg.chain_template_count = templates;
+    Rng rng(templates + 11);
+    expect_chains_match_map_reference(
+        topology, workload::WorkloadGenerator(cfg).generate(rng),
+        "templates " + std::to_string(templates));
+  }
+}
+
+TEST(MakeProblem, CountTiesKeepAscendingChainOrder) {
+  Rng rng(4);
+  const auto topology = topo::make_star(
+      3, topo::CapacitySpec{1e6, 1e6}, topo::LinkSpec{}, rng);
+  workload::Workload w = random_chain_workload(rng, 3, 0, 1);
+  const auto add = [&w](std::vector<std::uint32_t> chain) {
+    workload::Request r;
+    r.id = RequestId{static_cast<std::uint32_t>(w.requests.size())};
+    for (const std::uint32_t f : chain) r.chain.push_back(VnfId{f});
+    r.arrival_rate = 1.0;
+    w.requests.push_back(std::move(r));
+  };
+  // Twice each, listed out of order: {2}, {0,1}, {1,1}, {0}, {0,1,0}.
+  for (int pass = 0; pass < 2; ++pass) {
+    add({2});
+    add({0, 1});
+    add({1, 1});
+    add({0});
+    add({0, 1, 0});
+  }
+  add({1});  // once: ranks after every tied pair
+  const PlacementProblem p = make_problem(topology, w);
+  const std::vector<std::vector<std::uint32_t>> want = {
+      {0}, {0, 1}, {0, 1, 0}, {1, 1}, {2}, {1}};
+  EXPECT_EQ(p.chains, want);
+  EXPECT_EQ(p.chain_weights, (std::vector<double>{2, 2, 2, 2, 2, 1}));
+  expect_chains_match_map_reference(topology, w, "ties");
+}
+
+TEST(MakeProblem, SingleRequestWorkload) {
+  Rng rng(5);
+  const auto topology = topo::make_star(
+      2, topo::CapacitySpec{1e6, 1e6}, topo::LinkSpec{}, rng);
+  const workload::Workload w = random_chain_workload(rng, 3, 1, 4);
+  const PlacementProblem p = make_problem(topology, w);
+  ASSERT_EQ(p.chains.size(), 1u);
+  EXPECT_EQ(p.chain_weights, (std::vector<double>{1.0}));
+  expect_chains_match_map_reference(topology, w, "single request");
 }
 
 TEST(Placement, PlacesAccessor) {
