@@ -3,7 +3,7 @@
 //   * BFDSU  — the paper's Algorithm 1 (priority-driven weighted best fit),
 //   * FFD    — First Fit Decreasing baseline,
 //   * NAH    — Node Assignment Heuristic of Xia et al. [12],
-// plus classical fits (BFD / FF / NF / WFD) and an exact branch-and-bound
+// plus classical fits (BFD / NFD / WFD) and an exact branch-and-bound
 // for small instances (used to validate Theorem 2's factor-2 bound).
 #pragma once
 
@@ -40,14 +40,6 @@ class FfdPlacement final : public PlacementAlgorithm {
   [[nodiscard]] Placement place(const PlacementProblem& problem,
                                 Rng& rng) const override;
   [[nodiscard]] std::string_view name() const override { return "FFD"; }
-};
-
-/// First Fit in the given VNF order (no sort) — ablation baseline.
-class FirstFitPlacement final : public PlacementAlgorithm {
- public:
-  [[nodiscard]] Placement place(const PlacementProblem& problem,
-                                Rng& rng) const override;
-  [[nodiscard]] std::string_view name() const override { return "FF"; }
 };
 
 /// Next Fit Decreasing: keeps a single open node, moves on when full.
@@ -143,9 +135,9 @@ class ExactPlacement final : public PlacementAlgorithm {
   std::uint64_t max_expansions_;
 };
 
-/// Returns the algorithm instance registered under `name` ("BFDSU", "FFD",
-/// "NAH", "BFD", "WFD", "FF", "NFD", "PSO", "LP", "Exact"); nullptr if
-/// unknown — callers surface that as a usage error, never fall back.
+/// Returns the algorithm instance registered under `name`, one of
+/// placement_algorithm_names(); nullptr if unknown — callers surface that
+/// as a usage error, never fall back.
 [[nodiscard]] std::unique_ptr<PlacementAlgorithm> make_placement_algorithm(
     std::string_view name);
 

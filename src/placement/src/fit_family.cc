@@ -1,31 +1,9 @@
-// First Fit (unsorted), Next Fit Decreasing, Best Fit Decreasing and Worst
-// Fit Decreasing — classical comparators and ablation baselines.
+// Next Fit Decreasing, Best Fit Decreasing and Worst Fit Decreasing —
+// classical comparators and ablation baselines.
 #include "nfv/placement/algorithm.h"
 #include "fit_util.h"
 
 namespace nfv::placement {
-
-Placement FirstFitPlacement::place(const PlacementProblem& problem,
-                                   Rng& /*rng*/) const {
-  problem.validate();
-  Placement result;
-  result.assignment.resize(problem.vnf_count());
-  result.iterations = 1;
-  std::vector<double> residual = problem.capacities;
-  for (std::uint32_t f = 0; f < problem.vnf_count(); ++f) {
-    bool placed = false;
-    for (std::uint32_t v = 0; v < problem.node_count(); ++v) {
-      if (detail::fits(residual[v], problem.demands[f])) {
-        detail::assign(result, residual, f, v, problem.demands[f]);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return result;
-  }
-  result.feasible = true;
-  return result;
-}
 
 Placement NfdPlacement::place(const PlacementProblem& problem,
                               Rng& /*rng*/) const {

@@ -153,8 +153,8 @@ class TwoWayDpScheduling final : public SchedulingAlgorithm {
   Options options_{};
 };
 
-/// Returns the scheduler registered under `name` ("RCKK", "CGA",
-/// "CGA-online", "LPT", "RR", "KK-fwd", "CKK", "DP2"); nullptr if unknown.
+/// Returns the scheduler registered under `name`, one of
+/// scheduling_algorithm_names(); nullptr if unknown.
 [[nodiscard]] std::unique_ptr<SchedulingAlgorithm> make_scheduling_algorithm(
     std::string_view name);
 

@@ -1,4 +1,4 @@
-// Unit tests of the deterministic fit family: FFD, FF, NFD, BFD, WFD.
+// Unit tests of the deterministic fit family: FFD, NFD, BFD, WFD.
 #include <gtest/gtest.h>
 
 #include "nfv/placement/algorithm.h"
@@ -41,18 +41,6 @@ TEST(Ffd, PrefersLowIndexNodes) {
   ASSERT_TRUE(result.feasible);
   EXPECT_EQ(*result.assignment[0], NodeId{0});
   EXPECT_EQ(*result.assignment[1], NodeId{0});
-}
-
-TEST(FirstFit, OrderSensitivity) {
-  // Unsorted FF packs {4, 7, 5} into capacity 10: {4,5},{7} = 2 bins but
-  // with 4 placed first; FFD would start with 7.
-  Rng rng(4);
-  const auto p = uniform_problem({4, 7, 5}, 3, 10.0);
-  const Placement ff = FirstFitPlacement{}.place(p, rng);
-  ASSERT_TRUE(ff.feasible);
-  EXPECT_EQ(*ff.assignment[0], NodeId{0});  // 4 first
-  EXPECT_EQ(*ff.assignment[1], NodeId{1});  // 7 doesn't fit with 4
-  EXPECT_EQ(*ff.assignment[2], NodeId{0});  // 5 joins the 4
 }
 
 TEST(Nfd, NeverReturnsToClosedNode) {
@@ -106,7 +94,7 @@ TEST(Bfd, ConsolidatesLoad) {
 TEST(FitFamily, ExactFitLeavesZeroResidual) {
   Rng rng(10);
   const auto p = uniform_problem({10, 10}, 2, 10.0);
-  for (const auto* name : {"FFD", "BFD", "WFD", "FF", "NFD"}) {
+  for (const auto* name : {"FFD", "BFD", "WFD", "NFD"}) {
     const auto algo = make_placement_algorithm(name);
     ASSERT_NE(algo, nullptr) << name;
     const Placement result = algo->place(p, rng);
@@ -120,7 +108,7 @@ TEST(FitFamily, ExactFitLeavesZeroResidual) {
 TEST(FitFamily, SingleItemSingleNode) {
   Rng rng(11);
   const auto p = uniform_problem({3}, 1, 10.0);
-  for (const auto* name : {"FFD", "BFD", "WFD", "FF", "NFD"}) {
+  for (const auto* name : {"FFD", "BFD", "WFD", "NFD"}) {
     const auto algo = make_placement_algorithm(name);
     const Placement result = algo->place(p, rng);
     ASSERT_TRUE(result.feasible) << name;

@@ -80,7 +80,7 @@ expect_contains "$WORK/trace.json" '"ph": "X"' \
 expect_contains "$WORK/trace.json" 'core.joint.run' \
   "trace file has the joint-run span"
 
-# --- generators: negative counts are usage errors -------------------------
+# --- count flags: negative or out-of-range values are usage errors -------
 # Count flags are cast to unsigned widths; a negative value must exit 2 at
 # once rather than wrap to a huge count (timeout turns a hang into a FAIL).
 expect_exit 2 "generate-topology --nodes -1 exits 2" \
@@ -97,6 +97,10 @@ expect_exit 2 "generate-trace --events -1 exits 2" \
   timeout 10 "$NFVPR" generate-trace -w "$WORK/peak.wl" --events -1
 expect_exit 2 "generate-trace --population -1 exits 2" \
   timeout 10 "$NFVPR" generate-trace -w "$WORK/peak.wl" --population -1
+expect_exit 2 "schedule --vnf -1 exits 2" \
+  timeout 10 "$NFVPR" schedule -w "$WORK/peak.wl" --vnf -1
+expect_exit 2 "schedule --vnf past the last VNF exits 2" \
+  timeout 10 "$NFVPR" schedule -w "$WORK/peak.wl" --vnf 8
 
 # --- threading is a wall-clock knob only ----------------------------------
 expect_exit 0 "pipeline serial reference" \

@@ -109,12 +109,6 @@ bool non_negative(const char* command, const char* flag, std::int64_t value) {
   return false;
 }
 
-nfv::topo::Topology read_topology(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open topology file " + path);
-  return nfv::topo::load_topology(in);
-}
-
 nfv::workload::Workload read_workload(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open workload file " + path);
@@ -127,6 +121,45 @@ std::string read_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// read_file, with "-" meaning stdin.
+std::string read_input(const std::string& path) {
+  if (path != "-") return read_file(path);
+  std::ostringstream ss;
+  ss << std::cin.rdbuf();
+  return ss.str();
+}
+
+/// Registers --topology / --workload on a subcommand; load() reads both.
+struct ModelFlags {
+  explicit ModelFlags(nfv::CliParser& cli,
+                      std::string workload_help = "workload file")
+      : topology(cli.add_string("topology", 't', "topology file", "")),
+        workload(
+            cli.add_string("workload", 'w', std::move(workload_help), "")) {}
+
+  [[nodiscard]] nfv::core::SystemModel load() const {
+    std::ifstream in(topology);
+    if (!in) throw std::runtime_error("cannot open topology file " + topology);
+    return {nfv::topo::load_topology(in), read_workload(workload)};
+  }
+
+  const std::string& topology;
+  const std::string& workload;
+};
+
+/// A name no algorithm registry knows is a usage error: exit 2.
+int unknown_algorithm(const std::string& name) {
+  std::fprintf(stderr, "unknown algorithm '%s'\n", name.c_str());
+  return 2;
+}
+
+/// "A|B|C" from a registry's names, for an --algorithm help line.
+std::string choices(const std::vector<std::string>& names) {
+  std::string joined;
+  for (const auto& name : names) joined += (joined.empty() ? "" : "|") + name;
+  return joined;
 }
 
 /// Registers --threads on a subcommand and owns the worker pool for the
@@ -225,6 +258,19 @@ class SolverFlags {
     }
     cfg.validate();
     return cfg;
+  }
+
+  /// Names the placement in a run report: the race winner's backend under
+  /// --solver, `algorithm` otherwise.
+  void describe(nfv::core::ReportInputs& inputs,
+                const nfv::core::SolverOutcome& race,
+                const std::string& algorithm) const {
+    inputs.placement_algorithm = algorithm;
+    if (!enabled()) return;
+    inputs.placement_algorithm =
+        nfv::core::PortfolioDriver::backend_algorithm(race.winner);
+    inputs.solver = &race;
+    inputs.solver_id = config().solver;
   }
 
  private:
@@ -375,10 +421,9 @@ int cmd_generate_workload(int argc, const char* const* argv) {
 
 int cmd_place(int argc, const char* const* argv) {
   nfv::CliParser cli("nfvpr place", "run a placement algorithm");
-  const auto& topology_file = cli.add_string("topology", 't', "topology file", "");
-  const auto& workload_file = cli.add_string("workload", 'w', "workload file", "");
+  const ModelFlags files(cli);
   const auto& algorithm = cli.add_string(
-      "algorithm", 'a', "BFDSU|CABP|SA|PSO|LP|FFD|NAH|BFD|WFD|FF|NFD|Exact",
+      "algorithm", 'a', choices(nfv::placement::placement_algorithm_names()),
       "BFDSU");
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   ThreadsFlag threads(cli);
@@ -392,14 +437,9 @@ int cmd_place(int argc, const char* const* argv) {
     // --solver overrides --algorithm, so the name is only resolved (and
     // rejected) on the legacy path.
     algo = nfv::placement::make_placement_algorithm(algorithm);
-    if (!algo) {
-      std::fprintf(stderr, "unknown algorithm '%s'\n", algorithm.c_str());
-      return 2;
-    }
+    if (!algo) return unknown_algorithm(algorithm);
   }
-  nfv::core::SystemModel model;
-  model.topology = read_topology(topology_file);
-  model.workload = read_workload(workload_file);
+  const nfv::core::SystemModel model = files.load();
   const auto problem =
       nfv::placement::make_problem(model.topology, model.workload);
   tele.activate();
@@ -433,16 +473,9 @@ int cmd_place(int argc, const char* const* argv) {
   nfv::core::ReportInputs inputs;
   inputs.command = "place";
   inputs.seed = static_cast<std::uint64_t>(seed);
-  inputs.placement_algorithm =
-      solver.enabled() ? nfv::core::PortfolioDriver::backend_algorithm(
-                             race.winner)
-                       : algorithm;
+  solver.describe(inputs, race, algorithm);
   inputs.model = &model;
   inputs.result = &partial;
-  if (solver.enabled()) {
-    inputs.solver = &race;
-    inputs.solver_id = solver.config().solver;
-  }
   tele.finish(inputs);
 
   if (!placement.feasible) {
@@ -473,25 +506,24 @@ int cmd_schedule(int argc, const char* const* argv) {
   const auto& workload_file = cli.add_string("workload", 'w', "workload file", "");
   const auto& vnf = cli.add_int("vnf", 'f', "VNF index", 0);
   const auto& algorithm = cli.add_string(
-      "algorithm", 'a', "RCKK|CGA|CGA-online|LPT|RR|KK-fwd|CKK|DP2", "RCKK");
+      "algorithm", 'a', choices(nfv::sched::scheduling_algorithm_names()),
+      "RCKK");
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   ThreadsFlag threads(cli);
   Telemetry tele(cli);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
+  if (!non_negative("schedule", "vnf", vnf)) return 2;
   const auto workload = read_workload(workload_file);
   if (static_cast<std::size_t>(vnf) >= workload.vnfs.size()) {
-    std::fprintf(stderr, "vnf index out of range (have %zu)\n",
-                 workload.vnfs.size());
-    return 1;
+    std::fprintf(stderr, "nfvpr schedule: --vnf %lld out of range (have %zu)\n",
+                 static_cast<long long>(vnf), workload.vnfs.size());
+    return 2;
   }
   const auto problem = nfv::sched::make_problem(
       workload, nfv::VnfId{static_cast<std::uint32_t>(vnf)});
   const auto algo = nfv::sched::make_scheduling_algorithm(algorithm);
-  if (!algo) {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", algorithm.c_str());
-    return 2;
-  }
+  if (!algo) return unknown_algorithm(algorithm);
   tele.activate();
   nfv::Rng rng(static_cast<std::uint64_t>(seed));
   const auto schedule = algo->schedule(problem, rng);
@@ -531,8 +563,7 @@ int cmd_schedule(int argc, const char* const* argv) {
 
 int cmd_pipeline(int argc, const char* const* argv) {
   nfv::CliParser cli("nfvpr pipeline", "full two-phase optimization");
-  const auto& topology_file = cli.add_string("topology", 't', "topology file", "");
-  const auto& workload_file = cli.add_string("workload", 'w', "workload file", "");
+  const ModelFlags files(cli);
   const auto& placer = cli.add_string("placement", 'p', "placement algorithm",
                                       "BFDSU");
   const auto& scheduler =
@@ -560,16 +591,12 @@ int cmd_pipeline(int argc, const char* const* argv) {
   // read (--solver supplies its own placement backends).
   if (!solver.enabled() &&
       nfv::placement::make_placement_algorithm(placer) == nullptr) {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", placer.c_str());
-    return 2;
+    return unknown_algorithm(placer);
   }
   if (nfv::sched::make_scheduling_algorithm(scheduler) == nullptr) {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", scheduler.c_str());
-    return 2;
+    return unknown_algorithm(scheduler);
   }
-  nfv::core::SystemModel model;
-  model.topology = read_topology(topology_file);
-  model.workload = read_workload(workload_file);
+  const nfv::core::SystemModel model = files.load();
   nfv::core::JointConfig cfg;
   cfg.placement_algorithm = placer;
   cfg.scheduling_algorithm = scheduler;
@@ -590,17 +617,10 @@ int cmd_pipeline(int argc, const char* const* argv) {
   nfv::core::ReportInputs inputs;
   inputs.command = "pipeline";
   inputs.seed = static_cast<std::uint64_t>(seed);
-  inputs.placement_algorithm =
-      solver.enabled() ? nfv::core::PortfolioDriver::backend_algorithm(
-                             race.winner)
-                       : placer;
+  solver.describe(inputs, race, placer);
   inputs.scheduling_algorithm = scheduler;
   inputs.model = &model;
   inputs.result = &result;
-  if (solver.enabled()) {
-    inputs.solver = &race;
-    inputs.solver_id = solver.config().solver;
-  }
 
   if (!report_out.empty()) {
     // The deterministic report: structured sections only, no
@@ -654,14 +674,11 @@ int cmd_pipeline(int argc, const char* const* argv) {
 
 int cmd_tail(int argc, const char* const* argv) {
   nfv::CliParser cli("nfvpr tail", "per-request latency tail predictions");
-  const auto& topology_file = cli.add_string("topology", 't', "topology file", "");
-  const auto& workload_file = cli.add_string("workload", 'w', "workload file", "");
+  const ModelFlags files(cli);
   const auto& top = cli.add_int("top", 'n', "show the N busiest requests", 10);
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
-  nfv::core::SystemModel model;
-  model.topology = read_topology(topology_file);
-  model.workload = read_workload(workload_file);
+  const nfv::core::SystemModel model = files.load();
   const auto result = nfv::core::JointOptimizer{nfv::core::JointConfig{}}.run(
       model, static_cast<std::uint64_t>(seed));
   if (!result.feasible) {
@@ -696,17 +713,14 @@ int cmd_tail(int argc, const char* const* argv) {
 
 int cmd_simulate(int argc, const char* const* argv) {
   nfv::CliParser cli("nfvpr simulate", "optimize then replay packet-level");
-  const auto& topology_file = cli.add_string("topology", 't', "topology file", "");
-  const auto& workload_file = cli.add_string("workload", 'w', "workload file", "");
+  const ModelFlags files(cli);
   const auto& duration = cli.add_double("duration", 'd', "simulated seconds", 60.0);
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   ThreadsFlag threads(cli);
   Telemetry tele(cli);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
-  nfv::core::SystemModel model;
-  model.topology = read_topology(topology_file);
-  model.workload = read_workload(workload_file);
+  const nfv::core::SystemModel model = files.load();
   tele.activate();
   const auto result = nfv::core::JointOptimizer{nfv::core::JointConfig{}}.run(
       model, static_cast<std::uint64_t>(seed));
@@ -854,14 +868,7 @@ int cmd_transcode_trace(int argc, const char* const* argv) {
     return 2;
   }
   try {
-    std::string input;
-    if (in == "-") {
-      std::ostringstream ss;
-      ss << std::cin.rdbuf();
-      input = ss.str();
-    } else {
-      input = read_file(in);
-    }
+    const std::string input = read_input(in);
     const bool from_binary = nfv::workload::is_binary_trace(input);
     const auto trace = from_binary
                            ? nfv::workload::load_binary_trace(input)
@@ -891,9 +898,7 @@ int cmd_transcode_trace(int argc, const char* const* argv) {
 int cmd_serve(int argc, const char* const* argv) {
   nfv::CliParser cli("nfvpr serve",
                      "replay an event trace through the online serving engine");
-  const auto& topology_file = cli.add_string("topology", 't', "topology file", "");
-  const auto& workload_file = cli.add_string(
-      "workload", 'w', "workload file (VNF catalog; requests ignored)", "");
+  const ModelFlags files(cli, "workload file (VNF catalog; requests ignored)");
   const auto& trace_file = cli.add_string(
       "trace", 'T',
       "event trace (nfvpr.trace/1, /2, or binary nfvpr.btrace/1)", "");
@@ -993,7 +998,7 @@ int cmd_serve(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
   if (!solver.validate()) return 2;
-  if (topology_file.empty() || workload_file.empty() || trace_file.empty()) {
+  if (files.topology.empty() || files.workload.empty() || trace_file.empty()) {
     std::fputs("nfvpr serve: --topology, --workload and --trace are required\n",
                stderr);
     return 2;
@@ -1060,8 +1065,7 @@ int cmd_serve(int argc, const char* const* argv) {
   }
 
   try {
-    const auto topology = read_topology(topology_file);
-    const auto workload = read_workload(workload_file);
+    const auto [topology, workload] = files.load();
     // The trace format is auto-detected by magic: binary nfvpr.btrace/1
     // streams through the zero-allocation decoder in micro-batches; text
     // traces materialize fully (the loader pre-validates the whole file).
@@ -1404,14 +1408,7 @@ int cmd_analyze_timeline(int argc, const char* const* argv) {
     }
   }
 
-  std::string text;
-  if (in == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    text = ss.str();
-  } else {
-    text = read_file(in);
-  }
+  const std::string text = read_input(in);
   try {
     const nfv::obs::TimelineDoc doc = nfv::obs::load_timeline(text);
     const nfv::obs::TimelineAggregates agg =
