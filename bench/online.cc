@@ -5,14 +5,15 @@
 // the engine's predicted Eq. 16 mean latency and the offline optimum says
 // how much the bounded-migration policy gives up by never mass-reshuffling.
 //
-//   bench_online --events 400 --resolve-every 50 --threads 4 --json o.json
+//   bench_online --events 400 --resolve-every 50 --json o.json
 //   bench_online -t smoke.topo -w smoke.wl -T smoke.trace.json --json o.json
 //
 // Rows follow the bench_micro convention: every wall-clock column has
 // "wall" in its name (CI diffs those with a generous threshold) while the
-// deterministic columns — `gap_pct` and `work`, bit-identical for any
-// --threads — are gated tightly.  The serve_replay rows for 1 and N
-// threads must agree on everything but wall time.
+// deterministic columns — `gap_pct` and `work`, bit-identical across
+// machines — are gated tightly.  Everything runs on one thread: the
+// engine has no parallel site, and the offline re-solves are too small
+// for a fan-out to pay.
 //
 // Together the rows compare three rebalancing policies on one trace:
 // serve_replay is the threshold-triggered bounded rebalance (the default
@@ -32,7 +33,6 @@
 #include "nfv/common/rng.h"
 #include "nfv/common/table.h"
 #include "nfv/core/joint_optimizer.h"
-#include "nfv/exec/thread_pool.h"
 #include "nfv/serve/engine.h"
 #include "nfv/topology/builders.h"
 #include "nfv/topology/io.h"
@@ -81,9 +81,8 @@ Fixture generated_fixture(std::int64_t nodes, std::int64_t vnfs,
   return fx;
 }
 
-/// One full replay under `config` at the installed fan-out width, with
-/// offline re-solves of the live set every `resolve_every` events (and
-/// after the last one).
+/// One full replay under `config`, with offline re-solves of the live set
+/// every `resolve_every` events (and after the last one).
 struct ReplayResult {
   double replay_wall_us = 0.0;        ///< whole-trace replay
   double decision_wall_us_mean = 0.0; ///< per-event engine latency
@@ -183,13 +182,10 @@ int main(int argc, char** argv) {
       cli.add_int("events", 'e', "generated trace length", 400);
   const auto& resolve_every = cli.add_int(
       "resolve-every", 'R', "events between offline re-solves", 50);
-  const auto& threads =
-      cli.add_int("threads", 'j', "fan-out width for the threaded row", 4);
   const auto& seed = cli.add_int("seed", 's', "base RNG seed", 7);
   const auto& json = cli.add_string("json", '\0', "write JSON table here", "");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 2;
-  if (nodes < 1 || vnfs < 1 || events < 1 || resolve_every < 1 ||
-      threads < 1) {
+  if (nodes < 1 || vnfs < 1 || events < 1 || resolve_every < 1) {
     std::fputs("bench_online: numeric flags must be >= 1\n", stderr);
     return 2;
   }
@@ -218,45 +214,27 @@ int main(int argc, char** argv) {
   nfv::bench::print_banner(
       "online", "serve-engine replay vs repeated full offline re-solves");
 
-  nfv::Table table({"case", "threads", "events", "wall_us",
+  nfv::Table table({"case", "events", "wall_us",
                     "decision_wall_us_mean", "decision_wall_us_p99",
                     "gap_pct", "work"});
   table.set_precision(3);
   const auto event_count = static_cast<long long>(fx.trace.events.size());
 
-  std::vector<std::uint32_t> widths = {1};
-  if (threads > 1) widths.push_back(static_cast<std::uint32_t>(threads));
-  for (const std::uint32_t width : widths) {
-    ReplayResult r;
-    if (width == 1) {
-      r = replay_once(fx, {}, resolve_every, base_seed);
-    } else {
-      nfv::exec::ThreadPool pool(width);
-      const nfv::exec::ScopedPool scoped(pool);
-      r = replay_once(fx, {}, resolve_every, base_seed);
-    }
-    table.add_row({std::string("serve_replay"), static_cast<long long>(width),
-                   event_count, r.replay_wall_us, r.decision_wall_us_mean,
-                   r.decision_wall_us_p99, r.gap_pct,
-                   static_cast<long long>(r.serve_work)});
-    if (width == widths.back()) {
-      // The offline comparator runs serially inside replay_once; report
-      // the re-solve cost once, from the last replay.
-      table.add_row({std::string("offline_resolve"), 1LL,
-                     static_cast<long long>(r.resolves), r.offline_wall_us,
-                     0.0, 0.0, r.gap_pct,
-                     static_cast<long long>(r.offline_work)});
-    }
-  }
-  // Appended last so the indices of the rows above stay put in the
-  // committed baseline.
+  const ReplayResult r = replay_once(fx, {}, resolve_every, base_seed);
+  table.add_row({std::string("serve_replay"), event_count, r.replay_wall_us,
+                 r.decision_wall_us_mean, r.decision_wall_us_p99, r.gap_pct,
+                 static_cast<long long>(r.serve_work)});
+  // The offline comparator runs inside replay_once; its cost is the
+  // re-solves' total.
+  table.add_row({std::string("offline_resolve"),
+                 static_cast<long long>(r.resolves), r.offline_wall_us, 0.0,
+                 0.0, r.gap_pct, static_cast<long long>(r.offline_work)});
   nfv::serve::ServeConfig never;
   never.migration_budget = 0;
-  const ReplayResult r = replay_once(fx, never, resolve_every, base_seed);
-  table.add_row({std::string("serve_never"), 1LL, event_count,
-                 r.replay_wall_us, r.decision_wall_us_mean,
-                 r.decision_wall_us_p99, r.gap_pct,
-                 static_cast<long long>(r.serve_work)});
+  const ReplayResult n = replay_once(fx, never, resolve_every, base_seed);
+  table.add_row({std::string("serve_never"), event_count, n.replay_wall_us,
+                 n.decision_wall_us_mean, n.decision_wall_us_p99, n.gap_pct,
+                 static_cast<long long>(n.serve_work)});
 
   std::fputs(table.markdown().c_str(), stdout);
   nfv::bench::write_table_json(table, "online", json);

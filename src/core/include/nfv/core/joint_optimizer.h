@@ -4,6 +4,8 @@
 // inter-node link latency.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -196,5 +198,25 @@ void count_run(const JointResult& result);
 /// request-id order).  Exposed for benches that schedule without placing.
 [[nodiscard]] std::vector<VnfSchedulingContext> make_scheduling_contexts(
     const workload::Workload& workload);
+
+/// Positions of each request inside its chain VNFs' scheduling problems,
+/// stored CSR-style aligned with the chains: entry offsets[r] + j is the
+/// problem position of request r at chain offset j.  O(Σ|chain|) memory —
+/// a dense |F|×|R| lookup is quadratic at scale.
+struct ChainPositionIndex {
+  std::vector<std::size_t> offsets;     ///< size |R| + 1
+  std::vector<std::uint32_t> position;  ///< size Σ|chain|
+
+  [[nodiscard]] std::uint32_t at(std::size_t request_index,
+                                 std::size_t chain_offset) const {
+    return position[offsets[request_index] + chain_offset];
+  }
+};
+
+/// Builds the index for `contexts` as make_scheduling_contexts returns them
+/// for `workload`.
+[[nodiscard]] ChainPositionIndex make_chain_position_index(
+    const workload::Workload& workload,
+    const std::vector<VnfSchedulingContext>& contexts);
 
 }  // namespace nfv::core

@@ -57,22 +57,6 @@ std::vector<VnfSchedulingContext> make_scheduling_contexts(
   return contexts;
 }
 
-namespace {
-
-/// Positions of each request inside its chain VNFs' scheduling problems,
-/// stored CSR-style aligned with the chains: entry offsets[r] + j is the
-/// problem position of request r at chain offset j.  O(Σ|chain|) memory —
-/// the dense |F|×|R| lookup this replaces is quadratic at scale.
-struct ChainPositionIndex {
-  std::vector<std::size_t> offsets;     // size |R| + 1
-  std::vector<std::uint32_t> position;  // size Σ|chain|
-
-  [[nodiscard]] std::uint32_t at(std::size_t request_index,
-                                 std::size_t chain_offset) const {
-    return position[offsets[request_index] + chain_offset];
-  }
-};
-
 ChainPositionIndex make_chain_position_index(
     const workload::Workload& workload,
     const std::vector<VnfSchedulingContext>& contexts) {
@@ -103,8 +87,6 @@ ChainPositionIndex make_chain_position_index(
   }
   return index;
 }
-
-}  // namespace
 
 void JointResult::adopt(ScheduleResult&& phase) {
   contexts = std::move(phase.contexts);

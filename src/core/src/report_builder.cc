@@ -66,23 +66,16 @@ void fill_des(const sim::SimResult& sim, obs::DesSection& out) {
   out.present = true;
   out.events = sim.events_processed;
   out.measured_window = sim.measured_window;
-  out.truncated = sim.truncated;
   double latency_weighted = 0.0;
   double utilization = 0.0;
   for (const sim::FlowResult& f : sim.flows) {
     out.generated += f.generated;
     out.delivered += f.delivered;
     out.retransmissions += f.retransmissions;
-    out.buffer_drops += f.buffer_drops;
-    out.fault_retransmissions += f.fault_retransmissions;
     latency_weighted +=
         f.end_to_end.mean() * static_cast<double>(f.delivered);
   }
   for (const sim::StationResult& s : sim.stations) {
-    out.station_drops += s.drops;
-    out.station_fault_drops += s.fault_drops;
-    out.station_failures += s.failures;
-    out.total_downtime += s.downtime;
     utilization += s.utilization;
   }
   if (!sim.stations.empty()) {

@@ -20,16 +20,9 @@ SimBuildOutput build_sim_network(const SystemModel& model,
     }
   }
 
-  // Request id -> per-VNF problem position (as in JointOptimizer::run).
-  std::vector<std::vector<std::uint32_t>> position(
-      model.workload.vnfs.size(),
-      std::vector<std::uint32_t>(model.workload.requests.size(), 0));
-  for (std::size_t f = 0; f < result.contexts.size(); ++f) {
-    for (std::size_t pos = 0; pos < result.contexts[f].members.size(); ++pos) {
-      position[f][result.contexts[f].members[pos].index()] =
-          static_cast<std::uint32_t>(pos);
-    }
-  }
+  // Request -> per-VNF problem position (as in phase_terms).
+  const ChainPositionIndex positions =
+      make_chain_position_index(model.workload, result.contexts);
 
   for (const auto& r : model.workload.requests) {
     const RequestOutcome& outcome = result.requests[r.id.index()];
@@ -43,7 +36,7 @@ SimBuildOutput build_sim_network(const SystemModel& model,
     bool have_previous = false;
     for (std::size_t hop = 0; hop < r.chain.size(); ++hop) {
       const VnfId f = r.chain[hop];
-      const std::uint32_t pos = position[f.index()][r.id.index()];
+      const std::uint32_t pos = positions.at(r.id.index(), hop);
       const InstanceIndex k = result.schedules[f.index()].instance_of[pos];
       flow.path.push_back(out.index_map.station(f, k));
       const NodeId node = *result.placement.assignment[f.index()];

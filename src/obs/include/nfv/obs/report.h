@@ -21,11 +21,8 @@
 //                    instance_load: [Λ_k...], instance_response: [W_k...]}]},
 //     "requests":   {total, admitted, rejection_rate, avg_total_latency,
 //                    avg_response},
-//     "des":        {events, measured_window, truncated, generated,
-//                    delivered, retransmissions, buffer_drops,
-//                    fault_retransmissions, station_drops,
-//                    station_fault_drops, station_failures,
-//                    avg_utilization, mean_latency, total_downtime},
+//     "des":        {events, measured_window, generated, delivered,
+//                    retransmissions, avg_utilization, mean_latency},
 //     "serve":      {events, arrivals, admitted, rejected, shed,
 //                    migrations, rebalances, ..., churn: {node_downs,
 //                    evacuated_requests, parked, shed_fault, ...},
@@ -97,18 +94,11 @@ struct DesSection {
   bool present = false;
   std::uint64_t events = 0;
   double measured_window = 0.0;
-  bool truncated = false;
   std::uint64_t generated = 0;
   std::uint64_t delivered = 0;
   std::uint64_t retransmissions = 0;
-  std::uint64_t buffer_drops = 0;
-  std::uint64_t fault_retransmissions = 0;
-  std::uint64_t station_drops = 0;
-  std::uint64_t station_fault_drops = 0;
-  std::uint64_t station_failures = 0;
   double avg_utilization = 0.0;  ///< mean station utilization
   double mean_latency = 0.0;     ///< delivered-weighted end-to-end mean
-  double total_downtime = 0.0;   ///< summed station down-seconds
 };
 
 struct MetricsSection {

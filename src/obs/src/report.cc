@@ -125,18 +125,11 @@ void write_run_report(const RunReport& report, std::ostream& os) {
     w.begin_object();
     w.kv("events", d.events);
     w.kv("measured_window", d.measured_window);
-    w.kv("truncated", d.truncated);
     w.kv("generated", d.generated);
     w.kv("delivered", d.delivered);
     w.kv("retransmissions", d.retransmissions);
-    w.kv("buffer_drops", d.buffer_drops);
-    w.kv("fault_retransmissions", d.fault_retransmissions);
-    w.kv("station_drops", d.station_drops);
-    w.kv("station_fault_drops", d.station_fault_drops);
-    w.kv("station_failures", d.station_failures);
     w.kv("avg_utilization", d.avg_utilization);
     w.kv("mean_latency", d.mean_latency);
-    w.kv("total_downtime", d.total_downtime);
     w.end_object();
   }
 
@@ -351,9 +344,7 @@ std::string pretty_print_report(const JsonValue& report) {
     os << "  mean latency      : "
        << format_number(d->number_or("mean_latency")) << " s\n";
     os << "  retransmissions   : "
-       << format_number(d->number_or("retransmissions")) << " (+"
-       << format_number(d->number_or("fault_retransmissions"))
-       << " fault)\n";
+       << format_number(d->number_or("retransmissions")) << "\n";
   }
 
   if (const JsonValue* s = report.find("serve")) {
@@ -514,8 +505,8 @@ namespace {
 
 /// Metrics where a larger value signals a worse run.
 constexpr std::string_view kHigherWorse[] = {
-    "latency", "response", "rejection", "rejected", "shed",     "drop",
-    "downtime", "retransmission", "failure",        "occupation",
+    "latency", "response", "rejection", "rejected", "shed",
+    "retransmission", "occupation",
     "nodes_in_service", "queue_depth", "imbalance", "wall",     "work",
     "gap", "unaccounted", "queued", "retrying",
     "flaps", "instance_seconds", "objective",
@@ -527,10 +518,9 @@ constexpr std::string_view kHigherBetter[] = {
 };
 
 int classify_direction(std::string_view path) {
-  // higher-better wins on e.g. "avg_utilization" vs. none; check it first
-  // so "fault_retransmissions" (worse) is not shadowed — order the checks
-  // worst-first because "drop"/"shed" substrings are the more specific
-  // signals in this schema.
+  // Worse needles are checked first, so a key that matches both lists
+  // counts as higher-worse: "shed" is the more specific signal in this
+  // schema.
   for (const std::string_view needle : kHigherWorse) {
     if (path.find(needle) != std::string_view::npos) return +1;
   }

@@ -8,13 +8,6 @@
 // NACK sends it back to the first station (the Fig. 3 feedback loop), so
 // the per-station offered rate converges to λ/P as Burke's theorem
 // predicts.
-//
-// Fault injection (SimConfig::faults): stations can crash and recover on a
-// deterministic timeline or per an MTBF/MTTR stochastic model.  A crash
-// loses the in-service and queued packets; they — and any packet arriving
-// while the station is down — are retransmitted from the source after
-// nack_delay.  Per-station downtime, availability, failure and fault-drop
-// counters are reported in StationResult.
 #pragma once
 
 #include <cstdint>
@@ -25,23 +18,9 @@
 
 namespace nfv::sim {
 
-/// Queueing discipline of a station.  For a work-conserving M/M/1 server
-/// the *mean* sojourn is discipline-invariant; the higher moments are not
-/// (LCFS has a heavier tail) — a property the validation tests exploit.
-enum class Discipline : std::uint8_t {
-  kFcfs,  ///< first come, first served (the paper's assumption)
-  kLcfs,  ///< last come, first served (non-preemptive)
-};
-
-/// One service station (a VNF service instance): M/M/1 by default, or
-/// M/M/1/K when buffer_limit > 0.
+/// One service station (a VNF service instance): an FCFS M/M/1 queue.
 struct Station {
   double service_rate = 0.0;  ///< μ > 0, packets/s
-  /// Max packets in the system (queue + in service); 0 = unbounded.  An
-  /// arrival that finds the station full is dropped and retransmitted from
-  /// the source after SimConfig::nack_delay, like a lost packet.
-  std::uint32_t buffer_limit = 0;
-  Discipline discipline = Discipline::kFcfs;
 };
 
 /// One request's packet stream.
@@ -63,53 +42,14 @@ struct SimNetwork {
   void validate() const;
 };
 
-/// One scheduled availability transition of a station: at `time` the
-/// station goes UP (`up == true`) or DOWN (`up == false`).  A DOWN station
-/// crashes: the packet in service and every queued packet are lost and
-/// retransmitted from the source after SimConfig::nack_delay, and arrivals
-/// while down are lost the same way (the M/M/1/K drop path with a retry).
-struct FaultEvent {
-  double time = 0.0;
-  std::uint32_t station = 0;
-  bool up = false;
-};
-
-/// Stochastic per-station churn: up-times are exponential with mean `mtbf`
-/// and down-times exponential with mean `mttr`, so long-run availability
-/// converges to MTBF / (MTBF + MTTR).  mtbf == 0 disables the model.
-struct FaultModel {
-  double mtbf = 0.0;  ///< mean time between failures (up-time), seconds
-  double mttr = 0.0;  ///< mean time to repair (down-time), seconds
-};
-
-/// Fault-injection plan: an explicit deterministic timeline, a stochastic
-/// per-station model, or both.  All stochastic draws come from a dedicated
-/// stream derived from SimConfig::seed, so the packet arrival/service
-/// processes are identical with and without faults.
-struct FaultPlan {
-  std::vector<FaultEvent> timeline;
-  /// Either empty (no stochastic churn) or one model per station.
-  std::vector<FaultModel> models;
-
-  [[nodiscard]] bool empty() const {
-    return timeline.empty() && models.empty();
-  }
-};
-
 /// Simulation horizon and measurement controls.
 struct SimConfig {
   double duration = 100.0;   ///< simulated seconds (measurement window end)
   double warmup = 10.0;      ///< transient to discard
-  double nack_delay = 0.0;   ///< source-side retransmission delay
   std::uint64_t seed = 1;
   /// Keep raw per-packet end-to-end samples (enables quantiles; costs
   /// memory proportional to delivered packets).
   bool keep_samples = false;
-  /// Safety cap on processed events (0 = none).
-  std::uint64_t max_events = 0;
-  /// Station churn to inject.  Requires nack_delay > 0 when non-empty so
-  /// that retransmissions toward a down station always advance time.
-  FaultPlan faults;
 };
 
 /// Per-station measurements over the post-warmup window.
@@ -118,17 +58,9 @@ struct StationResult {
   double utilization = 0.0;  ///< busy time / window
   std::uint64_t visits = 0;  ///< served visits counted
   double arrival_rate = 0.0; ///< measured offered rate (visits / window)
-  std::uint64_t drops = 0;   ///< arrivals dropped on a full buffer
   /// Time-averaged number in system (queue + in service), by area
   /// integration — the N of Little's law, measured directly.
   double mean_in_system = 0.0;
-  // Fault-injection accounting (all zero when SimConfig::faults is empty).
-  double downtime = 0.0;        ///< down seconds within the window
-  double availability = 1.0;    ///< 1 − downtime / measured window
-  std::uint32_t failures = 0;   ///< DOWN transitions within the window
-  /// Packets lost at this station because it was down (arrivals while down
-  /// plus packets flushed by a crash); each is retried from the source.
-  std::uint64_t fault_drops = 0;
 };
 
 /// Per-flow measurements over the post-warmup window.
@@ -139,10 +71,6 @@ struct FlowResult {
   std::uint64_t generated = 0;
   std::uint64_t delivered = 0;
   std::uint64_t retransmissions = 0;  ///< end-of-chain NACK retransmissions
-  std::uint64_t buffer_drops = 0;     ///< mid-chain full-buffer drops
-  /// Retransmissions caused by a down station (crash flush or arrival
-  /// during an outage).
-  std::uint64_t fault_retransmissions = 0;
 };
 
 /// Complete simulation output.
@@ -151,7 +79,6 @@ struct SimResult {
   std::vector<FlowResult> flows;
   std::uint64_t events_processed = 0;
   double measured_window = 0.0;  ///< duration − warmup
-  bool truncated = false;        ///< max_events hit before duration
 };
 
 /// Runs the simulation to completion.  Deterministic given config.seed.

@@ -39,8 +39,6 @@ enum class EventType : std::uint8_t {
   kSourceArrival,     // external injection of a new packet for `flow`
   kStationArrival,    // packet reaches a station queue
   kServiceComplete,   // station finishes the packet at its head
-  kStationDown,       // fault injection: station crashes
-  kStationUp,         // fault injection: station recovers
 };
 
 struct Event {
@@ -48,9 +46,8 @@ struct Event {
   std::uint64_t seq = 0;  // FIFO tie-break for simultaneous events
   EventType type{};
   std::uint32_t flow = 0;     // kSourceArrival
-  std::uint32_t station = 0;  // kStationArrival / kServiceComplete / faults
+  std::uint32_t station = 0;  // kStationArrival / kServiceComplete
   std::uint32_t packet = 0;   // pool index (kStationArrival)
-  std::uint32_t epoch = 0;    // kServiceComplete: stale after a crash
 
   bool operator>(const Event& other) const {
     if (time != other.time) return time > other.time;
@@ -68,22 +65,14 @@ struct StationState {
   std::uint32_t occupancy = 0;
   double occupancy_change = 0.0;    // time of the last occupancy change
   double occupancy_area = 0.0;      // within measurement window
-  // Fault injection: a crash bumps `epoch` so the pending kServiceComplete
-  // of the killed service is recognized as stale and ignored.
-  bool down = false;
-  double down_since = 0.0;
-  double down_accum = 0.0;          // within measurement window
-  std::uint32_t epoch = 0;
 };
 
 class Engine {
  public:
   Engine(const SimNetwork& network, const SimConfig& config)
-      : net_(network), cfg_(config), rng_(config.seed),
-        fault_rng_(config.seed ^ 0xFA17FA17FA17FA17ULL) {
+      : net_(network), cfg_(config), rng_(config.seed) {
     NFV_REQUIRE(cfg_.duration > cfg_.warmup);
     NFV_REQUIRE(cfg_.warmup >= 0.0);
-    validate_faults();
     stations_.resize(net_.stations.size());
     result_.stations.resize(net_.stations.size());
     result_.flows.resize(net_.flows.size());
@@ -99,24 +88,16 @@ class Engine {
     for (std::uint32_t f = 0; f < net_.flows.size(); ++f) {
       schedule_source(f, rng_.exponential(net_.flows[f].rate));
     }
-    seed_faults();
     while (!events_.empty()) {
       const Event ev = events_.top();
       events_.pop();
       if (ev.time > cfg_.duration) break;
-      if (cfg_.max_events != 0 &&
-          result_.events_processed >= cfg_.max_events) {
-        result_.truncated = true;
-        break;
-      }
       ++result_.events_processed;
       now_ = ev.time;
       switch (ev.type) {
         case EventType::kSourceArrival: handle_source(ev); break;
         case EventType::kStationArrival: handle_station_arrival(ev); break;
         case EventType::kServiceComplete: handle_service_complete(ev); break;
-        case EventType::kStationDown: handle_station_down(ev); break;
-        case EventType::kStationUp: handle_station_up(ev); break;
       }
     }
     finalize();
@@ -171,138 +152,9 @@ class Engine {
     send_to_hop(packet, 0);
   }
 
-  void validate_faults() {
-    const FaultPlan& plan = cfg_.faults;
-    if (plan.empty()) return;
-    // A retry toward a down station must advance time, or a zero-delay
-    // retransmission loop would stall the clock.
-    NFV_REQUIRE(cfg_.nack_delay > 0.0);
-    NFV_REQUIRE(plan.models.empty() ||
-                plan.models.size() == net_.stations.size());
-    for (const FaultModel& m : plan.models) {
-      NFV_REQUIRE(m.mtbf >= 0.0);
-      if (m.mtbf > 0.0) NFV_REQUIRE(m.mttr > 0.0);
-    }
-    for (const FaultEvent& f : plan.timeline) {
-      NFV_REQUIRE(f.time >= 0.0);
-      NFV_REQUIRE(f.station < net_.stations.size());
-    }
-  }
-
-  void seed_faults() {
-    for (const FaultEvent& f : cfg_.faults.timeline) {
-      Event ev;
-      ev.time = f.time;
-      ev.type = f.up ? EventType::kStationUp : EventType::kStationDown;
-      ev.station = f.station;
-      push(ev);
-    }
-    for (std::uint32_t s = 0; s < cfg_.faults.models.size(); ++s) {
-      const FaultModel& m = cfg_.faults.models[s];
-      if (m.mtbf <= 0.0) continue;
-      Event ev;
-      ev.time = fault_rng_.exponential(1.0 / m.mtbf);
-      ev.type = EventType::kStationDown;
-      ev.station = s;
-      push(ev);
-    }
-  }
-
-  [[nodiscard]] bool model_driven(std::uint32_t station) const {
-    return station < cfg_.faults.models.size() &&
-           cfg_.faults.models[station].mtbf > 0.0;
-  }
-
-  /// A packet lost to an outage restarts its chain from the source after
-  /// the NACK round trip — the same retry path as an end-of-chain NACK.
-  void retry_from_source(std::uint32_t packet, std::uint32_t at_station) {
-    Packet& pkt = pool_[packet];
-    if (in_window()) {
-      ++result_.stations[at_station].fault_drops;
-      ++result_.flows[pkt.flow].fault_retransmissions;
-    }
-    Event retry;
-    retry.time = now_ + cfg_.nack_delay;
-    retry.type = EventType::kStationArrival;
-    retry.station = net_.flows[pkt.flow].path[0];
-    retry.packet = packet;
-    pkt.hop = 0;
-    push(retry);
-  }
-
-  void handle_station_down(const Event& ev) {
-    StationState& st = stations_[ev.station];
-    if (st.down) return;  // duplicate timeline entry
-    st.down = true;
-    st.down_since = now_;
-    if (in_window()) ++result_.stations[ev.station].failures;
-    // Crash semantics: the in-flight visit and the whole queue are lost.
-    if (st.busy) {
-      accumulate_busy(ev.station);
-      st.busy = false;
-      ++st.epoch;  // the pending kServiceComplete is now stale
-      retry_from_source(st.in_service, ev.station);
-    }
-    for (const std::uint32_t p : st.queue) retry_from_source(p, ev.station);
-    st.queue.clear();
-    change_occupancy(ev.station, -static_cast<int>(st.occupancy));
-    if (model_driven(ev.station)) {
-      Event up;
-      up.time = now_ + fault_rng_.exponential(
-                           1.0 / cfg_.faults.models[ev.station].mttr);
-      up.type = EventType::kStationUp;
-      up.station = ev.station;
-      push(up);
-    }
-  }
-
-  void handle_station_up(const Event& ev) {
-    StationState& st = stations_[ev.station];
-    if (!st.down) return;  // duplicate timeline entry
-    accumulate_downtime(ev.station);
-    st.down = false;
-    if (model_driven(ev.station)) {
-      Event down;
-      down.time = now_ + fault_rng_.exponential(
-                             1.0 / cfg_.faults.models[ev.station].mtbf);
-      down.type = EventType::kStationDown;
-      down.station = ev.station;
-      push(down);
-    }
-  }
-
-  void accumulate_downtime(std::uint32_t station) {
-    StationState& st = stations_[station];
-    const double from = std::max(st.down_since, cfg_.warmup);
-    const double to = std::min(now_, cfg_.duration);
-    if (to > from) st.down_accum += to - from;
-  }
-
   void handle_station_arrival(const Event& ev) {
-    Packet& pkt = pool_[ev.packet];
     StationState& st = stations_[ev.station];
-    if (st.down) {
-      // The instance is dead: the packet is lost and the source retries
-      // after the NACK delay, exactly like a full-buffer drop with retry.
-      retry_from_source(ev.packet, ev.station);
-      return;
-    }
-    const std::uint32_t limit = net_.stations[ev.station].buffer_limit;
-    if (limit > 0) {
-      const std::size_t occupancy = st.queue.size() + (st.busy ? 1u : 0u);
-      if (occupancy >= limit) {
-        // Full buffer: the packet is dropped, as in M/M/1/K and in the
-        // paper's admission control ("drop some requests to ensure the
-        // normal operation of the services").
-        if (in_window()) {
-          ++result_.stations[ev.station].drops;
-          ++result_.flows[pkt.flow].buffer_drops;
-        }
-        free_packets_.push_back(ev.packet);
-        return;
-      }
-    }
-    pkt.visit_arrival = now_;
+    pool_[ev.packet].visit_arrival = now_;
     if (queue_depth_ != nullptr) {
       queue_depth_->observe(
           static_cast<double>(st.queue.size() + (st.busy ? 1u : 0u)));
@@ -325,13 +177,11 @@ class Engine {
     done.type = EventType::kServiceComplete;
     done.station = station;
     done.packet = packet;
-    done.epoch = st.epoch;
     push(done);
   }
 
   void handle_service_complete(const Event& ev) {
     StationState& st = stations_[ev.station];
-    if (ev.epoch != st.epoch) return;  // service killed by a crash
     NFV_CHECK(st.busy && st.in_service == ev.packet);
     Packet& pkt = pool_[ev.packet];
     // Station accounting (only post-warmup samples count).
@@ -344,14 +194,8 @@ class Engine {
     change_occupancy(ev.station, -1);
     st.busy = false;
     if (!st.queue.empty()) {
-      std::uint32_t next;
-      if (net_.stations[ev.station].discipline == Discipline::kLcfs) {
-        next = st.queue.back();
-        st.queue.pop_back();
-      } else {
-        next = st.queue.front();
-        st.queue.pop_front();
-      }
+      const std::uint32_t next = st.queue.front();
+      st.queue.pop_front();
       begin_service(ev.station, next);
     }
     route_onward(ev.packet);
@@ -402,12 +246,11 @@ class Engine {
       free_packets_.push_back(packet);
       return;
     }
-    // NACK: retransmit from the source.  Model the NACK round trip as
-    // cfg_.nack_delay (0 reproduces the instantaneous-feedback Jackson
-    // model of Fig. 3).
+    // NACK: retransmit from the source with instantaneous feedback, the
+    // Jackson model of Fig. 3.
     if (in_window()) ++result_.flows[pkt.flow].retransmissions;
     Event retry;
-    retry.time = arrival_at_destination + cfg_.nack_delay;
+    retry.time = arrival_at_destination;
     retry.type = EventType::kStationArrival;
     retry.station = flow.path[0];
     retry.packet = packet;
@@ -422,7 +265,6 @@ class Engine {
     now_ = cfg_.duration;
     for (std::uint32_t s = 0; s < stations_.size(); ++s) {
       if (stations_[s].busy) accumulate_busy(s);
-      if (stations_[s].down) accumulate_downtime(s);
       change_occupancy(s, 0);  // close the last occupancy interval
       result_.stations[s].utilization =
           stations_[s].busy_accum / result_.measured_window;
@@ -431,9 +273,6 @@ class Engine {
           result_.measured_window;
       result_.stations[s].mean_in_system =
           stations_[s].occupancy_area / result_.measured_window;
-      result_.stations[s].downtime = stations_[s].down_accum;
-      result_.stations[s].availability =
-          1.0 - stations_[s].down_accum / result_.measured_window;
     }
     flush_telemetry();
   }
@@ -447,37 +286,19 @@ class Engine {
     std::uint64_t generated = 0;
     std::uint64_t delivered = 0;
     std::uint64_t retransmissions = 0;
-    std::uint64_t buffer_drops = 0;
-    std::uint64_t fault_retries = 0;
     for (const FlowResult& f : result_.flows) {
       generated += f.generated;
       delivered += f.delivered;
       retransmissions += f.retransmissions;
-      buffer_drops += f.buffer_drops;
-      fault_retries += f.fault_retransmissions;
-    }
-    std::uint64_t station_drops = 0;
-    std::uint64_t fault_drops = 0;
-    std::uint64_t failures = 0;
-    for (const StationResult& s : result_.stations) {
-      station_drops += s.drops;
-      fault_drops += s.fault_drops;
-      failures += s.failures;
     }
     obs::count("sim.des.generated", generated);
     obs::count("sim.des.delivered", delivered);
     obs::count("sim.des.retransmissions", retransmissions);
-    obs::count("sim.des.buffer_drops", buffer_drops);
-    obs::count("sim.des.fault_retransmissions", fault_retries);
-    obs::count("sim.des.station_drops", station_drops);
-    obs::count("sim.des.fault_drops", fault_drops);
-    obs::count("sim.des.failures", failures);
   }
 
   const SimNetwork& net_;
   const SimConfig& cfg_;
   Rng rng_;
-  Rng fault_rng_;  // dedicated stream: faults never perturb traffic draws
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;

@@ -50,7 +50,6 @@ RunReport canned_report(double latency, double availability) {
   report.des.measured_window = 18.0;
   report.des.generated = 500;
   report.des.delivered = 490;
-  report.des.buffer_drops = 10;
 
   report.serve.present = true;
   report.serve.events = 12;

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "nfv/queueing/mm1.h"
 #include "nfv/sim/des.h"
 
 namespace nfv::queueing {
@@ -105,36 +104,6 @@ TEST(Hypoexp, RejectsBadRates) {
                std::invalid_argument);
   EXPECT_THROW(Hypoexponential({1.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(Hypoexponential({-2.0}), std::invalid_argument);
-}
-
-TEST(LcfsDiscipline, MeanSojournIsDisciplineInvariant) {
-  // Work-conserving non-preemptive M/M/1: FCFS and LCFS share the mean
-  // sojourn (= 1/(μ−λ)) but LCFS has the heavier tail.
-  auto run = [](sim::Discipline d) {
-    sim::SimNetwork net;
-    sim::Station st;
-    st.service_rate = 10.0;
-    st.discipline = d;
-    net.stations = {st};
-    sim::Flow f;
-    f.rate = 7.0;
-    f.delivery_prob = 1.0;
-    f.path = {0};
-    net.flows.push_back(f);
-    sim::SimConfig cfg;
-    cfg.duration = 8000.0;
-    cfg.warmup = 500.0;
-    cfg.seed = 99;
-    cfg.keep_samples = true;
-    return sim::simulate(net, cfg);
-  };
-  const auto fcfs = run(sim::Discipline::kFcfs);
-  const auto lcfs = run(sim::Discipline::kLcfs);
-  const double expected = mm1_mean_response(7.0, 10.0);
-  EXPECT_NEAR(fcfs.flows[0].end_to_end.mean(), expected, 0.1 * expected);
-  EXPECT_NEAR(lcfs.flows[0].end_to_end.mean(), expected, 0.1 * expected);
-  // Tail ordering: LCFS p99 is clearly heavier.
-  EXPECT_GT(lcfs.flows[0].samples.p99(), 1.3 * fcfs.flows[0].samples.p99());
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace nfv::sim {
 namespace {
 
@@ -31,6 +34,53 @@ TEST(Des, DeterministicForSameSeed) {
   EXPECT_EQ(a.flows[0].delivered, b.flows[0].delivered);
   EXPECT_DOUBLE_EQ(a.flows[0].end_to_end.mean(), b.flows[0].end_to_end.mean());
   EXPECT_DOUBLE_EQ(a.stations[0].utilization, b.stations[0].utilization);
+}
+
+// FNV-1a over the little-endian bytes of each 64-bit word.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void mix(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void mix(double x) { mix(std::bit_cast<std::uint64_t>(x)); }
+};
+
+// Pins the event stream across commits: a refactor of the engine that
+// reorders, adds or drops a single event or RNG draw changes this digest.
+// DeterministicForSameSeed only compares two runs of one build.
+TEST(Des, OutputIsPinned) {
+  SimNetwork net;
+  net.stations = {Station{60.0}, Station{45.0}, Station{70.0}};
+  Flow f;
+  f.rate = 12.0;
+  f.delivery_prob = 0.9;
+  f.path = {0, 1, 2};
+  f.hop_latency = {0.001, 0.002, 0.0015, 0.003};
+  net.flows.push_back(f);
+  SimConfig cfg;
+  cfg.duration = 40.0;
+  cfg.warmup = 4.0;
+  cfg.seed = 2024;
+  const SimResult r = simulate(net, cfg);
+
+  Fnv1a d;
+  d.mix(r.events_processed);
+  for (const FlowResult& fr : r.flows) {
+    d.mix(fr.generated);
+    d.mix(fr.delivered);
+    d.mix(fr.retransmissions);
+    d.mix(fr.end_to_end.mean());
+  }
+  for (const StationResult& sr : r.stations) {
+    d.mix(sr.visits);
+    d.mix(sr.utilization);
+    d.mix(sr.mean_in_system);
+  }
+  EXPECT_GT(r.flows[0].retransmissions, 0u);
+  EXPECT_EQ(d.h, 0x14cb747a79f558dfull) << "0x" << std::hex << d.h;
 }
 
 TEST(Des, DifferentSeedsDiffer) {
@@ -108,18 +158,6 @@ TEST(Des, KeepSamplesEnablesQuantiles) {
   EXPECT_GE(r.flows[0].samples.p99(), r.flows[0].samples.median());
 }
 
-TEST(Des, MaxEventsTruncates) {
-  const SimNetwork net = tandem_network();
-  SimConfig cfg;
-  cfg.duration = 1000.0;
-  cfg.warmup = 0.0;
-  cfg.seed = 8;
-  cfg.max_events = 500;
-  const SimResult r = simulate(net, cfg);
-  EXPECT_TRUE(r.truncated);
-  EXPECT_EQ(r.events_processed, 500u);
-}
-
 TEST(Des, StationVisitAccountingMatchesFlows) {
   const SimNetwork net = tandem_network();
   SimConfig cfg;
@@ -170,19 +208,6 @@ TEST(Des, RejectsBadConfig) {
   EXPECT_THROW((void)simulate(net, cfg), std::invalid_argument);
   cfg.warmup = -1.0;
   EXPECT_THROW((void)simulate(net, cfg), std::invalid_argument);
-}
-
-TEST(Des, NackDelayIncreasesEndToEnd) {
-  SimNetwork net = tandem_network();
-  net.flows[0].delivery_prob = 0.5;
-  SimConfig cfg;
-  cfg.duration = 200.0;
-  cfg.warmup = 10.0;
-  cfg.seed = 10;
-  const double base = simulate(net, cfg).flows[0].end_to_end.mean();
-  cfg.nack_delay = 0.2;
-  const double delayed = simulate(net, cfg).flows[0].end_to_end.mean();
-  EXPECT_GT(delayed, base + 0.05);
 }
 
 }  // namespace

@@ -56,6 +56,12 @@ done
 # loudly instead of silently getting a different run.
 expect_exit 2 "pipeline --shards 2 is a usage error" "$NFVPR" pipeline --shards 2
 
+# A missing model file flag is a usage error, not a failed open of "".
+for sub in place pipeline tail simulate; do
+  expect_exit 2 "$sub without --topology is a usage error" "$NFVPR" "$sub"
+done
+expect_exit 2 "schedule without --workload is a usage error" "$NFVPR" schedule
+
 # --- end-to-end telemetry -------------------------------------------------
 expect_exit 0 "generate-topology" \
   sh -c "'$NFVPR' generate-topology --nodes 8 --seed 3 > '$WORK/dc.topo'"

@@ -139,6 +139,16 @@ struct ModelFlags {
         workload(
             cli.add_string("workload", 'w', std::move(workload_help), "")) {}
 
+  /// Both flags are required: returns false (after a one-line message)
+  /// when either is missing, so the caller exits 2 instead of failing to
+  /// open an empty path.
+  [[nodiscard]] bool given(const char* command) const {
+    if (!topology.empty() && !workload.empty()) return true;
+    std::fprintf(stderr, "nfvpr %s: --topology and --workload are required\n",
+                 command);
+    return false;
+  }
+
   [[nodiscard]] nfv::core::SystemModel load() const {
     std::ifstream in(topology);
     if (!in) throw std::runtime_error("cannot open topology file " + topology);
@@ -432,6 +442,7 @@ int cmd_place(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
   if (!solver.validate()) return 2;
+  if (!files.given("place")) return 2;
   std::unique_ptr<nfv::placement::PlacementAlgorithm> algo;
   if (!solver.enabled()) {
     // --solver overrides --algorithm, so the name is only resolved (and
@@ -514,6 +525,10 @@ int cmd_schedule(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
   if (!non_negative("schedule", "vnf", vnf)) return 2;
+  if (workload_file.empty()) {
+    std::fputs("nfvpr schedule: --workload is required\n", stderr);
+    return 2;
+  }
   const auto workload = read_workload(workload_file);
   if (static_cast<std::size_t>(vnf) >= workload.vnfs.size()) {
     std::fprintf(stderr, "nfvpr schedule: --vnf %lld out of range (have %zu)\n",
@@ -587,6 +602,7 @@ int cmd_pipeline(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
   if (!solver.validate()) return 2;
+  if (!files.given("pipeline")) return 2;
   // Unknown algorithm names are usage errors, surfaced before any file is
   // read (--solver supplies its own placement backends).
   if (!solver.enabled() &&
@@ -678,6 +694,7 @@ int cmd_tail(int argc, const char* const* argv) {
   const auto& top = cli.add_int("top", 'n', "show the N busiest requests", 10);
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
+  if (!files.given("tail")) return 2;
   const nfv::core::SystemModel model = files.load();
   const auto result = nfv::core::JointOptimizer{nfv::core::JointConfig{}}.run(
       model, static_cast<std::uint64_t>(seed));
@@ -720,6 +737,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   Telemetry tele(cli);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (!threads.install()) return 2;
+  if (!files.given("simulate")) return 2;
   const nfv::core::SystemModel model = files.load();
   tele.activate();
   const auto result = nfv::core::JointOptimizer{nfv::core::JointConfig{}}.run(
