@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
                       "occupation", "iterations"});
     table.set_precision(4);
     for (const auto* name :
-         {"BFDSU", "CABP", "SA", "BFD", "FFD", "WFD", "NAH", "NFD"}) {
+         {"BFDSU", "CABP", "SA", "BFD", "FFD", "WFD", "NAH"}) {
       nfv::bench::PlacementScenario s;
       s.nodes = 12;
       s.vnfs = 15;

@@ -3,7 +3,7 @@
 //   * BFDSU  — the paper's Algorithm 1 (priority-driven weighted best fit),
 //   * FFD    — First Fit Decreasing baseline,
 //   * NAH    — Node Assignment Heuristic of Xia et al. [12],
-// plus classical fits (BFD / NFD / WFD) and an exact branch-and-bound
+// plus classical fits (BFD / WFD) and an exact branch-and-bound
 // for small instances (used to validate Theorem 2's factor-2 bound).
 #pragma once
 
@@ -40,14 +40,6 @@ class FfdPlacement final : public PlacementAlgorithm {
   [[nodiscard]] Placement place(const PlacementProblem& problem,
                                 Rng& rng) const override;
   [[nodiscard]] std::string_view name() const override { return "FFD"; }
-};
-
-/// Next Fit Decreasing: keeps a single open node, moves on when full.
-class NfdPlacement final : public PlacementAlgorithm {
- public:
-  [[nodiscard]] Placement place(const PlacementProblem& problem,
-                                Rng& rng) const override;
-  [[nodiscard]] std::string_view name() const override { return "NFD"; }
 };
 
 /// Best Fit Decreasing (deterministic): each VNF to the feasible node with

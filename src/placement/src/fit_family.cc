@@ -1,29 +1,9 @@
-// Next Fit Decreasing, Best Fit Decreasing and Worst Fit Decreasing —
-// classical comparators and ablation baselines.
+// Best Fit Decreasing and Worst Fit Decreasing — classical comparators and
+// ablation baselines.
 #include "nfv/placement/algorithm.h"
 #include "fit_util.h"
 
 namespace nfv::placement {
-
-Placement NfdPlacement::place(const PlacementProblem& problem,
-                              Rng& /*rng*/) const {
-  problem.validate();
-  Placement result;
-  result.assignment.resize(problem.vnf_count());
-  result.iterations = 1;
-  std::vector<double> residual = problem.capacities;
-  std::uint32_t open = 0;
-  for (const std::uint32_t f : detail::demand_order_desc(problem)) {
-    while (open < problem.node_count() &&
-           !detail::fits(residual[open], problem.demands[f])) {
-      ++open;  // Next Fit never returns to a closed node
-    }
-    if (open == problem.node_count()) return result;
-    detail::assign(result, residual, f, open, problem.demands[f]);
-  }
-  result.feasible = true;
-  return result;
-}
 
 namespace {
 

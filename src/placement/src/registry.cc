@@ -13,7 +13,6 @@ std::unique_ptr<PlacementAlgorithm> make_placement_algorithm(
   if (name == "NAH") return std::make_unique<NahPlacement>();
   if (name == "BFD") return std::make_unique<BfdPlacement>();
   if (name == "WFD") return std::make_unique<WfdPlacement>();
-  if (name == "NFD") return std::make_unique<NfdPlacement>();
   if (name == "CABP") return std::make_unique<CabpPlacement>();
   if (name == "SA") return std::make_unique<AnnealingPlacement>();
   if (name == "PSO") return std::make_unique<PsoPlacement>();
@@ -24,7 +23,7 @@ std::unique_ptr<PlacementAlgorithm> make_placement_algorithm(
 
 std::vector<std::string> placement_algorithm_names() {
   return {"BFDSU", "CABP", "SA",  "PSO", "LP",
-          "FFD",   "NAH",  "BFD", "WFD", "NFD", "Exact"};
+          "FFD",   "NAH",  "BFD", "WFD", "Exact"};
 }
 
 }  // namespace nfv::placement

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <set>
 #include <optional>
@@ -347,6 +348,8 @@ class ServeEngine {
     std::uint32_t slot = 0;  ///< existing instance (when !scale_out)
     std::uint32_t node = 0;  ///< planned node (when scale_out)
   };
+  /// least_loaded_fit's "exclude nothing"; never a real slot.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   [[nodiscard]] double limit(std::uint32_t vnf) const;
   /// Best-fit node for one new instance of demand `demand`: used nodes
@@ -358,24 +361,42 @@ class ServeEngine {
   void clear_plan_overlay();
   /// Eq. 16 per live request in ascending id order, into `out`.
   void eval_latencies(std::vector<double>& out) const;
+  /// Least-loaded non-draining instance of `vnf` that admits `eff` more
+  /// effective load, skipping slot `exclude`; oldest on ties.  Each visited
+  /// slot, the excluded one included, costs one unit of work_.
+  [[nodiscard]] std::optional<std::uint32_t> least_loaded_fit(
+      std::uint32_t vnf, double eff, std::uint32_t exclude = kNoSlot);
+  /// Appends one hop to scratch_.hop_plan: the least-loaded fitting
+  /// instance, else a new one on the best-fit node (charged to the plan
+  /// overlay); false when neither exists.
+  [[nodiscard]] bool plan_hop(std::uint32_t vnf, double eff);
   /// Plans every hop of a request into scratch_.hop_plan; false when some
   /// hop fits nowhere (the buffer then holds a partial plan).
   [[nodiscard]] bool plan_placement(double rate, double prob,
                                     const std::vector<std::uint32_t>& chain);
-  std::uint32_t open_instance(std::uint32_t vnf, std::uint32_t node);
+  /// Opens an instance and counts it as a scale-out.
+  std::uint32_t open_instance(std::uint32_t vnf, std::uint32_t node,
+                              EventOutcome& outcome);
   void retire_instance(std::uint32_t slot);
   void add_to_instance(std::uint32_t slot, std::uint32_t id, double rate,
                        double prob);
-  /// Returns true when the instance emptied and was retired.
-  bool remove_from_instance(std::uint32_t slot, std::uint32_t id, double rate,
-                            double prob);
-  /// Moves one hop of an over-limit live request to a feasible instance
-  /// (existing or fresh); returns false when nowhere admits it.
-  bool relocate_hop(std::uint32_t id, std::size_t hop, EventOutcome& outcome);
-  /// Commits a plan: opens planned instances and assigns the request.
+  /// Retires the instance, counted as a scale-in, when it empties.
+  void remove_from_instance(std::uint32_t slot, std::uint32_t id, double rate,
+                            double prob, EventOutcome& outcome);
+  /// Commits one plan entry as hop `hop` of `r` (request `id`), opening the
+  /// planned instance if any, and records `stage` (kPlace or kEvacuate).
+  void place_hop(std::uint32_t id, LiveRequest& r, std::size_t hop,
+                 const HopPlan& step, obs::LifecycleStage stage,
+                 EventOutcome& outcome);
+  /// Moves one hop of a live request to the least-loaded other instance
+  /// that admits it, or, when `may_open`, to a fresh instance; false when
+  /// nowhere admits it.
+  bool move_hop(std::uint32_t id, std::size_t hop, bool may_open,
+                EventOutcome& outcome);
+  /// Commits scratch_.hop_plan: opens planned instances and assigns the
+  /// request.
   void commit_placement(std::uint32_t id, double rate, double prob,
                         std::vector<std::uint32_t> chain,
-                        const std::vector<HopPlan>& plan,
                         EventOutcome& outcome);
   void remove_live(std::uint32_t id, EventOutcome& outcome);
   /// Integrates served/offered rate over [last_time_, now) for the
@@ -405,6 +426,13 @@ class ServeEngine {
                        EventOutcome& outcome);
   void drain_queue(EventOutcome& outcome,
                    std::vector<std::uint32_t>& touched_vnfs);
+  /// Rebalances each VNF in `touched` once, in ascending id order (sorts
+  /// and dedups `touched` in place).
+  void settle(std::vector<std::uint32_t>& touched, EventOutcome& outcome);
+  /// Admits what the waiting room can now place, then settles `touched`
+  /// plus the admitted chains.
+  void drain_then_settle(std::vector<std::uint32_t>& touched,
+                         EventOutcome& outcome);
   void finish_outcome(EventOutcome& outcome);
   /// on_event minus the outcome copy-out: appends to log_ and returns
   /// nothing.  The shared body of on_event and apply_batch.
@@ -429,9 +457,6 @@ class ServeEngine {
   /// Migrates members off draining instances (≤ migration_budget moves per
   /// instance per call) and retires the ones that empty.
   void autoscale_drain_pass(EventOutcome& outcome);
-  /// Moves `id`'s hop off a draining instance onto an existing
-  /// non-draining instance with room; never opens a new instance.
-  bool drain_member(std::uint32_t id, std::size_t hop, EventOutcome& outcome);
 
   // --- streaming telemetry (DESIGN.md §14) ---
   [[nodiscard]] bool timeline_on() const {
@@ -495,8 +520,8 @@ class ServeEngine {
   std::uint64_t work_ = 0;
 
   // Transient per-event / per-batch scratch (never checkpointed, never
-  // read across events): the touched-VNF accumulator that used to be three
-  // per-event vector locals, and replay_binary's reusable decode batch.
+  // read across events): the touched-VNF accumulator every settle step
+  // works on, and replay_binary's reusable decode batch.
   std::vector<std::uint32_t> touched_scratch_;
   std::vector<workload::StreamEvent> batch_;
 
@@ -581,5 +606,15 @@ class ServeEngine {
 /// entries are included only when `include_events`.
 [[nodiscard]] obs::ServeSection make_serve_section(const ServeEngine& engine,
                                                    bool include_events);
+
+inline constexpr std::string_view kFlightSchema = "nfvpr.flight/1";
+
+/// The flight-recorder dump (DESIGN.md §14.3): {"schema":
+/// "nfvpr.flight/1", "capacity": K, "recorded": log size, "entries": [...]}
+/// with the last K entries of engine.log(), oldest first.  A resumed
+/// engine carries the checkpointed log, so its dump equals the
+/// uninterrupted run's.
+void write_flight_dump(const ServeEngine& engine, std::size_t capacity,
+                       std::ostream& os);
 
 }  // namespace nfv::serve

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <utility>
 
 #include "nfv/common/error.h"
-#include "nfv/obs/flight_recorder.h"
+#include "nfv/obs/json.h"
 #include "nfv/obs/metrics.h"
 #include "nfv/scheduling/algorithm.h"
 #include "nfv/workload/btrace.h"
@@ -77,6 +78,12 @@ void ServeConfig::validate() const {
   NFV_REQUIRE(std::isfinite(degraded_headroom) &&
               degraded_headroom >= headroom && degraded_headroom < 1.0);
   NFV_REQUIRE(retry_backoff_base >= 1);
+  // The k-th backoff is retry_backoff_base << k for k up to retry_budget;
+  // a shift that drops bits (or spans 64 or more) would be meaningless or
+  // undefined.
+  NFV_REQUIRE(retry_budget < 64 &&
+              (retry_backoff_base << retry_budget) >> retry_budget ==
+                  retry_backoff_base);
   NFV_REQUIRE(std::isfinite(snapshot_every) && snapshot_every >= 0.0);
   NFV_REQUIRE(timeline_span >= 1);
   autoscale.validate();
@@ -167,45 +174,56 @@ std::optional<std::uint32_t> ServeEngine::pick_node(double demand) {
   return best;
 }
 
+std::optional<std::uint32_t> ServeEngine::least_loaded_fit(
+    std::uint32_t vnf, double eff, std::uint32_t exclude) {
+  // The active list is in creation order, so strict `<` keeps the oldest
+  // on ties.
+  const double cap = limit(vnf);
+  std::optional<std::uint32_t> best;
+  double best_load = std::numeric_limits<double>::infinity();
+  for (const std::uint32_t slot : active_of_vnf_[vnf]) {
+    ++work_;
+    if (slot == exclude) continue;
+    const Instance& inst = instances_[slot];
+    if (inst.draining) continue;  // scale-in in progress: no new members
+    if (inst.effective_load + eff > cap) continue;
+    if (inst.effective_load < best_load) {
+      best_load = inst.effective_load;
+      best = slot;
+    }
+  }
+  return best;
+}
+
+bool ServeEngine::plan_hop(std::uint32_t vnf, double eff) {
+  std::vector<HopPlan>& plan = scratch_.hop_plan;
+  if (const auto slot = least_loaded_fit(vnf, eff)) {
+    plan.push_back({false, *slot, 0});
+    return true;
+  }
+  if (eff > limit(vnf)) return false;  // too big even for a fresh instance
+  const double demand = vnfs_[vnf].demand_per_instance;
+  const auto node = pick_node(demand);
+  if (!node) return false;
+  plan.push_back({true, 0, *node});
+  scratch_.plan_use[*node] += demand;
+  ++scratch_.plan_count[*node];
+  return true;
+}
+
 bool ServeEngine::plan_placement(double rate, double prob,
                                  const std::vector<std::uint32_t>& chain) {
   const double eff = rate / prob;
-  std::vector<HopPlan>& plan = scratch_.hop_plan;
-  plan.clear();
+  scratch_.hop_plan.clear();
   clear_plan_overlay();
   for (const std::uint32_t f : chain) {
-    const double cap = limit(f);
-    // Least-loaded feasible existing instance; the active list is in
-    // creation order, so strict `<` keeps the oldest on ties.
-    std::optional<std::uint32_t> best;
-    double best_load = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t slot : active_of_vnf_[f]) {
-      ++work_;
-      const Instance& inst = instances_[slot];
-      if (inst.draining) continue;  // scale-in in progress: no new members
-      if (inst.effective_load + eff > cap) continue;
-      if (inst.effective_load < best_load) {
-        best_load = inst.effective_load;
-        best = slot;
-      }
-    }
-    if (best) {
-      plan.push_back({false, *best, 0});
-      continue;
-    }
-    if (eff > cap) return false;  // too big even for a fresh instance
-    const double demand = vnfs_[f].demand_per_instance;
-    const auto node = pick_node(demand);
-    if (!node) return false;
-    plan.push_back({true, 0, *node});
-    scratch_.plan_use[*node] += demand;
-    ++scratch_.plan_count[*node];
+    if (!plan_hop(f, eff)) return false;
   }
   return true;
 }
 
-std::uint32_t ServeEngine::open_instance(std::uint32_t vnf,
-                                         std::uint32_t node) {
+std::uint32_t ServeEngine::open_instance(std::uint32_t vnf, std::uint32_t node,
+                                         EventOutcome& outcome) {
   const auto slot = static_cast<std::uint32_t>(instances_.size());
   Instance inst;
   inst.vnf = vnf;
@@ -216,6 +234,8 @@ std::uint32_t ServeEngine::open_instance(std::uint32_t vnf,
   node_free_[node] -= vnfs_[vnf].demand_per_instance;
   NFV_CHECK(node_free_[node] >= -1e-9);
   ++node_instances_[node];
+  ++outcome.scale_outs;
+  ++totals_.scale_outs;
   return slot;
 }
 
@@ -241,43 +261,73 @@ void ServeEngine::add_to_instance(std::uint32_t slot, std::uint32_t id,
   inst.effective_load += rate / prob;
 }
 
-bool ServeEngine::remove_from_instance(std::uint32_t slot, std::uint32_t id,
-                                       double rate, double prob) {
+void ServeEngine::remove_from_instance(std::uint32_t slot, std::uint32_t id,
+                                       double rate, double prob,
+                                       EventOutcome& outcome) {
   Instance& inst = instances_[slot];
   erase_sorted(inst.members, id);
   if (inst.members.empty()) {
     retire_instance(slot);
-    return true;
+    ++outcome.scale_ins;
+    ++totals_.scale_ins;
+    return;
   }
   inst.raw_load -= rate;
   inst.effective_load -= rate / prob;
-  return false;
+}
+
+void ServeEngine::place_hop(std::uint32_t id, LiveRequest& r, std::size_t hop,
+                            const HopPlan& step, obs::LifecycleStage stage,
+                            EventOutcome& outcome) {
+  const std::uint32_t slot =
+      step.scale_out ? open_instance(r.chain[hop], step.node, outcome)
+                     : step.slot;
+  add_to_instance(slot, id, r.rate, r.prob);
+  r.hop_instance[hop] = slot;
+  if (lifecycle_on()) {
+    record_lifecycle(outcome, stage, id, instances_[slot].node,
+                     static_cast<std::uint32_t>(hop));
+  }
+}
+
+bool ServeEngine::move_hop(std::uint32_t id, std::size_t hop, bool may_open,
+                           EventOutcome& outcome) {
+  LiveRequest& r = live_.at(id);
+  const std::uint32_t f = r.chain[hop];
+  const std::uint32_t cur = r.hop_instance[hop];
+  const double eff = r.rate / r.prob;
+  std::optional<std::uint32_t> best = least_loaded_fit(f, eff, cur);
+  if (!best && may_open && eff <= limit(f)) {
+    clear_plan_overlay();
+    if (const auto node = pick_node(vnfs_[f].demand_per_instance)) {
+      best = open_instance(f, *node, outcome);
+    }
+  }
+  if (!best) return false;
+
+  remove_from_instance(cur, id, r.rate, r.prob, outcome);
+  add_to_instance(*best, id, r.rate, r.prob);
+  r.hop_instance[hop] = *best;
+  ++outcome.migrations;
+  ++totals_.migrations;
+  if (lifecycle_on()) {
+    record_lifecycle(outcome, obs::LifecycleStage::kMigrate, id,
+                     instances_[*best].node, static_cast<std::uint32_t>(hop));
+  }
+  return true;
 }
 
 void ServeEngine::commit_placement(std::uint32_t id, double rate, double prob,
                                    std::vector<std::uint32_t> chain,
-                                   const std::vector<HopPlan>& plan,
                                    EventOutcome& outcome) {
+  const std::vector<HopPlan>& plan = scratch_.hop_plan;
   LiveRequest r;
   r.rate = rate;
   r.prob = prob;
   r.chain = std::move(chain);
-  r.hop_instance.reserve(plan.size());
+  r.hop_instance.assign(plan.size(), 0);
   for (std::size_t h = 0; h < plan.size(); ++h) {
-    std::uint32_t slot;
-    if (plan[h].scale_out) {
-      slot = open_instance(r.chain[h], plan[h].node);
-      ++outcome.scale_outs;
-      ++totals_.scale_outs;
-    } else {
-      slot = plan[h].slot;
-    }
-    add_to_instance(slot, id, rate, prob);
-    r.hop_instance.push_back(slot);
-    if (lifecycle_on()) {
-      record_lifecycle(outcome, obs::LifecycleStage::kPlace, id,
-                       instances_[slot].node, static_cast<std::uint32_t>(h));
-    }
+    place_hop(id, r, h, plan[h], obs::LifecycleStage::kPlace, outcome);
   }
   live_.emplace(id, std::move(r));
 }
@@ -287,10 +337,7 @@ void ServeEngine::remove_live(std::uint32_t id, EventOutcome& outcome) {
   NFV_CHECK(it != live_.end());
   const LiveRequest& r = it->second;
   for (std::size_t h = 0; h < r.chain.size(); ++h) {
-    if (remove_from_instance(r.hop_instance[h], id, r.rate, r.prob)) {
-      ++outcome.scale_ins;
-      ++totals_.scale_ins;
-    }
+    remove_from_instance(r.hop_instance[h], id, r.rate, r.prob, outcome);
   }
   live_.erase(it);
 }
@@ -406,52 +453,6 @@ void ServeEngine::rebalance_chain(const std::vector<std::uint32_t>& chain,
   for (const std::uint32_t f : chain) rebalance(f, outcome);
 }
 
-bool ServeEngine::relocate_hop(std::uint32_t id, std::size_t hop,
-                               EventOutcome& outcome) {
-  LiveRequest& r = live_.at(id);
-  const std::uint32_t f = r.chain[hop];
-  const std::uint32_t cur = r.hop_instance[hop];
-  const double eff = r.rate / r.prob;
-  const double cap = limit(f);
-
-  std::optional<std::uint32_t> best;
-  double best_load = std::numeric_limits<double>::infinity();
-  for (const std::uint32_t slot : active_of_vnf_[f]) {
-    ++work_;
-    if (slot == cur) continue;
-    const Instance& inst = instances_[slot];
-    if (inst.draining) continue;
-    if (inst.effective_load + eff > cap) continue;
-    if (inst.effective_load < best_load) {
-      best_load = inst.effective_load;
-      best = slot;
-    }
-  }
-  if (!best && eff <= cap) {
-    clear_plan_overlay();
-    if (const auto node = pick_node(vnfs_[f].demand_per_instance)) {
-      best = open_instance(f, *node);
-      ++outcome.scale_outs;
-      ++totals_.scale_outs;
-    }
-  }
-  if (!best) return false;
-
-  if (remove_from_instance(cur, id, r.rate, r.prob)) {
-    ++outcome.scale_ins;
-    ++totals_.scale_ins;
-  }
-  add_to_instance(*best, id, r.rate, r.prob);
-  r.hop_instance[hop] = *best;
-  ++outcome.migrations;
-  ++totals_.migrations;
-  if (lifecycle_on()) {
-    record_lifecycle(outcome, obs::LifecycleStage::kMigrate, id,
-                     instances_[*best].node, static_cast<std::uint32_t>(hop));
-  }
-  return true;
-}
-
 void ServeEngine::drain_queue(EventOutcome& outcome,
                               std::vector<std::uint32_t>& touched_vnfs) {
   while (!queue_.empty()) {
@@ -466,11 +467,23 @@ void ServeEngine::drain_queue(EventOutcome& outcome,
     if (lifecycle_on()) {
       record_lifecycle(outcome, obs::LifecycleStage::kAdmit, p.id);
     }
-    commit_placement(p.id, p.rate, p.prob, std::move(p.chain), scratch_.hop_plan,
-                     outcome);
+    commit_placement(p.id, p.rate, p.prob, std::move(p.chain), outcome);
     ++outcome.admitted_from_queue;
     ++totals_.admitted_from_queue;
   }
+}
+
+void ServeEngine::settle(std::vector<std::uint32_t>& touched,
+                         EventOutcome& outcome) {
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  rebalance_chain(touched, outcome);
+}
+
+void ServeEngine::drain_then_settle(std::vector<std::uint32_t>& touched,
+                                    EventOutcome& outcome) {
+  drain_queue(outcome, touched);
+  settle(touched, outcome);
 }
 
 void ServeEngine::accumulate_availability(double now) {
@@ -655,64 +668,27 @@ obs::TimelineDoc ServeEngine::timeline_doc(bool include_partial) const {
 bool ServeEngine::evacuate_request(std::uint32_t id, EventOutcome& outcome) {
   LiveRequest& r = live_.at(id);
   const double eff = r.rate / r.prob;
-  std::vector<std::size_t> broken;
-  for (std::size_t h = 0; h < r.chain.size(); ++h) {
-    if (instances_[r.hop_instance[h]].retired) broken.push_back(h);
-  }
-  NFV_CHECK(!broken.empty());
-
-  // Plan every broken hop before touching state, with node overlays so two
-  // scale-outs of one request share residual bookkeeping (as in
-  // plan_placement); an all-or-nothing commit keeps the failure path clean.
-  std::vector<HopPlan> plan;
-  plan.reserve(broken.size());
+  // Plan every broken hop (one whose instance died) before touching state,
+  // with node overlays so two scale-outs of one request share residual
+  // bookkeeping (as in plan_placement); an all-or-nothing commit keeps the
+  // failure path clean.
+  const auto broken = [&](std::size_t h) {
+    return instances_[r.hop_instance[h]].retired;
+  };
+  std::vector<HopPlan>& plan = scratch_.hop_plan;
+  plan.clear();
   clear_plan_overlay();
-  for (const std::size_t h : broken) {
-    const std::uint32_t f = r.chain[h];
-    const double cap = limit(f);
-    std::optional<std::uint32_t> best;
-    double best_load = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t slot : active_of_vnf_[f]) {
-      ++work_;
-      const Instance& inst = instances_[slot];
-      if (inst.draining) continue;
-      if (inst.effective_load + eff > cap) continue;
-      if (inst.effective_load < best_load) {
-        best_load = inst.effective_load;
-        best = slot;
-      }
-    }
-    if (best) {
-      plan.push_back({false, *best, 0});
-      continue;
-    }
-    if (eff > cap) return false;
-    const double demand = vnfs_[f].demand_per_instance;
-    const auto node = pick_node(demand);
-    if (!node) return false;
-    plan.push_back({true, 0, *node});
-    scratch_.plan_use[*node] += demand;
-    ++scratch_.plan_count[*node];
+  for (std::size_t h = 0; h < r.chain.size(); ++h) {
+    if (broken(h) && !plan_hop(r.chain[h], eff)) return false;
   }
+  NFV_CHECK(!plan.empty());
 
-  for (std::size_t k = 0; k < broken.size(); ++k) {
-    const std::size_t h = broken[k];
-    std::uint32_t slot;
-    if (plan[k].scale_out) {
-      slot = open_instance(r.chain[h], plan[k].node);
-      ++outcome.scale_outs;
-      ++totals_.scale_outs;
-    } else {
-      slot = plan[k].slot;
-    }
-    add_to_instance(slot, id, r.rate, r.prob);
-    r.hop_instance[h] = slot;
-    if (lifecycle_on()) {
-      record_lifecycle(outcome, obs::LifecycleStage::kEvacuate, id,
-                       instances_[slot].node, static_cast<std::uint32_t>(h));
-    }
+  std::size_t k = 0;
+  for (std::size_t h = 0; h < r.chain.size(); ++h) {
+    if (!broken(h)) continue;
+    place_hop(id, r, h, plan[k++], obs::LifecycleStage::kEvacuate, outcome);
   }
-  const auto moves = static_cast<std::uint32_t>(broken.size());
+  const auto moves = static_cast<std::uint32_t>(plan.size());
   outcome.evacuation_migrations += moves;
   totals_.evacuation_migrations += moves;
   ++outcome.evacuated;
@@ -765,7 +741,8 @@ void ServeEngine::handle_node_down(const workload::StreamEvent& event,
   // survivors (scaling out replacements if needed); a request that fits
   // nowhere is unbound from its surviving hops and parked for backoff
   // retry, shedding only when even the retry queue is full.
-  std::vector<std::uint32_t> touched;
+  std::vector<std::uint32_t>& touched = touched_scratch_;
+  touched.clear();
   for (const std::uint32_t id : affected) {
     if (evacuate_request(id, outcome)) {
       const LiveRequest& r = live_.at(id);
@@ -775,11 +752,8 @@ void ServeEngine::handle_node_down(const workload::StreamEvent& event,
     LiveRequest moved = std::move(live_.at(id));
     for (std::size_t h = 0; h < moved.chain.size(); ++h) {
       if (instances_[moved.hop_instance[h]].retired) continue;
-      if (remove_from_instance(moved.hop_instance[h], id, moved.rate,
-                               moved.prob)) {
-        ++outcome.scale_ins;
-        ++totals_.scale_ins;
-      }
+      remove_from_instance(moved.hop_instance[h], id, moved.rate, moved.prob,
+                           outcome);
     }
     live_.erase(id);
     if (retry_queue_.size() < config_.queue_capacity) {
@@ -802,9 +776,7 @@ void ServeEngine::handle_node_down(const workload::StreamEvent& event,
       }
     }
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  rebalance_chain(touched, outcome);
+  settle(touched, outcome);
 }
 
 void ServeEngine::handle_node_up(const workload::StreamEvent& event,
@@ -823,11 +795,8 @@ void ServeEngine::handle_node_up(const workload::StreamEvent& event,
   NFV_CHECK(node_instances_[node] == 0);
   // Recovered capacity may unblock the waiting room right away; parked
   // requests instead flow through the backoff-gated retry pass.
-  std::vector<std::uint32_t> touched;
-  drain_queue(outcome, touched);
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  rebalance_chain(touched, outcome);
+  touched_scratch_.clear();
+  drain_then_settle(touched_scratch_, outcome);
 }
 
 void ServeEngine::drain_retry_queue(EventOutcome& outcome,
@@ -853,7 +822,7 @@ void ServeEngine::drain_retry_queue(EventOutcome& outcome,
                          admitted.id, obs::kLifecycleNoNode, rung);
       }
       commit_placement(admitted.id, admitted.rate, admitted.prob,
-                       std::move(admitted.chain), scratch_.hop_plan, outcome);
+                       std::move(admitted.chain), outcome);
       ++outcome.retry_admitted;
       ++totals_.retry_admitted;
       continue;
@@ -933,11 +902,8 @@ void ServeEngine::update_degradation(EventOutcome& outcome) {
     shed_overloaded(outcome);
   } else if (degraded_ && frac <= 0.5 * config_.overload_threshold) {
     degraded_ = false;  // relaxed headroom may admit the backlog again
-    std::vector<std::uint32_t> touched;
-    drain_queue(outcome, touched);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    rebalance_chain(touched, outcome);
+    touched_scratch_.clear();
+    drain_then_settle(touched_scratch_, outcome);
   }
   if (degraded_) ++totals_.degraded_events;
   outcome.degraded = degraded_;
@@ -998,14 +964,10 @@ void ServeEngine::autoscale_decide(EventOutcome& outcome) {
   }
   autoscale_drain_pass(outcome);
   if (opened) {
-    // Fresh capacity may admit the backlog: same drain-then-rebalance step
+    // Fresh capacity may admit the backlog: same drain-then-settle step
     // the degradation exit uses.
-    std::vector<std::uint32_t>& touched = touched_scratch_;
-    touched.clear();
-    drain_queue(outcome, touched);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    rebalance_chain(touched, outcome);
+    touched_scratch_.clear();
+    drain_then_settle(touched_scratch_, outcome);
   }
 }
 
@@ -1017,9 +979,7 @@ std::uint32_t ServeEngine::autoscale_open(std::uint32_t vnf,
   for (; opened < count; ++opened) {
     const auto node = pick_node(vnfs_[vnf].demand_per_instance);
     if (!node) break;  // cluster full: partial scale-out is fine
-    open_instance(vnf, *node);
-    ++outcome.scale_outs;
-    ++totals_.scale_outs;
+    open_instance(vnf, *node, outcome);
     ++as_opened_;
   }
   return opened;
@@ -1051,7 +1011,7 @@ void ServeEngine::autoscale_drain_pass(EventOutcome& outcome) {
   for (std::uint32_t slot = 0;
        slot < static_cast<std::uint32_t>(instances_.size()); ++slot) {
     if (instances_[slot].retired || !instances_[slot].draining) continue;
-    // Snapshot the member list: drain_member edits it under us.
+    // Snapshot the member list: move_hop edits it under us.
     const std::vector<std::uint32_t> members = instances_[slot].members;
     std::uint32_t moves = 0;
     for (const std::uint32_t id : members) {
@@ -1060,7 +1020,10 @@ void ServeEngine::autoscale_drain_pass(EventOutcome& outcome) {
       const LiveRequest& r = live_.at(id);
       for (std::size_t h = 0; h < r.chain.size(); ++h) {
         if (r.hop_instance[h] != slot) continue;
-        if (drain_member(id, h, outcome)) ++moves;
+        // A drain never opens an instance: a drain that needs fresh
+        // capacity is one the controller should not have started, and the
+        // member waits for a later pass to find room.
+        if (move_hop(id, h, /*may_open=*/false, outcome)) ++moves;
         break;  // one hop per member per pass keeps the budget honest
       }
     }
@@ -1071,47 +1034,6 @@ void ServeEngine::autoscale_drain_pass(EventOutcome& outcome) {
       ++totals_.scale_ins;
     }
   }
-}
-
-bool ServeEngine::drain_member(std::uint32_t id, std::size_t hop,
-                               EventOutcome& outcome) {
-  LiveRequest& r = live_.at(id);
-  const std::uint32_t f = r.chain[hop];
-  const std::uint32_t cur = r.hop_instance[hop];
-  const double eff = r.rate / r.prob;
-  const double cap = limit(f);
-
-  // Unlike relocate_hop this never opens an instance: a drain that needs
-  // fresh capacity is a drain the controller should not have started, and
-  // the member simply waits for a later pass to find room.
-  std::optional<std::uint32_t> best;
-  double best_load = std::numeric_limits<double>::infinity();
-  for (const std::uint32_t slot : active_of_vnf_[f]) {
-    ++work_;
-    if (slot == cur) continue;
-    const Instance& inst = instances_[slot];
-    if (inst.draining) continue;
-    if (inst.effective_load + eff > cap) continue;
-    if (inst.effective_load < best_load) {
-      best_load = inst.effective_load;
-      best = slot;
-    }
-  }
-  if (!best) return false;
-
-  if (remove_from_instance(cur, id, r.rate, r.prob)) {
-    ++outcome.scale_ins;
-    ++totals_.scale_ins;
-  }
-  add_to_instance(*best, id, r.rate, r.prob);
-  r.hop_instance[hop] = *best;
-  ++outcome.migrations;
-  ++totals_.migrations;
-  if (lifecycle_on()) {
-    record_lifecycle(outcome, obs::LifecycleStage::kMigrate, id,
-                     instances_[*best].node, static_cast<std::uint32_t>(hop));
-  }
-  return true;
 }
 
 void ServeEngine::finish_outcome(EventOutcome& outcome) {
@@ -1149,25 +1071,6 @@ void ServeEngine::finish_outcome(EventOutcome& outcome) {
   }
   if (outcome.shed_overload > 0) {
     obs::count("serve.shed_overload", outcome.shed_overload);
-  }
-  if (obs::flight_recorder() != nullptr) {
-    obs::FlightEntry fe;
-    fe.index = outcome.index;
-    fe.time = outcome.time;
-    fe.kind = workload::to_string(outcome.kind);
-    fe.decision = to_string(outcome.decision);
-    fe.request = outcome.request;
-    fe.migrations = outcome.migrations;
-    fe.scale_outs = outcome.scale_outs;
-    fe.scale_ins = outcome.scale_ins;
-    fe.admitted_from_queue = outcome.admitted_from_queue;
-    fe.evacuated = outcome.evacuated;
-    fe.parked = outcome.parked;
-    fe.retry_admitted = outcome.retry_admitted;
-    fe.shed_fault = outcome.shed_fault;
-    fe.shed_overload = outcome.shed_overload;
-    fe.degraded = outcome.degraded;
-    obs::flight_record(fe);
   }
   log_.push_back(outcome);
 }
@@ -1227,7 +1130,7 @@ void ServeEngine::process_event(const workload::StreamEvent& event) {
                            event.request);
         }
         commit_placement(event.request, event.rate, event.delivery_prob,
-                         event.chain, scratch_.hop_plan, outcome);
+                         event.chain, outcome);
         outcome.decision = Decision::kAdmitted;
         ++totals_.admitted;
         rebalance_chain(event.chain, outcome);
@@ -1285,11 +1188,7 @@ void ServeEngine::process_event(const workload::StreamEvent& event) {
       } else {
         event_fail(event, "departure of an unknown request");
       }
-      drain_queue(outcome, touched);
-      std::sort(touched.begin(), touched.end());
-      touched.erase(std::unique(touched.begin(), touched.end()),
-                    touched.end());
-      rebalance_chain(touched, outcome);
+      drain_then_settle(touched, outcome);
       break;
     }
     case workload::StreamEventKind::kRateChange: {
@@ -1326,7 +1225,7 @@ void ServeEngine::process_event(const workload::StreamEvent& event) {
         const std::uint32_t f = r.chain[h];
         const Instance& inst = instances_[r.hop_instance[h]];
         if (inst.effective_load <= limit(f)) continue;
-        if (relocate_hop(event.request, h, outcome)) continue;
+        if (move_hop(event.request, h, /*may_open=*/true, outcome)) continue;
         if (inst.effective_load >= vnfs_[f].service_rate) shed = true;
       }
       if (shed) {
@@ -1338,13 +1237,8 @@ void ServeEngine::process_event(const workload::StreamEvent& event) {
           record_lifecycle(outcome, obs::LifecycleStage::kShed,
                            event.request);
         }
-        std::vector<std::uint32_t>& touched = touched_scratch_;
-        touched.clear();
-        drain_queue(outcome, touched);
-        std::sort(touched.begin(), touched.end());
-        touched.erase(std::unique(touched.begin(), touched.end()),
-                      touched.end());
-        rebalance_chain(touched, outcome);
+        touched_scratch_.clear();
+        drain_then_settle(touched_scratch_, outcome);
       }
       break;
     }
@@ -1359,14 +1253,9 @@ void ServeEngine::process_event(const workload::StreamEvent& event) {
   // Backoff-gated retry of fault-evacuated requests, then the degradation
   // ladder — both keyed on the event index, so replay position (not wall
   // time) drives every decision.
-  {
-    std::vector<std::uint32_t>& touched = touched_scratch_;
-    touched.clear();
-    drain_retry_queue(outcome, touched);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    rebalance_chain(touched, outcome);
-  }
+  touched_scratch_.clear();
+  drain_retry_queue(outcome, touched_scratch_);
+  settle(touched_scratch_, outcome);
   update_degradation(outcome);
   if (autoscale_on()) run_autoscale(event.time, outcome);
 
@@ -1624,6 +1513,41 @@ obs::ServeSection make_serve_section(const ServeEngine& engine,
     }
   }
   return out;
+}
+
+void write_flight_dump(const ServeEngine& engine, std::size_t capacity,
+                       std::ostream& os) {
+  const std::vector<EventOutcome>& log = engine.log();
+  const std::size_t kept = std::min(capacity, log.size());
+  obs::JsonWriter w(os);
+  w.begin_object();
+  w.kv("schema", kFlightSchema);
+  w.kv("capacity", static_cast<std::uint64_t>(capacity));
+  w.kv("recorded", static_cast<std::uint64_t>(log.size()));
+  w.key("entries");
+  w.begin_array();
+  for (std::size_t i = log.size() - kept; i < log.size(); ++i) {
+    const EventOutcome& e = log[i];
+    w.begin_object();
+    w.kv("index", e.index);
+    w.kv("t", e.time);
+    w.kv("kind", workload::to_string(e.kind));
+    w.kv("decision", to_string(e.decision));
+    w.kv("request", std::uint64_t{e.request});
+    w.kv("migrations", std::uint64_t{e.migrations});
+    w.kv("scale_outs", std::uint64_t{e.scale_outs});
+    w.kv("scale_ins", std::uint64_t{e.scale_ins});
+    w.kv("admitted_from_queue", std::uint64_t{e.admitted_from_queue});
+    w.kv("evacuated", std::uint64_t{e.evacuated});
+    w.kv("parked", std::uint64_t{e.parked});
+    w.kv("retry_admitted", std::uint64_t{e.retry_admitted});
+    w.kv("shed_fault", std::uint64_t{e.shed_fault});
+    w.kv("shed_overload", std::uint64_t{e.shed_overload});
+    w.kv("degraded", e.degraded);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
 }
 
 }  // namespace nfv::serve

@@ -1,7 +1,7 @@
-// Timeline JSONL, lifecycle trace, and flight recorder contracts
-// (DESIGN.md §14): bit-exact round-trips, whole-stream aggregates, parse
-// errors that name the offending line, and the flight ring's wrap/dump
-// semantics.
+// Timeline JSONL and lifecycle trace contracts (DESIGN.md §14): bit-exact
+// round-trips, whole-stream aggregates, and parse errors that name the
+// offending line.  The flight-recorder dump is a view of the serve log and
+// is tested with the engine (tests/serve/timeline_test.cc).
 #include "nfv/obs/timeline.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <sstream>
 #include <string>
 
-#include "nfv/obs/flight_recorder.h"
 #include "nfv/obs/json.h"
 #include "nfv/obs/lifecycle.h"
 
@@ -226,78 +225,6 @@ TEST(Lifecycle, StageNamesAreStable) {
   EXPECT_EQ(to_string(LifecycleStage::kAdmit), "admit");
   EXPECT_EQ(to_string(LifecycleStage::kRetryBackoff), "retry_backoff");
   EXPECT_EQ(to_string(LifecycleStage::kDepart), "depart");
-}
-
-// ---------------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------------
-
-FlightEntry make_entry(std::uint64_t index) {
-  FlightEntry e;
-  e.index = index;
-  e.time = 0.25 * static_cast<double>(index);
-  e.kind = "arrive";
-  e.decision = "admitted";
-  e.request = static_cast<std::uint32_t>(100 + index);
-  e.migrations = 1;
-  return e;
-}
-
-TEST(FlightRecorder, RingKeepsTheLastKOldestFirst) {
-  FlightRecorder fr(4);
-  EXPECT_EQ(fr.capacity(), 4u);
-  for (std::uint64_t i = 0; i < 10; ++i) fr.record(make_entry(i));
-  EXPECT_EQ(fr.recorded(), 10u);
-  const auto kept = fr.entries();
-  ASSERT_EQ(kept.size(), 4u);
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(kept[i].index, 6u + i);  // 6,7,8,9 oldest-first
-  }
-}
-
-TEST(FlightRecorder, PartialRingDumpsInOrder) {
-  FlightRecorder fr(8);
-  for (std::uint64_t i = 0; i < 3; ++i) fr.record(make_entry(i));
-  const auto kept = fr.entries();
-  ASSERT_EQ(kept.size(), 3u);
-  EXPECT_EQ(kept.front().index, 0u);
-  EXPECT_EQ(kept.back().index, 2u);
-}
-
-TEST(FlightRecorder, DumpJsonCarriesSchemaAndCounts) {
-  FlightRecorder fr(2);
-  for (std::uint64_t i = 0; i < 5; ++i) fr.record(make_entry(i));
-  std::ostringstream os;
-  fr.dump_json(os);
-  const auto parsed = parse_json(os.str());
-  ASSERT_TRUE(parsed.has_value());
-  const JsonValue& doc = *parsed;
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.find("schema")->as_string(), kFlightSchema);
-  EXPECT_EQ(doc.find("recorded")->as_number(), 5.0);
-  EXPECT_EQ(doc.find("capacity")->as_number(), 2.0);
-  const JsonValue* entries = doc.find("entries");
-  ASSERT_NE(entries, nullptr);
-  ASSERT_TRUE(entries->is_array());
-  ASSERT_EQ(entries->as_array().size(), 2u);
-  EXPECT_EQ(entries->as_array()[0].find("index")->as_number(), 3.0);
-  EXPECT_EQ(entries->as_array()[1].find("decision")->as_string(),
-            "admitted");
-}
-
-TEST(FlightRecorder, ProbeIsANoOpWithoutInstalledRecorder) {
-  ASSERT_EQ(flight_recorder(), nullptr);
-  flight_record(make_entry(0));  // must not crash or allocate a recorder
-  FlightRecorder fr(2);
-  {
-    const ScopedFlightRecorder scope(fr);
-    EXPECT_EQ(flight_recorder(), &fr);
-    flight_record(make_entry(1));
-  }
-  EXPECT_EQ(flight_recorder(), nullptr);
-  EXPECT_EQ(fr.recorded(), 1u);
-  flight_record(make_entry(2));
-  EXPECT_EQ(fr.recorded(), 1u);  // uninstalled: probe went nowhere
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests of the deterministic fit family: FFD, NFD, BFD, WFD.
+// Unit tests of the deterministic fit family: FFD, BFD, WFD.
 #include <gtest/gtest.h>
 
 #include "nfv/placement/algorithm.h"
@@ -43,17 +43,6 @@ TEST(Ffd, PrefersLowIndexNodes) {
   EXPECT_EQ(*result.assignment[1], NodeId{0});
 }
 
-TEST(Nfd, NeverReturnsToClosedNode) {
-  // Sorted: {6,5,4,3}. NFD: node0 gets 6, 5 doesn't fit -> node1 {5,4},
-  // 3 doesn't fit node1 (cap 10, 5+4+3=12) -> node2 {3}.
-  Rng rng(5);
-  const auto p = uniform_problem({6, 5, 4, 3}, 4, 10.0);
-  const Placement result = NfdPlacement{}.place(p, rng);
-  ASSERT_TRUE(result.feasible);
-  const PlacementMetrics m = evaluate(p, result);
-  EXPECT_EQ(m.nodes_in_service, 3u);  // FFD would use 2 ({6,4},{5,3,...})
-}
-
 TEST(Bfd, PicksTightestNode) {
   PlacementProblem p;
   p.capacities = {10.0, 6.0};
@@ -94,7 +83,7 @@ TEST(Bfd, ConsolidatesLoad) {
 TEST(FitFamily, ExactFitLeavesZeroResidual) {
   Rng rng(10);
   const auto p = uniform_problem({10, 10}, 2, 10.0);
-  for (const auto* name : {"FFD", "BFD", "WFD", "NFD"}) {
+  for (const auto* name : {"FFD", "BFD", "WFD"}) {
     const auto algo = make_placement_algorithm(name);
     ASSERT_NE(algo, nullptr) << name;
     const Placement result = algo->place(p, rng);
@@ -108,7 +97,7 @@ TEST(FitFamily, ExactFitLeavesZeroResidual) {
 TEST(FitFamily, SingleItemSingleNode) {
   Rng rng(11);
   const auto p = uniform_problem({3}, 1, 10.0);
-  for (const auto* name : {"FFD", "BFD", "WFD", "NFD"}) {
+  for (const auto* name : {"FFD", "BFD", "WFD"}) {
     const auto algo = make_placement_algorithm(name);
     const Placement result = algo->place(p, rng);
     ASSERT_TRUE(result.feasible) << name;

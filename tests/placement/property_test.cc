@@ -85,8 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Scenario{"FFD", 10, 15, 0.5}, Scenario{"FFD", 20, 30, 0.8},
         Scenario{"BFD", 10, 15, 0.5}, Scenario{"BFD", 20, 30, 0.8},
-        Scenario{"WFD", 10, 15, 0.5}, Scenario{"NFD", 10, 15, 0.5},
-        Scenario{"NAH", 10, 15, 0.5},
+        Scenario{"WFD", 10, 15, 0.5}, Scenario{"NAH", 10, 15, 0.5},
         Scenario{"NAH", 20, 30, 0.8}, Scenario{"BFDSU", 10, 15, 0.5},
         Scenario{"BFDSU", 20, 30, 0.8}, Scenario{"BFDSU", 4, 6, 0.3},
         Scenario{"FFD", 50, 30, 0.4}, Scenario{"BFDSU", 50, 30, 0.4}),

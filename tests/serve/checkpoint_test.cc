@@ -7,6 +7,7 @@
 // the whole outcome log, and all aggregate counters.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "nfv/common/rng.h"
@@ -204,6 +205,42 @@ TEST(ServeCheckpoint, RejectsWrongSchemaAndMismatchedUniverse) {
                                    fx.base.vnfs.end() - 1);
   EXPECT_THROW(restore_checkpoint(text, make_topo(), fewer, &cursor),
                CheckpointParseError);
+}
+
+// The k-th retry backoff is retry_backoff_base << k for k up to
+// retry_budget, so the config must keep that shift inside 64 bits.
+TEST(ServeCheckpoint, RejectsARetryBackoffShiftPast64Bits) {
+  ServeConfig cfg;
+  cfg.retry_backoff_base = 4;
+  cfg.retry_budget = 61;  // 4 << 61 == 2^63 still fits
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.retry_budget = 62;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.retry_backoff_base = 1;
+  cfg.retry_budget = 63;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.retry_budget = 64;  // shifting a 64-bit value by 64 is undefined
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // A checkpoint can carry any uint32 budget; restore refuses the file
+  // before a replay could reach the shift.
+  const Fixture fx = make_churn_fixture(9);
+  ServeEngine engine = fresh_engine(fx);
+  for (std::size_t i = 0; i < 40; ++i) engine.on_event(fx.trace.events[i]);
+  std::string text = save_checkpoint_string(engine, 40);
+  const std::string key = "\"retry_budget\": 3";
+  const auto pos = text.find(key);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, key.size(), "\"retry_budget\": 64");
+  std::uint64_t cursor = 0;
+  try {
+    (void)restore_checkpoint(text, make_topo(), fx.base.vnfs, &cursor);
+    FAIL() << "restore accepted retry_budget 64";
+  } catch (const CheckpointParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("embedded config is invalid"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

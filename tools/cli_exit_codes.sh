@@ -275,6 +275,24 @@ else
   failures=$((failures + 1))
 fi
 
+# The flight recorder is the tail of the engine log, which the checkpoint
+# carries: a resumed run dumps the same bytes as the uninterrupted one.
+expect_exit 0 "serve churn replay with a flight dump" \
+  "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
+  -T "$WORK/churn.trace.json" --flight-recorder-out "$WORK/full.flight.json" \
+  --flight-recorder-dump-on-exit
+expect_exit 0 "serve --resume with a flight dump" \
+  "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
+  -T "$WORK/churn.trace.json" --resume "$WORK/mid.ckpt.json" \
+  --flight-recorder-out "$WORK/resumed.flight.json" \
+  --flight-recorder-dump-on-exit
+if cmp -s "$WORK/resumed.flight.json" "$WORK/full.flight.json"; then
+  echo "ok: resumed flight dump is byte-identical to the uninterrupted run"
+else
+  echo "FAIL: resumed flight dump differs from the uninterrupted run" >&2
+  failures=$((failures + 1))
+fi
+
 # Corrupt checkpoints are usage errors with a one-line diagnostic.
 head -c 150 "$WORK/mid.ckpt.json" > "$WORK/trunc.ckpt.json"
 expect_exit 2 "--resume on a truncated checkpoint exits 2" \
@@ -287,6 +305,12 @@ sed 's/nfvpr.checkpoint\/1/nfvpr.checkpoint\/9/' "$WORK/mid.ckpt.json" \
 expect_exit 2 "--resume on a wrong-schema checkpoint exits 2" \
   "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
   -T "$WORK/churn.trace.json" --resume "$WORK/wrong.ckpt.json"
+# retry_backoff_base << retry_budget must fit in 64 bits.
+sed 's/"retry_budget": [0-9]*/"retry_budget": 64/' "$WORK/mid.ckpt.json" \
+  > "$WORK/shift.ckpt.json"
+expect_exit 2 "--resume with a retry budget past the 64-bit shift exits 2" \
+  "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
+  -T "$WORK/churn.trace.json" --resume "$WORK/shift.ckpt.json"
 sed 's/"cursor": [0-9]*/"cursor": 999999/' "$WORK/mid.ckpt.json" \
   > "$WORK/past.ckpt.json"
 expect_exit 2 "--resume past the end of the trace exits 2" \

@@ -28,7 +28,6 @@
 #include "nfv/core/solver.h"
 #include "nfv/core/tail_prediction.h"
 #include "nfv/exec/thread_pool.h"
-#include "nfv/obs/flight_recorder.h"
 #include "nfv/obs/lifecycle.h"
 #include "nfv/obs/metrics.h"
 #include "nfv/obs/report.h"
@@ -971,14 +970,14 @@ int cmd_serve(int argc, const char* const* argv) {
       "nfvpr.lifecycle/1) here", "");
   const auto& flight_cap = cli.add_int(
       "flight-recorder", '\0',
-      "flight-recorder ring capacity: last K engine decisions (>= 1)", 256);
+      "flight-recorder size: dump the last K engine decisions (>= 1)", 256);
   const auto& flight_out = cli.add_string(
       "flight-recorder-out", '\0',
-      "enable the flight recorder and dump the ring (nfvpr.flight/1) here "
+      "dump the tail of the engine's decision log (nfvpr.flight/1) here "
       "on crash and on every checkpoint write", "");
   const auto& flight_dump_on_exit = cli.add_flag(
       "flight-recorder-dump-on-exit", '\0',
-      "also dump the flight-recorder ring on normal exit (requires "
+      "also dump the flight recorder on normal exit (requires "
       "--flight-recorder-out)");
   const auto& autoscale = cli.add_string(
       "autoscale", '\0',
@@ -1155,17 +1154,14 @@ int cmd_serve(int argc, const char* const* argv) {
       return 2;
     }
 
-    std::optional<nfv::obs::FlightRecorder> flight;
-    std::optional<nfv::obs::ScopedFlightRecorder> flight_scope;
-    if (!flight_out.empty()) {
-      flight.emplace(static_cast<std::size_t>(flight_cap));
-      flight_scope.emplace(*flight);
-    }
+    // The flight recorder is the tail of the engine's event log: the last
+    // K decisions, resumed runs included (the checkpoint carries the log).
     const auto dump_flight = [&]() {
-      if (!flight) return;
+      if (flight_out.empty()) return;
       std::ofstream os(flight_out);
       if (!os) throw std::runtime_error("cannot open " + flight_out);
-      flight->dump_json(os);
+      nfv::serve::write_flight_dump(
+          *engine, static_cast<std::size_t>(flight_cap), os);
     };
 
     const auto maybe_checkpoint = [&](std::uint64_t applied, bool final) {
@@ -1215,7 +1211,7 @@ int cmd_serve(int argc, const char* const* argv) {
       }
     } catch (...) {
       // Crash dump: the last K decisions are exactly what a post-mortem
-      // needs, and the ring is still intact here.
+      // needs, and the log holds every event that completed.
       dump_flight();
       throw;
     }
