@@ -1,12 +1,11 @@
 // Solver-portfolio quality-vs-budget frontier (DESIGN.md §17, not a
 // paper figure): one deterministic fixture instance raced through every
-// --solver backend at increasing deterministic work budgets.
+// --solver backend at increasing work budgets.
 //
 //   bench_portfolio --reps 5 --threads 4 --json portfolio.json
 //
 // Rows pair wall-clock columns (machine-noisy) with the deterministic
-// race columns, bit-identical for any thread count under the
-// deterministic budget:
+// race columns, bit-identical for any thread count:
 //
 //   wall_us     fastest of --reps races at --threads;
 //   wall_j1_us  fastest of --reps races on one thread, interleaved with
@@ -97,7 +96,6 @@ nfv::core::SolverConfig budgeted(const std::string& solver,
   nfv::core::SolverConfig cfg;
   cfg.solver = solver;
   cfg.work_budget = budget;
-  cfg.deterministic_budget = true;
   return cfg;
 }
 
@@ -159,12 +157,12 @@ int main(int argc, char** argv) {
   nfv::bench::print_banner(
       "Solver portfolio — quality vs. deterministic work budget",
       "One fixture instance raced through every --solver backend at\n"
-      "increasing --work-budget under --deterministic-budget (DESIGN.md\n"
-      "§17).  Every column but the wall clocks is bit-identical for any\n"
-      "thread count; the binary itself fails (exit 1) if the portfolio\n"
-      "row ever loses to a single backend, if a single-threaded rerun\n"
-      "diverges from the threaded race, or if the threaded portfolio\n"
-      "race is slower than the single-threaded one.");
+      "increasing --work-budget (DESIGN.md §17).  Every column but the\n"
+      "wall clocks is bit-identical for any thread count; the binary\n"
+      "itself fails (exit 1) if the portfolio row ever loses to a single\n"
+      "backend, if a single-threaded rerun diverges from the threaded\n"
+      "race, or if the threaded portfolio race is slower than the\n"
+      "single-threaded one.");
 
   const auto model = make_fixture(static_cast<std::uint64_t>(seed));
   std::printf("instance: %zu nodes, %zu VNFs, %zu requests\n\n",

@@ -1,22 +1,16 @@
-// Solver portfolio with anytime racing (ROADMAP O5, DESIGN.md §17).
+// Solver portfolio (ROADMAP O5, DESIGN.md §17).
 //
 // A common interface over the joint pipeline's interchangeable phase-1
 // backends — BFDSU (the paper's Algorithm 1), seeded PSO search, and an
 // LP-relaxation/rounding solver — plus a PortfolioDriver that races them
-// on the exec pool under a wall-clock or work budget and returns the best
-// feasible result under a total deterministic order.
+// on the exec pool and returns the best feasible result under a total
+// deterministic order.
 //
-// Budget semantics:
-//   * work budget (`work`, or --work-budget): every backend is granted the
-//     same number of abstract work units (Placement::iterations), mapped to
-//     backend-local effort (PSO sweeps, LP subgradient steps, BFDSU
-//     passes).  With `det` (--deterministic-budget) set, the race depends
-//     only on the budget — results are bit-identical for any thread count.
-//   * wall budget (`budget-ms`, or --budget-ms): a shared steady-clock
-//     deadline handed to the anytime backends (PSO, LP check it once per
-//     sweep/step; BFDSU runs its stall-bounded multi-start to completion).
-//     Faster machines explore more — results are *not* run-to-run stable
-//     unless `det` is also set, which ignores the clock.
+// Budget: every backend is granted the same number of abstract work units
+// (--work-budget, Placement::iterations), mapped to backend-local effort
+// (PSO sweeps, LP subgradient steps, BFDSU passes); with no budget each
+// backend runs its default effort.  No backend reads a clock, so every
+// race is bit-identical for any --threads.
 #pragma once
 
 #include <cstdint>
@@ -28,26 +22,16 @@
 
 namespace nfv::core {
 
-/// Solver selection + budget knobs, shared by the CLI --solver flags, the
-/// `solver[:key=value,...]` spec grammar, and the fuzz harness.
+/// Solver selection and work budget, set by the CLI's --solver and
+/// --work-budget.
 struct SolverConfig {
   /// "bfdsu" | "pso" | "lp" | "portfolio" (race all three).
   std::string solver = "bfdsu";
-  /// Wall-clock budget in milliseconds; 0 = none.
-  double budget_ms = 0.0;
   /// Work-unit budget per backend; 0 = backend defaults.
   std::uint64_t work_budget = 0;
-  /// Ignore the clock: effort derives from work_budget only, so a run is
-  /// bit-identical for any --threads (the acceptance contract).
-  bool deterministic_budget = false;
 
-  // Backend effort defaults, used when work_budget == 0.
-  std::uint32_t pso_swarm = 16;
-  std::uint32_t pso_iterations = 48;
-  std::uint32_t lp_iterations = 240;
-
-  /// Throws std::invalid_argument on an unknown solver id or an
-  /// out-of-range knob (non-finite/negative budgets, zero swarm, ...).
+  /// Throws std::invalid_argument on an unknown solver id or a work
+  /// budget above 1e12.
   void validate() const;
 
   /// All solver ids, sorted — the deterministic tie-break order.
@@ -55,28 +39,21 @@ struct SolverConfig {
   [[nodiscard]] static bool known_solver(std::string_view id);
 };
 
-/// Parses `solver[:key=value,...]` — e.g. "portfolio:work=64,det=1" or
-/// "pso:pso-swarm=8,pso-iters=4".  Keys: pso-swarm, pso-iters, lp-iters,
-/// work, budget-ms, det.  Throws std::invalid_argument on malformed input
-/// or out-of-range values (the parsed config is validate()d).
-[[nodiscard]] SolverConfig parse_solver_spec(std::string_view spec);
-
-/// One backend's entry in the race, for reports and benches.
+/// One backend's entry in the race, for reports and benches.  Every field
+/// is a function of the problem, the seed and the work budget.
 struct BackendRun {
   std::string id;            ///< "bfdsu" | "lp" | "pso"
   bool feasible = false;
   std::uint64_t rejected = 0;  ///< rejected requests (unplaced VNFs in place())
   double objective = 0.0;      ///< Eq. 16 latency (nodes in service in place())
-  std::uint64_t work = 0;      ///< Placement::iterations consumed
+  std::uint64_t work = 0;      ///< Placement::iterations spent
 };
 
 /// Result of a full-pipeline race.
 struct SolverOutcome {
   JointResult result;        ///< the winner's result, verbatim
   std::string winner;        ///< backend id of `result`
-  bool deterministic = false;
   std::uint64_t budget_work = 0;
-  double budget_ms = 0.0;
   std::vector<BackendRun> backends;  ///< in id order
 };
 
@@ -96,7 +73,7 @@ class PortfolioDriver {
  public:
   /// `base` supplies everything but the placement backend (scheduling
   /// algorithm, rho_max, link latency, exec config); `solver` picks
-  /// the backends and budget.  Both are validated here.
+  /// the backends and work budget.  Both are validated here.
   PortfolioDriver(JointConfig base, SolverConfig solver);
 
   /// Full pipeline race: placement + scheduling + admission per backend,
@@ -108,8 +85,6 @@ class PortfolioDriver {
   /// unplaced, nodes in service, resource occupation, backend id.
   [[nodiscard]] PlacementOutcome place(
       const placement::PlacementProblem& problem, std::uint64_t seed) const;
-
-  [[nodiscard]] const SolverConfig& solver_config() const { return solver_; }
 
   /// Backend ids this driver races, sorted ("bfdsu" < "lp" < "pso");
   /// singleton unless solver == "portfolio".

@@ -92,9 +92,7 @@ void fill_solver(const ReportInputs& in, obs::SolverSection& out) {
   out.present = true;
   out.solver = in.solver_id;
   out.winner = s.winner;
-  out.deterministic = s.deterministic;
   out.budget_work = s.budget_work;
-  out.budget_ms = s.budget_ms;
   out.backends.reserve(s.backends.size());
   for (const BackendRun& b : s.backends) {
     obs::SolverBackendEntry e;

@@ -1,10 +1,6 @@
 #include "nfv/core/solver.h"
 
 #include <algorithm>
-#include <charconv>
-#include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 
@@ -19,41 +15,6 @@ namespace nfv::core {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& what) {
-  throw std::invalid_argument("solver spec: " + what);
-}
-
-std::uint64_t parse_u64(std::string_view key, std::string_view value) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    bad("invalid integer for '" + std::string(key) + "': '" +
-        std::string(value) + "'");
-  }
-  return out;
-}
-
-double parse_double(std::string_view key, std::string_view value) {
-  // from_chars for double is not universally available; use strtod on a
-  // NUL-terminated copy (the CliParser does the same).
-  const std::string copy(value);
-  char* end = nullptr;
-  const double out = std::strtod(copy.c_str(), &end);
-  if (copy.empty() || end != copy.c_str() + copy.size()) {
-    bad("invalid number for '" + std::string(key) + "': '" +
-        std::string(value) + "'");
-  }
-  return out;
-}
-
-std::uint32_t checked_u32(std::string_view key, std::uint64_t v) {
-  if (v > 0xffffffffULL) {
-    bad("'" + std::string(key) + "' out of range");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
 /// Maps the shared work budget W to backend-local effort.  Every backend
 /// receives its units through Placement::iterations-compatible knobs so
 /// the race depends only on W, never on the clock.
@@ -63,27 +24,20 @@ struct Effort {
   placement::BfdsuPlacement::Options bfdsu;
 };
 
-Effort effort_for(
-    const SolverConfig& cfg,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+Effort effort_for(const SolverConfig& cfg) {
   Effort e;
-  e.pso.swarm = cfg.pso_swarm;
-  e.pso.iterations = cfg.pso_iterations;
-  e.lp.iterations = cfg.lp_iterations;
   if (cfg.work_budget > 0) {
     const std::uint64_t w = cfg.work_budget;
     // PSO charges swarm evaluations per sweep; LP one step per unit; BFDSU
     // one pass per unit (its own stall logic may stop earlier).
     e.pso.iterations = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-        w / std::max<std::uint64_t>(1, e.pso.swarm), 1, 10'000'000));
+        w / e.pso.swarm, 1, 10'000'000));
     e.lp.iterations = static_cast<std::uint32_t>(
         std::clamp<std::uint64_t>(w, 1, 10'000'000));
     e.bfdsu.max_passes =
         static_cast<std::uint32_t>(std::clamp<std::uint64_t>(w, 1, 60));
     e.bfdsu.stall_limit = std::min(e.bfdsu.stall_limit, e.bfdsu.max_passes);
   }
-  e.pso.deadline = deadline;
-  e.lp.deadline = deadline;
   return e;
 }
 
@@ -97,15 +51,6 @@ std::unique_ptr<placement::PlacementAlgorithm> make_backend(
   }
   NFV_CHECK(id == "lp");  // backend_ids() only yields the three
   return std::make_unique<placement::LpRoundPlacement>(effort.lp);
-}
-
-std::optional<std::chrono::steady_clock::time_point> race_deadline(
-    const SolverConfig& cfg) {
-  if (cfg.deterministic_budget || cfg.budget_ms <= 0.0) return std::nullopt;
-  const auto budget = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(cfg.budget_ms));
-  return std::chrono::steady_clock::now() + budget;
 }
 
 std::uint64_t count_rejected(const JointResult& result) {
@@ -130,22 +75,10 @@ bool run_better(const BackendRun& a, const BackendRun& b) {
 
 void SolverConfig::validate() const {
   if (!known_solver(solver)) {
-    bad("unknown solver '" + solver + "'");
-  }
-  if (!std::isfinite(budget_ms) || budget_ms < 0.0 || budget_ms > 1e9) {
-    bad("'budget-ms' must be finite, >= 0 and <= 1e9");
+    throw std::invalid_argument("solver: unknown solver '" + solver + "'");
   }
   if (work_budget > 1'000'000'000'000ULL) {
-    bad("'work' must be <= 1e12");
-  }
-  if (pso_swarm < 1 || pso_swarm > 4096) {
-    bad("'pso-swarm' must be in [1, 4096]");
-  }
-  if (pso_iterations < 1 || pso_iterations > 10'000'000) {
-    bad("'pso-iters' must be in [1, 1e7]");
-  }
-  if (lp_iterations < 1 || lp_iterations > 10'000'000) {
-    bad("'lp-iters' must be in [1, 1e7]");
+    throw std::invalid_argument("solver: work budget must be <= 1e12");
   }
 }
 
@@ -158,54 +91,6 @@ const std::vector<std::string>& SolverConfig::solver_ids() {
 bool SolverConfig::known_solver(std::string_view id) {
   const auto& ids = solver_ids();
   return std::find(ids.begin(), ids.end(), id) != ids.end();
-}
-
-SolverConfig parse_solver_spec(std::string_view spec) {
-  SolverConfig cfg;
-  const std::size_t colon = spec.find(':');
-  const std::string_view id =
-      colon == std::string_view::npos ? spec : spec.substr(0, colon);
-  if (id.empty()) bad("empty solver id");
-  cfg.solver = std::string(id);
-  if (colon != std::string_view::npos) {
-    std::string_view rest = spec.substr(colon + 1);
-    if (rest.empty()) bad("empty option list after ':'");
-    while (!rest.empty()) {
-      const std::size_t comma = rest.find(',');
-      const std::string_view item =
-          comma == std::string_view::npos ? rest : rest.substr(0, comma);
-      rest = comma == std::string_view::npos ? std::string_view{}
-                                             : rest.substr(comma + 1);
-      const std::size_t eq = item.find('=');
-      if (eq == std::string_view::npos) {
-        bad("expected key=value, got '" + std::string(item) + "'");
-      }
-      const std::string_view key = item.substr(0, eq);
-      const std::string_view value = item.substr(eq + 1);
-      if (value.empty()) {
-        bad("empty value for '" + std::string(key) + "'");
-      }
-      if (key == "pso-swarm") {
-        cfg.pso_swarm = checked_u32(key, parse_u64(key, value));
-      } else if (key == "pso-iters") {
-        cfg.pso_iterations = checked_u32(key, parse_u64(key, value));
-      } else if (key == "lp-iters") {
-        cfg.lp_iterations = checked_u32(key, parse_u64(key, value));
-      } else if (key == "work") {
-        cfg.work_budget = parse_u64(key, value);
-      } else if (key == "budget-ms") {
-        cfg.budget_ms = parse_double(key, value);
-      } else if (key == "det") {
-        const std::uint64_t v = parse_u64(key, value);
-        if (v > 1) bad("'det' must be 0 or 1");
-        cfg.deterministic_budget = v == 1;
-      } else {
-        bad("unknown option '" + std::string(key) + "'");
-      }
-    }
-  }
-  cfg.validate();
-  return cfg;
 }
 
 PortfolioDriver::PortfolioDriver(JointConfig base, SolverConfig solver)
@@ -229,8 +114,7 @@ std::string PortfolioDriver::backend_algorithm(std::string_view id) {
 SolverOutcome PortfolioDriver::run(const SystemModel& model,
                                    std::uint64_t seed) const {
   const std::vector<std::string> ids = backend_ids();
-  const auto deadline = race_deadline(solver_);
-  const Effort effort = effort_for(solver_, deadline);
+  const Effort effort = effort_for(solver_);
 
   // Race on the installed pool, or on one installed for the scope when
   // the exec config asks for threads and none is active.
@@ -272,9 +156,7 @@ SolverOutcome PortfolioDriver::run(const SystemModel& model,
   }
 
   SolverOutcome outcome;
-  outcome.deterministic = solver_.deterministic_budget;
   outcome.budget_work = solver_.work_budget;
-  outcome.budget_ms = solver_.budget_ms;
   outcome.backends.reserve(ids.size());
   std::size_t best = 0;
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -303,8 +185,7 @@ PlacementOutcome PortfolioDriver::place(
     const placement::PlacementProblem& problem, std::uint64_t seed) const {
   problem.validate();
   const std::vector<std::string> ids = backend_ids();
-  const auto deadline = race_deadline(solver_);
-  const Effort effort = effort_for(solver_, deadline);
+  const Effort effort = effort_for(solver_);
   const exec::LocalPool pool(base_.exec.threads);
 
   struct Entry {

@@ -29,7 +29,7 @@
 //                    autoscale: {...}?, availability, admission_rate,
 //                    mean_predicted_latency, p99_predicted_latency, work,
 //                    timeline: {...}?, events_log: [...]?},
-//     "solver":     {solver, winner, deterministic, budget, budget_ms,
+//     "solver":     {solver, winner, budget,
 //                    backends: [{id, feasible, rejected, objective, work}]},
 //     "metrics":    {counters: {...}, gauges: {...}, histograms: {...}}
 //   }
@@ -190,7 +190,7 @@ struct SolverBackendEntry {
   bool feasible = false;
   std::uint64_t rejected = 0;
   double objective = 0.0;  ///< Eq. 16 latency (node count for place races)
-  std::uint64_t work = 0;  ///< placement iterations consumed
+  std::uint64_t work = 0;  ///< placement iterations spent
 };
 
 /// Outcome of a --solver portfolio race (DESIGN.md §17).
@@ -198,9 +198,7 @@ struct SolverSection {
   bool present = false;
   std::string solver;  ///< requested id ("portfolio" or a single backend)
   std::string winner;  ///< backend the reported result came from
-  bool deterministic = false;  ///< work-budget race (clock ignored)
-  std::uint64_t budget_work = 0;
-  double budget_ms = 0.0;
+  std::uint64_t budget_work = 0;  ///< work units per backend; 0 = defaults
   std::vector<SolverBackendEntry> backends;  ///< in backend-id order
 };
 

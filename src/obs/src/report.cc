@@ -237,9 +237,7 @@ void write_run_report(const RunReport& report, std::ostream& os) {
     w.begin_object();
     w.kv("solver", s.solver);
     w.kv("winner", s.winner);
-    w.kv("deterministic", s.deterministic);
     w.kv("budget", s.budget_work);
-    w.kv("budget_ms", s.budget_ms);
     w.key("backends");
     w.begin_array();
     for (const SolverBackendEntry& b : s.backends) {
@@ -441,14 +439,8 @@ std::string pretty_print_report(const JsonValue& report) {
   if (const JsonValue* s = report.find("solver")) {
     os << "\nsolver race (" << s->string_or("solver", "?") << ")\n";
     os << "  winner            : " << s->string_or("winner", "?") << "\n";
-    const JsonValue* det = s->find("deterministic");
     os << "  budget            : "
-       << format_number(s->number_or("budget")) << " work units, "
-       << format_number(s->number_or("budget_ms")) << " ms"
-       << ((det != nullptr && det->is_bool() && det->as_bool())
-               ? " (deterministic)"
-               : "")
-       << "\n";
+       << format_number(s->number_or("budget")) << " work units\n";
     if (const JsonValue* backends = s->find("backends");
         backends != nullptr && backends->is_array()) {
       for (const JsonValue& b : backends->as_array()) {

@@ -13,9 +13,7 @@
 // left room.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <optional>
 
 #include "nfv/placement/algorithm.h"
 
@@ -27,14 +25,11 @@ namespace nfv::placement {
 /// subgradient steps, the work unit the portfolio budget is charged in.
 class LpRoundPlacement final : public PlacementAlgorithm {
  public:
+  /// Fixed effort: every run takes exactly `iterations` steps.
   struct Options {
     std::uint32_t iterations = 240;  ///< projected-subgradient steps
     double step = 0.5;               ///< base step size η (decays as η/√t)
     double penalty = 8.0;            ///< final capacity-overload weight β
-    /// Anytime wall-clock cutoff: checked once per step; rounding uses
-    /// the fractional solution reached so far.  Unset in deterministic
-    /// (work-budget) mode — see DESIGN.md §17.
-    std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
   LpRoundPlacement() = default;

@@ -8,9 +8,7 @@
 // thread count and any racing arrangement.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <optional>
 
 #include "nfv/placement/algorithm.h"
 
@@ -18,20 +16,18 @@ namespace nfv::placement {
 
 /// Seeded PSO over node-preference vectors with best-fit feasibility
 /// repair.  `iterations` of the returned Placement counts decode
-/// evaluations (swarm × completed sweeps), the work unit the portfolio
+/// evaluations (swarm × (1 + sweeps)), the work unit the portfolio
 /// budget is charged in.
 class PsoPlacement final : public PlacementAlgorithm {
  public:
+  /// Fixed effort: every run makes exactly `iterations` sweeps, so the
+  /// result depends only on the options, the problem and the seed.
   struct Options {
     std::uint32_t swarm = 16;       ///< particles (fixed; streams fork 0..swarm-1)
     std::uint32_t iterations = 48;  ///< velocity/position sweeps after init
     double inertia = 0.72;          ///< velocity damping w
     double cognitive = 1.49;        ///< personal-best pull c1
     double social = 1.49;           ///< global-best pull c2
-    /// Anytime wall-clock cutoff: checked once per sweep, the best
-    /// evaluated placement so far is returned.  Unset in deterministic
-    /// (work-budget) mode — see DESIGN.md §17.
-    std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
   PsoPlacement() = default;

@@ -60,13 +60,7 @@ Placement LpRoundPlacement::place(const PlacementProblem& problem,
   const double max_capacity =
       *std::max_element(problem.capacities.begin(), problem.capacities.end());
 
-  std::uint64_t steps = 0;
   for (std::uint32_t t = 1; t <= options_.iterations; ++t) {
-    if (options_.deadline &&
-        std::chrono::steady_clock::now() >= *options_.deadline) {
-      break;  // anytime: round the fractional point reached so far
-    }
-    ++steps;
     // Σ_f d_f·x_v accumulated per f, not as (Σ_f d_f)·x_v: the rounding
     // of each partial sum is part of the answer LpRoundSpec pins.
     std::fill(load.begin(), load.end(), 0.0);
@@ -100,7 +94,7 @@ Placement LpRoundPlacement::place(const PlacementProblem& problem,
                    [&](std::uint32_t a, std::uint32_t b) { return x[a] > x[b]; });
   Placement result;
   result.assignment.assign(vnfs, std::nullopt);
-  result.iterations = steps;
+  result.iterations = options_.iterations;
   std::vector<double> residual = problem.capacities;
   bool feasible = true;
   for (const std::uint32_t f : detail::demand_order_desc(problem)) {
@@ -116,7 +110,7 @@ Placement LpRoundPlacement::place(const PlacementProblem& problem,
     detail::assign(result, residual, f, *chosen, demand);
   }
   result.feasible = feasible;
-  obs::count("placement.lp.steps", steps);
+  obs::count("placement.lp.steps", options_.iterations);
   return result;
 }
 

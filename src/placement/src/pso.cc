@@ -132,10 +132,6 @@ Placement PsoPlacement::place(const PlacementProblem& problem,
   }
 
   for (std::uint32_t it = 0; it < options_.iterations; ++it) {
-    if (options_.deadline &&
-        std::chrono::steady_clock::now() >= *options_.deadline) {
-      break;  // anytime: the best decoded placement so far stands
-    }
     // Synchronous PSO: every particle moves against the sweep-entry global
     // best, then the global best updates scanning particles in index
     // order — a total, deterministic order of updates.

@@ -239,16 +239,16 @@ class ServeEngine {
   /// to the caller).
   void apply_batch(const workload::StreamEvent* events, std::size_t count);
 
-  /// Streams up to `limit` events out of a binary trace decoder in
-  /// micro-batches of `batch_size`, reusing one decode buffer so the
+  /// Streams up to `limit` events out of a binary trace decoder, applying
+  /// each as soon as it is decoded into one reusable buffer, so the
   /// steady-state loop performs no heap allocation, and returns the number
   /// applied (less than `limit` only when the decoder ran dry).  The
-  /// resulting state is bit-identical to on_event over the same events for
-  /// any batch size; callers chasing a checkpoint cadence pass the
+  /// resulting state is bit-identical to on_event over the same events;
+  /// when the decoder throws on a corrupt record, every record before it
+  /// has been applied.  Callers chasing a checkpoint cadence pass the
   /// distance to the next checkpoint as `limit`.
-  std::uint64_t replay_binary(
-      workload::BinaryTraceDecoder& decoder, std::size_t batch_size = 256,
-      std::uint64_t limit = ~std::uint64_t{0});
+  std::uint64_t replay_binary(workload::BinaryTraceDecoder& decoder,
+                              std::uint64_t limit = ~std::uint64_t{0});
 
   /// All outcomes so far, in event order.
   [[nodiscard]] const std::vector<EventOutcome>& log() const { return log_; }
@@ -519,11 +519,11 @@ class ServeEngine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t work_ = 0;
 
-  // Transient per-event / per-batch scratch (never checkpointed, never
-  // read across events): the touched-VNF accumulator every settle step
-  // works on, and replay_binary's reusable decode batch.
+  // Transient per-event scratch (never checkpointed, never read across
+  // events): the touched-VNF accumulator every settle step works on, and
+  // replay_binary's reusable decode buffer.
   std::vector<std::uint32_t> touched_scratch_;
-  std::vector<workload::StreamEvent> batch_;
+  workload::StreamEvent decoded_;
 
   /// One live member of a VNF being rebalanced.
   struct RebalanceMember {

@@ -1284,22 +1284,16 @@ void ServeEngine::apply_batch(const workload::StreamEvent* events,
 }
 
 std::uint64_t ServeEngine::replay_binary(workload::BinaryTraceDecoder& decoder,
-                                         std::size_t batch_size,
                                          std::uint64_t limit) {
-  NFV_REQUIRE(batch_size >= 1);
   NFV_REQUIRE(decoder.vnf_count() <= vnfs_.size());
-  if (batch_.size() < batch_size) batch_.resize(batch_size);
+  // Decode in place: decoded_.chain keeps its capacity across events, so
+  // a warm loop decodes and applies without touching the heap.  Each event
+  // is applied before the next is decoded, so a corrupt record leaves
+  // every record ahead of it applied.
   std::uint64_t applied = 0;
-  while (applied < limit) {
-    // Refill in place: batch_[i].chain keeps its capacity across refills,
-    // so a warm loop decodes and applies without touching the heap.
-    std::size_t n = 0;
-    while (n < batch_size && applied + n < limit && decoder.next(batch_[n])) {
-      ++n;
-    }
-    if (n == 0) break;
-    apply_batch(batch_.data(), n);
-    applied += n;
+  while (applied < limit && decoder.next(decoded_)) {
+    process_event(decoded_);
+    ++applied;
   }
   return applied;
 }

@@ -1,8 +1,8 @@
-// Determinism properties of the solver portfolio (DESIGN.md §17): under
-// --deterministic-budget the serialized run report is byte-identical for
-// any thread count and every --solver value, and a single-backend race is
-// the identity — bitwise the same result as running that backend through
-// the JointOptimizer directly.
+// Determinism properties of the solver portfolio (DESIGN.md §17): the
+// serialized run report is byte-identical for any thread count, every
+// --solver value and with or without a work budget, and a single-backend
+// race is the identity — bitwise the same result as running that backend
+// through the JointOptimizer directly.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -50,21 +50,19 @@ SystemModel make_model(std::uint64_t seed) {
   return model;
 }
 
-SolverConfig deterministic_config(const std::string& solver) {
+SolverConfig budgeted(const std::string& solver, std::uint64_t budget = 48) {
   SolverConfig cfg;
   cfg.solver = solver;
-  cfg.work_budget = 48;
-  cfg.deterministic_budget = true;
+  cfg.work_budget = budget;
   return cfg;
 }
 
 /// Runs the race at `threads` and serializes the full run report — the
 /// byte stream the CLI's --report-out writes.
-std::string race_report(const SystemModel& model, const std::string& solver,
+std::string race_report(const SystemModel& model, const SolverConfig& scfg,
                         std::uint64_t seed, std::uint32_t threads) {
   JointConfig cfg;
   cfg.exec.threads = threads;
-  const SolverConfig scfg = deterministic_config(solver);
   const SolverOutcome outcome = PortfolioDriver(cfg, scfg).run(model, seed);
 
   ReportInputs inputs;
@@ -89,12 +87,16 @@ TEST(PortfolioProperty, ReportsByteIdenticalForAnyThreadCount) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const SystemModel model = make_model(seed);
     for (const std::string& solver : solvers) {
-      const std::string serial = race_report(model, solver, seed, 1);
-      EXPECT_FALSE(serial.empty());
-      for (const std::uint32_t threads : {2u, 8u}) {
-        EXPECT_EQ(serial, race_report(model, solver, seed, threads))
-            << "solver " << solver << " seed " << seed << " threads "
-            << threads;
+      // 0 = each backend's default effort.
+      for (const std::uint64_t budget : {0u, 48u}) {
+        const SolverConfig scfg = budgeted(solver, budget);
+        const std::string serial = race_report(model, scfg, seed, 1);
+        EXPECT_FALSE(serial.empty());
+        for (const std::uint32_t threads : {2u, 8u}) {
+          EXPECT_EQ(serial, race_report(model, scfg, seed, threads))
+              << "solver " << solver << " budget " << budget << " seed "
+              << seed << " threads " << threads;
+        }
       }
     }
   }
@@ -161,7 +163,7 @@ TEST(PortfolioProperty, WinnerTieBreakIsAlphabeticalOnExactTies) {
     model.workload.requests.push_back(std::move(req));
   }
   const SolverOutcome outcome =
-      PortfolioDriver(JointConfig{}, deterministic_config("portfolio"))
+      PortfolioDriver(JointConfig{}, budgeted("portfolio"))
           .run(model, 5);
   ASSERT_TRUE(outcome.result.feasible);
   bool all_tied = true;
@@ -188,7 +190,7 @@ TEST(PortfolioProperty, JointCountersCountOncePerRace) {
   SolverOutcome outcome;
   {
     const obs::ScopedMetrics scope(reg);
-    outcome = PortfolioDriver(JointConfig{}, deterministic_config("portfolio"))
+    outcome = PortfolioDriver(JointConfig{}, budgeted("portfolio"))
                   .run(model, 3);
   }
   ASSERT_TRUE(outcome.result.feasible);

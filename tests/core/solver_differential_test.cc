@@ -84,7 +84,6 @@ SolverConfig budgeted(const std::string& solver) {
   SolverConfig cfg;
   cfg.solver = solver;
   cfg.work_budget = kWorkBudget;
-  cfg.deterministic_budget = true;
   return cfg;
 }
 
@@ -178,7 +177,6 @@ TEST(SolverDifferential, BackendWorkRespectsDeterministicBudget) {
   const SolverOutcome outcome =
       PortfolioDriver(base_config(), budgeted("portfolio")).run(model, 7);
   ASSERT_EQ(outcome.backends.size(), 3u);
-  EXPECT_TRUE(outcome.deterministic);
   EXPECT_EQ(outcome.budget_work, kWorkBudget);
   for (const BackendRun& b : outcome.backends) {
     EXPECT_GE(b.work, 1u) << b.id;
@@ -226,15 +224,13 @@ SystemModel make_component_model(std::uint64_t seed, double capacity) {
   return model;
 }
 
-/// Backend `id` under the documented deterministic budget mapping
+/// Backend `id` under the documented work-budget mapping
 /// (solver.h): PSO sweeps = W / swarm, LP steps = W, BFDSU passes =
 /// min(W, 60) with the stall limit capped by the passes.
 std::unique_ptr<placement::PlacementAlgorithm> budgeted_backend(
     const std::string& id, std::uint64_t work) {
-  const SolverConfig defaults;
   if (id == "pso") {
     placement::PsoPlacement::Options o;
-    o.swarm = defaults.pso_swarm;
     o.iterations = static_cast<std::uint32_t>(
         std::max<std::uint64_t>(1, work / o.swarm));
     return std::make_unique<placement::PsoPlacement>(o);
@@ -258,7 +254,6 @@ SolverOutcome reference_race(const SystemModel& model, const JointConfig& base,
                              std::uint64_t work, std::uint64_t seed) {
   const JointOptimizer joint(base);
   SolverOutcome out;
-  out.deterministic = true;
   out.budget_work = work;
   std::vector<JointResult> results;
   std::size_t best = 0;
@@ -298,7 +293,6 @@ void expect_same_outcome(const SolverOutcome& got, const SolverOutcome& want,
                          const std::string& where) {
   SCOPED_TRACE(where);
   EXPECT_EQ(got.winner, want.winner);
-  EXPECT_EQ(got.deterministic, want.deterministic);
   EXPECT_EQ(got.budget_work, want.budget_work);
   ASSERT_EQ(got.backends.size(), want.backends.size());
   for (std::size_t i = 0; i < want.backends.size(); ++i) {

@@ -19,7 +19,6 @@
 #include "nfv/common/rng.h"
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/core/report_builder.h"
-#include "nfv/core/solver.h"
 #include "nfv/obs/report.h"
 #include "nfv/serve/checkpoint.h"
 #include "nfv/serve/engine.h"
@@ -514,64 +513,6 @@ TEST(ParserRobustness, PinnedAutoscaleCheckpointCrashersThrowDocumentedType) {
                  serve::CheckpointParseError)
         << text;
   }
-}
-
-TEST(ParserRobustness, MutatedSolverSpecsParseOrThrowInvalidArgument) {
-  // A spec exercising every key; mutations must parse into a validated
-  // config or throw the documented std::invalid_argument (CLI exit 2).
-  const std::string valid =
-      "portfolio:pso-swarm=16,pso-iters=48,lp-iters=240,work=64,"
-      "budget-ms=1.5,det=1";
-  expect_parse_or_documented_throw(
-      valid,
-      [](const std::string& text) {
-        try {
-          const core::SolverConfig cfg = core::parse_solver_spec(text);
-          cfg.validate();  // whatever parses must already be valid
-        } catch (const std::invalid_argument&) {
-        }
-      },
-      "solver spec");
-}
-
-TEST(ParserRobustness, PinnedSolverSpecCrashersThrowDocumentedType) {
-  // Mirrors tests/fuzz/corpus/solver_config: one pinned input per
-  // rejection class (unknown ids/keys, NaN/negative budgets, zero swarm,
-  // overflow, malformed key=value grammar).
-  const char* inputs[] = {
-      "",
-      ":",
-      "bogus",
-      "portfolio:",
-      "portfolio:work",
-      "portfolio:work=",
-      "portfolio:work=1e3",
-      "portfolio:work=99999999999999999999",
-      "portfolio:det=2",
-      "portfolio:budget-ms=nan",
-      "portfolio:budget-ms=inf",
-      "portfolio:budget-ms=-1",
-      "pso:pso-swarm=0",
-      "pso:pso-swarm=5000",
-      "pso:swarm=8",   // unknown key (the real one is pso-swarm)
-      "lp:lp-iters=0",
-      "lp:lp-iters=999999999",
-      "bfdsu:work=1,,det=1",
-  };
-  for (const char* text : inputs) {
-    EXPECT_THROW((void)core::parse_solver_spec(text), std::invalid_argument)
-        << text;
-  }
-  // The well-formed corpus seeds must keep parsing.
-  EXPECT_EQ(core::parse_solver_spec("bfdsu").solver, "bfdsu");
-  const core::SolverConfig cfg =
-      core::parse_solver_spec("portfolio:work=64,det=1");
-  EXPECT_EQ(cfg.solver, "portfolio");
-  EXPECT_EQ(cfg.work_budget, 64u);
-  EXPECT_TRUE(cfg.deterministic_budget);
-  EXPECT_EQ(core::parse_solver_spec("pso:pso-swarm=8,pso-iters=4").pso_swarm,
-            8u);
-  EXPECT_EQ(core::parse_solver_spec("lp:lp-iters=100").lp_iterations, 100u);
 }
 
 TEST(ParserRobustness, PinnedReportCrashersAreHandled) {

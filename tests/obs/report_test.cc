@@ -232,6 +232,40 @@ TEST(ReportDiff, OneSidedMetricsCarryTheirValues) {
   EXPECT_NE(text.find("removed"), std::string::npos);
 }
 
+TEST(ReportDiff, OldSolverSectionDiffsAsTwoRemovedKeys) {
+  // Reports from before the wall-clock race budget was deleted carry
+  // `deterministic` and `budget_ms` in their solver section.  They still
+  // load, and against a current report those two keys are the whole diff:
+  // removed, not regressions.
+  RunReport report = canned_report(0.05, 0.99);
+  report.solver.present = true;
+  report.solver.solver = "portfolio";
+  report.solver.winner = "lp";
+  report.solver.budget_work = 32;
+  report.solver.backends.push_back({"lp", true, 0, 0.04, 32});
+  const std::string current = serialize(report);
+  std::string old = current;
+  const std::string budget = "\"budget\": 32,";
+  const std::size_t at = old.find(budget);
+  ASSERT_NE(at, std::string::npos) << current;
+  old.replace(at, budget.size(),
+              "\"deterministic\": true, " + budget + " \"budget_ms\": 0,");
+
+  const ReportDiff diff =
+      diff_reports(load_run_report(old), load_run_report(current), 1.0);
+  ASSERT_EQ(diff.removed.size(), 2u);
+  EXPECT_EQ(diff.removed[0].path, "solver.budget_ms");
+  EXPECT_EQ(diff.removed[0].value, "0");
+  EXPECT_EQ(diff.removed[1].path, "solver.deterministic");
+  EXPECT_EQ(diff.removed[1].value, "true");
+  EXPECT_TRUE(diff.added.empty());
+  EXPECT_TRUE(diff.changed.empty());
+  EXPECT_TRUE(diff.type_changed.empty());
+  EXPECT_EQ(diff.regressions, 0u);
+  EXPECT_NE(pretty_print_report(load_run_report(old)).find("32 work units"),
+            std::string::npos);
+}
+
 TEST(ReportDiff, TypeChangesAreFlaggedNotDropped) {
   // The same path holding a number on one side and a string on the other is
   // a type change: previously these leaves vanished from the diff entirely.

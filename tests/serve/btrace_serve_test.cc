@@ -1,21 +1,27 @@
 // Binary-ingest differential contract (DESIGN.md §15): serving a trace
 // through the streaming binary path — replay_binary over a
-// BinaryTraceDecoder, any batch size, any kill/resume split — is
-// bit-identical to the per-event text path.  The comparator is the
+// BinaryTraceDecoder, in chunks of any size, any kill/resume split — is
+// bit-identical to the per-event text path, and a corrupt record stops it
+// with every record ahead of it applied.  The comparator is the
 // checkpoint serialization, which covers every float verbatim, the whole
 // outcome log, and all aggregate counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "nfv/common/rng.h"
 #include "nfv/serve/checkpoint.h"
 #include "nfv/serve/engine.h"
+#include "nfv/topology/io.h"
 #include "nfv/workload/btrace.h"
 #include "nfv/workload/event_stream.h"
 #include "nfv/workload/generator.h"
+#include "nfv/workload/io.h"
 
 namespace nfv::serve {
 namespace {
@@ -75,13 +81,17 @@ std::string text_path_state(const Fixture& fx, double snapshot_every = 0.0) {
 }
 
 TEST(BtraceServe, AnyBatchSizeMatchesTheTextPath) {
+  // A batch is one replay_binary call of at most `batch` events, as the
+  // CLI issues them between checkpoints.
   const Fixture fx = make_fixture(7);
   const std::string want = text_path_state(fx);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{64}, std::size_t{256}}) {
+  for (const std::uint64_t batch : {1u, 7u, 64u, 256u}) {
     workload::BinaryTraceDecoder decoder(fx.binary);
     ServeEngine engine = fresh_engine(fx);
-    const std::uint64_t applied = engine.replay_binary(decoder, batch);
+    std::uint64_t applied = 0;
+    while (const std::uint64_t n = engine.replay_binary(decoder, batch)) {
+      applied += n;
+    }
     EXPECT_EQ(applied, fx.trace.events.size()) << "batch " << batch;
     EXPECT_EQ(save_checkpoint_string(engine, applied), want)
         << "batch " << batch;
@@ -111,7 +121,7 @@ TEST(BtraceServe, ReplayBinaryHonorsTheLimit) {
   const Fixture fx = make_fixture(3);
   workload::BinaryTraceDecoder decoder(fx.binary);
   ServeEngine engine = fresh_engine(fx);
-  EXPECT_EQ(engine.replay_binary(decoder, 256, 50), 50u);
+  EXPECT_EQ(engine.replay_binary(decoder, 50), 50u);
   EXPECT_EQ(decoder.decoded(), 50u);
   EXPECT_EQ(engine.log().size(), 50u);
   // Draining the rest completes the trace; a further call applies nothing.
@@ -132,7 +142,7 @@ TEST(BtraceServe, KillAnywhereAndSeekResumesByteIdentical) {
       // decoder's cursor, exactly as `nfvpr serve --checkpoint` does.
       workload::BinaryTraceDecoder decoder(fx.binary);
       ServeEngine engine = fresh_engine(fx);
-      const std::uint64_t applied = engine.replay_binary(decoder, 256, kill);
+      const std::uint64_t applied = engine.replay_binary(decoder, kill);
       ASSERT_EQ(applied, kill);
       const BinaryTraceCursor cursor{decoder.byte_offset(),
                                      decoder.last_time_bits()};
@@ -188,7 +198,7 @@ TEST(BtraceServe, BinaryCheckpointRoundTripsThroughPeek) {
   const Fixture fx = make_fixture(11);
   workload::BinaryTraceDecoder decoder(fx.binary);
   ServeEngine engine = fresh_engine(fx);
-  engine.replay_binary(decoder, 256, 60);
+  engine.replay_binary(decoder, 60);
   const BinaryTraceCursor cursor{decoder.byte_offset(),
                                  decoder.last_time_bits()};
   const std::string ckpt = save_checkpoint_string(engine, 60, &cursor);
@@ -205,6 +215,52 @@ TEST(BtraceServe, BinaryCheckpointRoundTripsThroughPeek) {
   EXPECT_EQ(plain.find("trace_offset"), std::string::npos);
   EXPECT_EQ(plain.find("trace_time_bits"), std::string::npos);
   EXPECT_FALSE(peek_checkpoint(plain).has_btrace_cursor);
+}
+
+std::string read_fixture(const std::string& name) {
+  const std::string path = std::string(NFV_TRACES_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) ADD_FAILURE() << "cannot open " << path;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(BtraceServe, CorruptRecordLeavesEveryEarlierRecordApplied) {
+  // The binary twin of bench/traces/chaos_smoke with record kBad's kind
+  // byte overwritten.  Replay stops there; the engine state, its log and
+  // so the crash dump `nfvpr serve --flight-recorder-out` writes all equal
+  // a clean run over the kBad records before it.
+  constexpr std::uint64_t kBad = 435;
+  const topo::Topology topology =
+      topo::load_topology_string(read_fixture("chaos_smoke.topo"));
+  const workload::Workload wl =
+      workload::load_workload_string(read_fixture("chaos_smoke.wl"));
+  const workload::EventTrace trace =
+      workload::load_event_trace(read_fixture("chaos_smoke.trace.json"));
+  ASSERT_GT(trace.events.size(), kBad);
+
+  std::string binary = workload::save_binary_trace_string(trace);
+  workload::BinaryTraceDecoder probe(binary);
+  probe.skip(kBad);
+  std::size_t at = probe.byte_offset();  // the record's length varint
+  while ((static_cast<unsigned char>(binary[at]) & 0x80) != 0) ++at;
+  binary[at + 1] = static_cast<char>(0xff);  // its kind byte: no such kind
+
+  workload::BinaryTraceDecoder decoder(binary);
+  ServeEngine engine(topology, wl.vnfs, ServeConfig{});
+  EXPECT_THROW((void)engine.replay_binary(decoder),
+               workload::TraceParseError);
+
+  ServeEngine clean(topology, wl.vnfs, ServeConfig{});
+  for (std::uint64_t i = 0; i < kBad; ++i) clean.on_event(trace.events[i]);
+  ASSERT_EQ(engine.log().size(), kBad);
+  EXPECT_EQ(save_checkpoint_string(engine, kBad),
+            save_checkpoint_string(clean, kBad));
+  std::ostringstream crash_dump;
+  std::ostringstream clean_dump;
+  write_flight_dump(engine, 64, crash_dump);
+  write_flight_dump(clean, 64, clean_dump);
+  EXPECT_EQ(crash_dump.str(), clean_dump.str());
 }
 
 }  // namespace

@@ -138,37 +138,54 @@ for sub in place pipeline serve; do
   expect_exit 2 "$sub unknown --solver exits 2" \
     "$NFVPR" "$sub" -t "$WORK/dc.topo" -w "$WORK/peak.wl" --solver bogus
 done
-expect_exit 2 "--pso-swarm 0 exits 2" \
+expect_exit 2 "negative --work-budget exits 2" \
   "$NFVPR" pipeline -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
-  --solver pso --pso-swarm 0
-expect_exit 2 "negative --budget-ms exits 2" \
+  --solver portfolio --work-budget -1
+expect_contains "$WORK/err.txt" 'work budget must be >= 0' \
+  "negative --work-budget names the range"
+expect_exit 2 "--work-budget above 1e12 exits 2" \
   "$NFVPR" pipeline -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
-  --solver portfolio --budget-ms=-1
+  --solver portfolio --work-budget 2000000000000
+expect_contains "$WORK/err.txt" 'work budget must be <= 1e12' \
+  "--work-budget above 1e12 names the range"
 
-# Under --deterministic-budget the race is thread-count free: stdout and
-# the report are byte-identical for any -j.
-expect_exit 0 "portfolio pipeline, serial" \
-  sh -c "'$NFVPR' pipeline -t '$WORK/dc.topo' -w '$WORK/peak.wl' --seed 7 \
-         --solver portfolio --deterministic-budget --work-budget 32 \
-         --report-out '$WORK/race1.json' -j 1 > '$WORK/race1.txt'"
-expect_exit 0 "portfolio pipeline, 8 threads" \
-  sh -c "'$NFVPR' pipeline -t '$WORK/dc.topo' -w '$WORK/peak.wl' --seed 7 \
-         --solver portfolio --deterministic-budget --work-budget 32 \
-         --report-out '$WORK/race8.json' -j 8 > '$WORK/race8.txt'"
-for pair in "race1.txt race8.txt stdout" "race1.json race8.json report"; do
-  set -- $pair
-  if cmp -s "$WORK/$1" "$WORK/$2"; then
-    echo "ok: --solver portfolio $3 is byte-identical across -j1/-j8"
-  else
-    echo "FAIL: --solver portfolio $3 differs between -j1 and -j8" >&2
-    diff "$WORK/$1" "$WORK/$2" | sed 's/^/  /' >&2
-    failures=$((failures + 1))
-  fi
+# Every race is thread-count free: stdout and the report are
+# byte-identical for any -j, with a work budget and without one.
+for budget in "--work-budget 32" ""; do
+  for j in 1 8; do
+    expect_exit 0 "portfolio pipeline${budget:+ $budget}, -j$j" \
+      sh -c "'$NFVPR' pipeline -t '$WORK/dc.topo' -w '$WORK/peak.wl' \
+             --seed 7 --solver portfolio $budget \
+             --report-out '$WORK/race$j.json' -j $j > '$WORK/race$j.txt'"
+  done
+  for pair in "race1.txt race8.txt stdout" "race1.json race8.json report"; do
+    set -- $pair
+    if cmp -s "$WORK/$1" "$WORK/$2"; then
+      echo "ok: --solver portfolio${budget:+ $budget} $3 is byte-identical" \
+        "across -j1/-j8"
+    else
+      echo "FAIL: --solver portfolio${budget:+ $budget} $3 differs between" \
+        "-j1 and -j8" >&2
+      diff "$WORK/$1" "$WORK/$2" | sed 's/^/  /' >&2
+      failures=$((failures + 1))
+    fi
+  done
 done
 expect_contains "$WORK/race1.txt" 'solver race' \
   "pipeline prints the race summary"
 expect_contains "$WORK/race1.json" '"solver"' \
   "race report carries the solver section"
+# A report from before the wall-clock budget was deleted still diffs
+# cleanly: its two extra solver keys are listed as removed, exit 0.
+sed 's/"budget": \([0-9]*\),/"deterministic": true, "budget": \1, "budget_ms": 0,/' \
+  "$WORK/race1.json" > "$WORK/race_old.json"
+expect_exit 0 "old solver report diffs against a new one" \
+  "$NFVPR" report --in "$WORK/race1.json" --baseline "$WORK/race_old.json" \
+  --fail-on-regression
+expect_contains "$WORK/out.txt" 'solver.deterministic = true (removed)' \
+  "the diff lists solver.deterministic as removed"
+expect_contains "$WORK/out.txt" 'solver.budget_ms = 0 (removed)' \
+  "the diff lists solver.budget_ms as removed"
 
 # --- serve: trace validation and deterministic replay ---------------------
 expect_exit 0 "serve --help exits 0" "$NFVPR" serve --help

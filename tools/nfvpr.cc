@@ -80,9 +80,8 @@ int usage() {
       "<path> (JSON run report), --trace-out <path> (Chrome trace-event JSON)\n"
       "and --threads N (parallel fan-out; results are identical for any N).\n"
       "place/pipeline/serve also accept --solver bfdsu|pso|lp|portfolio\n"
-      "(race placement backends under --budget-ms / --work-budget; with\n"
-      "--deterministic-budget results are bit-identical for any --threads\n"
-      "— see DESIGN.md §17).\n"
+      "(race placement backends under --work-budget; every race is\n"
+      "bit-identical for any --threads — see DESIGN.md §17).\n"
       "\n"
       "run 'nfvpr <subcommand> --help' for flags.\n"
       "\n"
@@ -204,8 +203,8 @@ class ThreadsFlag {
 
 /// Registers the --solver flag family (DESIGN.md §17) on a subcommand.
 /// Off when --solver is omitted — the command keeps its legacy path and
-/// byte-identical output.  The knobs are validated even when off, so a
-/// nonsense value never silently rides along.
+/// byte-identical output.  The work budget is validated even when off, so
+/// a nonsense value never silently rides along.
 class SolverFlags {
  public:
   explicit SolverFlags(nfv::CliParser& cli)
@@ -214,29 +213,16 @@ class SolverFlags {
             "race placement backends: bfdsu|pso|lp|portfolio (races all "
             "three; off when omitted)",
             "")),
-        budget_ms_(cli.add_double(
-            "budget-ms", '\0',
-            "wall-clock budget for the race in ms (0 = none; anytime "
-            "backends stop at the deadline)",
-            0.0)),
         work_budget_(cli.add_int(
             "work-budget", '\0',
             "work units (placement iterations) per backend (0 = backend "
             "defaults)",
-            0)),
-        deterministic_(cli.add_flag(
-            "deterministic-budget", '\0',
-            "ignore the clock: effort derives from --work-budget only, so "
-            "results are bit-identical for any --threads")),
-        pso_swarm_(cli.add_int("pso-swarm", '\0', "PSO particles", 16)),
-        pso_iters_(cli.add_int("pso-iters", '\0', "PSO sweeps", 48)),
-        lp_iters_(cli.add_int("lp-iters", '\0', "LP subgradient steps", 240)) {
-  }
+            0)) {}
 
   [[nodiscard]] bool enabled() const { return !solver_.empty(); }
 
   /// Returns false (callers exit 2: usage error) on an unknown solver id
-  /// or an out-of-range knob.
+  /// or an out-of-range work budget.
   [[nodiscard]] bool validate() const {
     try {
       (void)config();
@@ -248,23 +234,12 @@ class SolverFlags {
   }
 
   [[nodiscard]] nfv::core::SolverConfig config() const {
+    if (work_budget_ < 0) {
+      throw std::invalid_argument("solver: work budget must be >= 0");
+    }
     nfv::core::SolverConfig cfg;
     if (enabled()) cfg.solver = solver_;
-    cfg.budget_ms = budget_ms_;
-    // Negative values wrap to huge unsigned ones, which the range checks
-    // in SolverConfig::validate reject.
     cfg.work_budget = static_cast<std::uint64_t>(work_budget_);
-    cfg.deterministic_budget = deterministic_;
-    cfg.pso_swarm = static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(pso_swarm_));
-    cfg.pso_iterations = static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(pso_iters_));
-    cfg.lp_iterations = static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(lp_iters_));
-    if (pso_swarm_ < 0 || pso_iters_ < 0 || lp_iters_ < 0 ||
-        work_budget_ < 0) {
-      throw std::invalid_argument("solver spec: knobs must be >= 0");
-    }
     cfg.validate();
     return cfg;
   }
@@ -284,12 +259,7 @@ class SolverFlags {
 
  private:
   const std::string& solver_;
-  const double& budget_ms_;
   const std::int64_t& work_budget_;
-  const bool& deterministic_;
-  const std::int64_t& pso_swarm_;
-  const std::int64_t& pso_iters_;
-  const std::int64_t& lp_iters_;
 };
 
 /// One human-readable line for a finished race.
@@ -301,9 +271,8 @@ void print_solver_outcome(const nfv::core::SolverOutcome& outcome,
     detail += b.id;
     detail += b.feasible ? "" : " (infeasible)";
   }
-  std::fprintf(out, "solver race           : %s wins [%s]%s\n",
-               outcome.winner.c_str(), detail.c_str(),
-               outcome.deterministic ? " (deterministic budget)" : "");
+  std::fprintf(out, "solver race           : %s wins [%s]\n",
+               outcome.winner.c_str(), detail.c_str());
 }
 
 /// Registers --metrics-out / --trace-out on a subcommand and owns the
@@ -464,9 +433,7 @@ int cmd_place(int argc, const char* const* argv) {
         driver.place(problem, static_cast<std::uint64_t>(seed));
     placement = std::move(raced.placement);
     race.winner = raced.winner;
-    race.deterministic = scfg.deterministic_budget;
     race.budget_work = scfg.work_budget;
-    race.budget_ms = scfg.budget_ms;
     race.backends = std::move(raced.backends);
   } else {
     nfv::Rng rng(static_cast<std::uint64_t>(seed));
@@ -1185,9 +1152,9 @@ int cmd_serve(int argc, const char* const* argv) {
     };
     try {
       if (binary_trace) {
-        // Stream micro-batches; each chunk ends at the next checkpoint
-        // boundary so checkpoints land at the same event counts (and thus
-        // the same states) as the per-event text loop.
+        // Stream events; each chunk ends at the next checkpoint boundary
+        // so checkpoints land at the same event counts (and thus the same
+        // states) as the per-event text loop.
         const auto every = static_cast<std::uint64_t>(checkpoint_every);
         std::uint64_t applied = start;
         while (applied < total_events) {
@@ -1196,7 +1163,7 @@ int cmd_serve(int argc, const char* const* argv) {
             const std::uint64_t boundary = ((applied / every) + 1) * every;
             limit = std::min(limit, boundary - applied);
           }
-          const std::uint64_t n = engine->replay_binary(*decoder, 256, limit);
+          const std::uint64_t n = engine->replay_binary(*decoder, limit);
           if (n == 0) break;  // decoder ran dry (count_ was trusted above)
           applied += n;
           maybe_checkpoint(applied, applied == total_events);
