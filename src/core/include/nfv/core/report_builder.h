@@ -1,8 +1,9 @@
 // Bridges the solver types to the obs run-report schema: converts a
-// JointResult (and optionally a SimResult, a serve section, a solver race
-// and the live metrics registry) into an obs::RunReport ready for
-// obs::write_run_report.  Lives in core — obs stays a leaf library that
-// knows nothing about placement/scheduling/sim types.
+// JointResult (and optionally a SimResult, a solver race and the live
+// metrics registry) into an obs::RunReport ready for obs::write_run_report,
+// and passes the serve section's writer through as the serve library
+// supplied it.  Lives in core — obs stays a leaf library that knows nothing
+// about placement/scheduling/sim/serve types.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,8 @@
 
 namespace nfv::core {
 
-/// Everything a run report can describe; leave pointers null for
-/// sections that do not apply to the command.
+/// Everything a run report can describe; leave pointers null (and `serve`
+/// empty) for sections that do not apply to the command.
 struct ReportInputs {
   std::string command;             ///< nfvpr subcommand ("pipeline", ...)
   std::uint64_t seed = 0;
@@ -25,9 +26,9 @@ struct ReportInputs {
   const SystemModel* model = nullptr;       ///< required with `result`
   const JointResult* result = nullptr;      ///< placement + scheduling
   const sim::SimResult* sim = nullptr;      ///< DES section
-  /// Pre-built serving section (the serve library owns the conversion);
-  /// copied verbatim when non-null and present.
-  const obs::ServeSection* serve = nullptr;
+  /// The serving section's writer (serve::report_section); the serve
+  /// library owns that schema, so it is passed through unopened.
+  obs::SectionWriter serve;
   /// Solver portfolio race (DESIGN.md §17); non-null when --solver was
   /// given, along with the requested solver id for the section header.
   const SolverOutcome* solver = nullptr;

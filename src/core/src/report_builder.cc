@@ -118,7 +118,7 @@ obs::RunReport build_run_report(const ReportInputs& inputs) {
     fill_requests(inputs, report.requests);
   }
   if (inputs.sim != nullptr) fill_des(*inputs.sim, report.des);
-  if (inputs.serve != nullptr) report.serve = *inputs.serve;
+  report.serve = inputs.serve;
   if (inputs.solver != nullptr) fill_solver(inputs, report.solver);
   if (inputs.metrics != nullptr) {
     report.metrics.present = true;

@@ -4,10 +4,11 @@
 // metrics-registry snapshot).
 //
 // The obs library owns the schema, serialization, loading, pretty-printing
-// and diffing; it knows nothing about the solver types.  The core library
-// provides the builder that converts a JointResult / SimResult into a
-// RunReport (nfv/core/report_builder.h); the serve library builds its own
-// section.
+// and diffing; it knows nothing about the solver or serving types.  The
+// core library provides the builder that converts a JointResult /
+// SimResult into a RunReport (nfv/core/report_builder.h); the serve
+// library writes its own section from its records' field lists
+// (serve::report_section), so obs never sees the serve schema.
 //
 // Schema ("nfvpr.run_report/1"):
 //
@@ -23,12 +24,10 @@
 //                    avg_response},
 //     "des":        {events, measured_window, generated, delivered,
 //                    retransmissions, avg_utilization, mean_latency},
-//     "serve":      {events, arrivals, admitted, rejected, shed,
-//                    migrations, rebalances, ..., churn: {node_downs,
-//                    evacuated_requests, parked, shed_fault, ...},
-//                    autoscale: {...}?, availability, admission_rate,
-//                    mean_predicted_latency, p99_predicted_latency, work,
-//                    timeline: {...}?, events_log: [...]?},
+//     "serve":      {events, arrivals, admitted, ..., churn: {...},
+//                    autoscale: {...}?, availability, ..., work,
+//                    timeline: {...}?, events_log: [...]?}  (written by
+//                    the serve library; DESIGN.md §9),
 //     "solver":     {solver, winner, budget,
 //                    backends: [{id, feasible, rejected, objective, work}]},
 //     "metrics":    {counters: {...}, gauges: {...}, histograms: {...}}
@@ -39,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -46,7 +46,6 @@
 
 #include "nfv/obs/json.h"
 #include "nfv/obs/metrics.h"
-#include "nfv/obs/timeline.h"
 
 namespace nfv::obs {
 
@@ -106,83 +105,10 @@ struct MetricsSection {
   MetricsRegistry::Snapshot snapshot;
 };
 
-/// One event decision of the online serving engine (nfv/serve).
-struct ServeEventEntry {
-  std::uint64_t index = 0;
-  double time = 0.0;
-  std::string kind;      ///< "arrive" / "depart" / "rate_change"
-  std::uint64_t request = 0;
-  std::string decision;  ///< "admitted" / "queued" / "rejected" / ...
-  std::uint64_t migrations = 0;
-  std::uint64_t scale_outs = 0;
-  std::uint64_t scale_ins = 0;
-  std::uint64_t admitted_from_queue = 0;
-  std::uint64_t evacuated = 0;
-  std::uint64_t evacuation_migrations = 0;
-  std::uint64_t parked = 0;
-  std::uint64_t retry_admitted = 0;
-  std::uint64_t shed_fault = 0;
-  std::uint64_t shed_overload = 0;
-  bool degraded = false;
-  double mean_predicted_latency = 0.0;
-  double p99_predicted_latency = 0.0;
-};
-
-/// Summary + optional per-event log of one `nfvpr serve` replay.
-struct ServeSection {
-  bool present = false;
-  std::uint64_t events = 0;
-  std::uint64_t arrivals = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t admitted_from_queue = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t departures = 0;
-  std::uint64_t rate_changes = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t rebalances = 0;
-  std::uint64_t max_migrations_per_rebalance = 0;
-  std::uint64_t scale_outs = 0;
-  std::uint64_t scale_ins = 0;
-  std::uint64_t live_requests = 0;
-  std::uint64_t queued_requests = 0;
-  std::uint64_t retry_queued = 0;
-  std::uint64_t active_instances = 0;
-  std::uint64_t nodes_in_service = 0;
-  // Fault tolerance and degradation (DESIGN.md §13).
-  std::uint64_t node_downs = 0;
-  std::uint64_t node_ups = 0;
-  std::uint64_t instances_closed = 0;
-  std::uint64_t evacuated_requests = 0;
-  std::uint64_t evacuation_migrations = 0;
-  std::uint64_t parked = 0;
-  std::uint64_t retry_admitted = 0;
-  std::uint64_t shed_fault = 0;
-  std::uint64_t shed_overload = 0;
-  std::uint64_t degradations = 0;
-  std::uint64_t degraded_events = 0;
-  double availability = 1.0;
-  double admission_rate = 0.0;
-  double mean_predicted_latency = 0.0;
-  double p99_predicted_latency = 0.0;
-  std::uint64_t work = 0;
-  /// Elastic autoscaling (DESIGN.md §16); serialized under
-  /// "serve.autoscale" only when the run scaled.
-  bool autoscale_present = false;
-  std::string autoscale_policy;  ///< "reactive" / "predictive"
-  std::uint64_t autoscale_decisions = 0;
-  std::uint64_t autoscale_scale_outs = 0;  ///< controller-opened instances
-  std::uint64_t autoscale_scale_ins = 0;   ///< controller-started drains
-  std::uint64_t autoscale_flaps = 0;
-  std::uint64_t autoscale_blocked_cooldown = 0;
-  std::uint64_t autoscale_draining = 0;  ///< drains still in flight at end
-  double instance_seconds = 0.0;         ///< ∫ active instances dt
-  /// Whole-stream timeline aggregates (serve --snapshot-every); serialized
-  /// under "serve.timeline" so the regression differ gates them too.
-  bool timeline_present = false;
-  TimelineAggregates timeline;
-  std::vector<ServeEventEntry> events_log;
-};
+/// Writes the members of one section whose schema a library above obs
+/// owns (the serve library's "serve" section); write_run_report opens and
+/// closes the object around it.
+using SectionWriter = std::function<void(JsonWriter&)>;
 
 /// One backend's line in a solver portfolio race (DESIGN.md §17).
 struct SolverBackendEntry {
@@ -209,7 +135,7 @@ struct RunReport {
   SchedulingSection scheduling;
   RequestSection requests;
   DesSection des;
-  ServeSection serve;
+  SectionWriter serve;  ///< written when set
   SolverSection solver;
   MetricsSection metrics;
 };

@@ -133,101 +133,10 @@ void write_run_report(const RunReport& report, std::ostream& os) {
     w.end_object();
   }
 
-  if (report.serve.present) {
-    const ServeSection& s = report.serve;
+  if (report.serve) {
     w.key("serve");
     w.begin_object();
-    w.kv("events", s.events);
-    w.kv("arrivals", s.arrivals);
-    w.kv("admitted", s.admitted);
-    w.kv("admitted_from_queue", s.admitted_from_queue);
-    w.kv("rejected", s.rejected);
-    w.kv("departures", s.departures);
-    w.kv("rate_changes", s.rate_changes);
-    w.kv("shed", s.shed);
-    w.kv("migrations", s.migrations);
-    w.kv("rebalances", s.rebalances);
-    w.kv("max_migrations_per_rebalance", s.max_migrations_per_rebalance);
-    w.kv("scale_outs", s.scale_outs);
-    w.kv("scale_ins", s.scale_ins);
-    w.kv("live_requests", s.live_requests);
-    w.kv("queued_requests", s.queued_requests);
-    w.kv("retry_queued", s.retry_queued);
-    w.kv("active_instances", s.active_instances);
-    w.kv("nodes_in_service", s.nodes_in_service);
-    // Fault-tolerance counters nest under "churn" so they diff and print
-    // as one group rather than a flat sprawl of serve.* paths.
-    w.key("churn");
-    w.begin_object();
-    w.kv("node_downs", s.node_downs);
-    w.kv("node_ups", s.node_ups);
-    w.kv("instances_closed", s.instances_closed);
-    w.kv("evacuated_requests", s.evacuated_requests);
-    w.kv("evacuation_migrations", s.evacuation_migrations);
-    w.kv("parked", s.parked);
-    w.kv("retry_admitted", s.retry_admitted);
-    w.kv("shed_fault", s.shed_fault);
-    w.kv("shed_overload", s.shed_overload);
-    w.kv("degradations", s.degradations);
-    w.kv("degraded_events", s.degraded_events);
-    w.end_object();
-    if (s.autoscale_present) {
-      // Autoscaler counters nest like churn: one diffable group, emitted
-      // only when the run scaled so autoscale-off reports are unchanged.
-      w.key("autoscale");
-      w.begin_object();
-      w.kv("policy", s.autoscale_policy);
-      w.kv("decisions", s.autoscale_decisions);
-      w.kv("scale_outs", s.autoscale_scale_outs);
-      w.kv("scale_ins", s.autoscale_scale_ins);
-      w.kv("flaps", s.autoscale_flaps);
-      w.kv("blocked_cooldown", s.autoscale_blocked_cooldown);
-      w.kv("draining", s.autoscale_draining);
-      w.kv("instance_seconds", s.instance_seconds);
-      w.end_object();
-    }
-    w.kv("availability", s.availability);
-    w.kv("admission_rate", s.admission_rate);
-    w.kv("mean_predicted_latency", s.mean_predicted_latency);
-    w.kv("p99_predicted_latency", s.p99_predicted_latency);
-    w.kv("work", s.work);
-    if (s.timeline_present) {
-      // The aggregate_values vocabulary doubles as the schema here, so the
-      // report keys stay in lock-step with `analyze-timeline --fail-on`.
-      w.key("timeline");
-      w.begin_object();
-      for (const auto& [name, value] : aggregate_values(s.timeline)) {
-        w.kv(name, value);
-      }
-      w.end_object();
-    }
-    if (!s.events_log.empty()) {
-      w.key("events_log");
-      w.begin_array();
-      for (const ServeEventEntry& e : s.events_log) {
-        w.begin_object();
-        w.kv("index", e.index);
-        w.kv("t", e.time);
-        w.kv("kind", e.kind);
-        w.kv("request", e.request);
-        w.kv("decision", e.decision);
-        w.kv("migrations", e.migrations);
-        w.kv("scale_outs", e.scale_outs);
-        w.kv("scale_ins", e.scale_ins);
-        w.kv("admitted_from_queue", e.admitted_from_queue);
-        w.kv("evacuated", e.evacuated);
-        w.kv("evacuation_migrations", e.evacuation_migrations);
-        w.kv("parked", e.parked);
-        w.kv("retry_admitted", e.retry_admitted);
-        w.kv("shed_fault", e.shed_fault);
-        w.kv("shed_overload", e.shed_overload);
-        w.kv("degraded", e.degraded);
-        w.kv("mean_predicted_latency", e.mean_predicted_latency);
-        w.kv("p99_predicted_latency", e.p99_predicted_latency);
-        w.end_object();
-      }
-      w.end_array();
-    }
+    report.serve(w);
     w.end_object();
   }
 

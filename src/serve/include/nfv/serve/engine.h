@@ -40,6 +40,11 @@
 // a trace yields a bit-identical state and report for any thread count.
 // Its decision path reuses engine-owned scratch (DESIGN.md §11.4), so a
 // warm engine applies a rate change without touching the heap.
+//
+// Its two records, ServeSummary and EventOutcome, each have one field list
+// (src/serve/src/field_lists.h) that the checkpoint, the run report's
+// "serve" section (report_section) and the flight dump (write_flight_dump)
+// all walk: a new counter is one member plus one line in its list.
 #pragma once
 
 #include <cstdint>
@@ -463,24 +468,8 @@ class ServeEngine {
     return config_.snapshot_every > 0.0;
   }
   [[nodiscard]] bool lifecycle_on() const { return config_.lifecycle; }
-  /// Counter values at the open of the current window; record fields are
-  /// deltas against this.
-  struct TimelineBaseline {
-    std::uint64_t events = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t admitted_from_queue = 0;
-    std::uint64_t retry_admitted = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t shed_fault = 0;
-    std::uint64_t shed_overload = 0;
-    std::uint64_t evacuated_requests = 0;
-    std::uint64_t parked = 0;
-    std::uint64_t migrations = 0;
-    std::uint64_t scale_outs = 0;
-    std::uint64_t scale_ins = 0;
-  };
-  [[nodiscard]] TimelineBaseline capture_baseline() const;
+  /// Non-retired instances draining for scale-in.
+  [[nodiscard]] std::uint64_t draining_count() const;
   /// Builds a record for [t_start, t_end) from the current state and the
   /// window integrals (shared by closed and partial windows).
   [[nodiscard]] obs::TimelineRecord make_window_record(
@@ -590,7 +579,9 @@ class ServeEngine {
   std::uint64_t window_index_ = 0;                  ///< current open window
   double win_served_ = 0.0;   ///< ∫ served rate over the open window
   double win_offered_ = 0.0;  ///< ∫ offered rate over the open window
-  TimelineBaseline win_base_;
+  /// totals_ at the open of the current window; record counters are
+  /// deltas against it, and the checkpoint keeps the subset they read.
+  ServeSummary win_base_;
   /// Admission waits over the last `timeline_span` windows.
   std::optional<WindowedHistogram> wait_hist_;
   /// When a request started waiting (queued or parked) — for wait samples.
@@ -602,18 +593,22 @@ class ServeEngine {
   friend struct CheckpointIo;
 };
 
-/// Converts the engine's state into the run-report section; per-event
-/// entries are included only when `include_events`.
-[[nodiscard]] obs::ServeSection make_serve_section(const ServeEngine& engine,
-                                                   bool include_events);
+/// The run report's "serve" section (DESIGN.md §9), written from the same
+/// field lists as the checkpoint's totals and log: the event counters, the
+/// live-state figures, churn{...}, autoscale{...} when on, the Eq. 16 and
+/// availability tail, timeline{...} when on, and, when `include_events`,
+/// the "events_log".  The writer reads `engine` when called, so the engine
+/// must outlive it.
+[[nodiscard]] obs::SectionWriter report_section(const ServeEngine& engine,
+                                                bool include_events);
 
 inline constexpr std::string_view kFlightSchema = "nfvpr.flight/1";
 
 /// The flight-recorder dump (DESIGN.md §14.3): {"schema":
 /// "nfvpr.flight/1", "capacity": K, "recorded": log size, "entries": [...]}
-/// with the last K entries of engine.log(), oldest first.  A resumed
-/// engine carries the checkpointed log, so its dump equals the
-/// uninterrupted run's.
+/// with the last K entries of engine.log(), oldest first, each exactly an
+/// "events_log" entry of the run report.  A resumed engine carries the
+/// checkpointed log, so its dump equals the uninterrupted run's.
 void write_flight_dump(const ServeEngine& engine, std::size_t capacity,
                        std::ostream& os);
 

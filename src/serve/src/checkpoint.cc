@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <concepts>
 #include <deque>
 #include <optional>
 #include <ostream>
@@ -19,44 +18,14 @@
 #include "nfv/obs/json.h"
 #include "nfv/obs/lifecycle.h"
 
+#include "field_lists.h"
+
 namespace nfv::serve {
 
-namespace {
-
-[[noreturn]] void ckpt_fail(const std::string& what) {
-  throw CheckpointParseError("checkpoint: " + what);
-}
-
-[[noreturn]] void field_fail(std::string_view key, const std::string& what) {
-  ckpt_fail("field \"" + std::string(key) + "\" " + what);
-}
-
-/// Runs a validating call, turning its exception into a parse error.
-template <class F>
-void guarded(const char* what, F&& fn) {
-  try {
-    fn();
-  } catch (const std::exception& ex) {
-    ckpt_fail(what + std::string(ex.what()));
-  }
-}
-
-// Largest integer each destination type takes.  The 64-bit cap stays below
-// 2^64 so the double-to-integer cast is always defined.
-constexpr double kU64Max = 1.8e19;
-constexpr double kU32Max = 4294967295.0;
-
-template <class S, class T>
-concept Of = std::same_as<std::remove_const_t<S>, T>;
-
 // ---------------------------------------------------------------------------
-// Field lists: one per persisted struct, in document order.  Writer and
-// Reader below walk the same lists, so each key is named exactly once.
-//   v(key, member[, bound])  one field; integer ids must stay below `bound`
-//   v.group(flag, key)       optional fields, written when `flag` holds and
-//                            read when `key` is present (a flag member is
-//                            set to that presence)
-//   v.require(ok, what)      a restore-time invariant; the writer skips it
+// The checkpoint's own field lists, in document order (field_lists.h holds
+// the ones the run report shares, and their notation).  Writer and Reader
+// walk the same lists, so each key is named exactly once.
 // ---------------------------------------------------------------------------
 
 /// The document head, shared with peek_checkpoint's summary.  The binary-
@@ -115,57 +84,6 @@ void fields(Self& c, V& v) {
   switch_fields(c, v);
 }
 
-/// The running totals; summary() derives the live-state figures.
-template <Of<ServeSummary> Self, class V>
-void fields(Self& t, V& v) {
-  v("events", t.events);
-  v("arrivals", t.arrivals);
-  v("admitted", t.admitted);
-  v("admitted_from_queue", t.admitted_from_queue);
-  v("rejected", t.rejected);
-  v("departures", t.departures);
-  v("rate_changes", t.rate_changes);
-  v("shed", t.shed);
-  v("migrations", t.migrations);
-  v("rebalances", t.rebalances);
-  v("max_migrations_per_rebalance", t.max_migrations_per_rebalance);
-  v("scale_outs", t.scale_outs);
-  v("scale_ins", t.scale_ins);
-  v("node_downs", t.node_downs);
-  v("node_ups", t.node_ups);
-  v("instances_closed", t.instances_closed);
-  v("evacuated_requests", t.evacuated_requests);
-  v("evacuation_migrations", t.evacuation_migrations);
-  v("parked", t.parked);
-  v("retry_admitted", t.retry_admitted);
-  v("shed_fault", t.shed_fault);
-  v("shed_overload", t.shed_overload);
-  v("degradations", t.degradations);
-  v("degraded_events", t.degraded_events);
-}
-
-template <Of<EventOutcome> Self, class V>
-void fields(Self& o, V& v) {
-  v("index", o.index);
-  v("t", o.time);
-  v("kind", o.kind, workload::StreamEventKind::kNodeUp);
-  v("request", o.request);
-  v("decision", o.decision, Decision::kNodeUp);
-  v("migrations", o.migrations);
-  v("scale_outs", o.scale_outs);
-  v("scale_ins", o.scale_ins);
-  v("admitted_from_queue", o.admitted_from_queue);
-  v("evacuated", o.evacuated);
-  v("evacuation_migrations", o.evacuation_migrations);
-  v("parked", o.parked);
-  v("retry_admitted", o.retry_admitted);
-  v("shed_fault", o.shed_fault);
-  v("shed_overload", o.shed_overload);
-  v("degraded", o.degraded);
-  v("mean_predicted_latency", o.mean_predicted_latency);
-  v("p99_predicted_latency", o.p99_predicted_latency);
-}
-
 template <Of<AutoscaleTotals> Self, class V>
 void fields(Self& t, V& v) {
   v("decisions", t.decisions);
@@ -219,117 +137,37 @@ void fields(Self& ev, V& v) {
   v("rung", ev.rung);
 }
 
+namespace {
+
+[[noreturn]] void ckpt_fail(const std::string& what) {
+  throw CheckpointParseError("checkpoint: " + what);
+}
+
+[[noreturn]] void field_fail(std::string_view key, const std::string& what) {
+  ckpt_fail("field \"" + std::string(key) + "\" " + what);
+}
+
+/// Runs a validating call, turning its exception into a parse error.
+template <class F>
+void guarded(const char* what, F&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& ex) {
+    ckpt_fail(what + std::string(ex.what()));
+  }
+}
+
+// Largest integer each destination type takes.  The 64-bit cap stays below
+// 2^64 so the double-to-integer cast is always defined.
+constexpr double kU64Max = 1.8e19;
+constexpr double kU32Max = 4294967295.0;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// The two visitors
+// The reader: in the named namespace like the Writer, so a walk through
+// either visitor finds the field lists above by ADL.
 // ---------------------------------------------------------------------------
-
-/// The default element walk of objects().
-struct Fields {
-  template <class T, class V>
-  void operator()(T& item, V& v) const {
-    fields(item, v);
-  }
-};
-
-/// Writer visitor: makes the JsonWriter calls of the checkpoint format.
-class Writer {
- public:
-  static constexpr bool kReading = false;
-
-  /// `positional`: bare values (a tuple) instead of key/value members.
-  explicit Writer(obs::JsonWriter& w, bool positional = false)
-      : w_(w), positional_(positional) {}
-
-  template <class T>
-    requires std::is_arithmetic_v<T>
-  void operator()(std::string_view key, T x, std::uint64_t /*bound*/ = 0) {
-    name(key);
-    put(x);
-  }
-  template <class E>
-    requires std::is_enum_v<E>
-  void operator()(std::string_view key, E x, E /*last*/) {
-    (*this)(key, static_cast<std::underlying_type_t<E>>(x));
-  }
-  void operator()(std::string_view key, ScalePolicy x) {
-    name(key);
-    w_.value(to_string(x));
-  }
-  void operator()(std::string_view key, const std::optional<double>& x) {
-    name(key);
-    if (x.has_value()) {
-      w_.value(*x);
-    } else {
-      w_.null();
-    }
-  }
-  template <std::ranges::range R>
-  void operator()(std::string_view key, const R& xs,
-                  std::uint64_t /*bound*/ = 0) {
-    name(key);
-    w_.begin_array();
-    for (const auto x : xs) put(x);
-    w_.end_array();
-  }
-  void hex(std::string_view key, std::uint64_t x) {
-    static constexpr char kDigits[] = "0123456789abcdef";
-    std::string digits(16, '0');
-    for (std::size_t i = 16; i-- > 0; x >>= 4) digits[i] = kDigits[x & 0xf];
-    name(key);
-    w_.value(std::string_view(digits));
-  }
-
-  bool group(bool on, std::string_view /*key*/) const { return on; }
-  void require(bool /*ok*/, const char* /*what*/) const {}
-  template <class T>
-  void expect(std::string_view key, T x, const char* /*what*/) {
-    (*this)(key, x);
-  }
-
-  /// A nested object; `on` = false omits it (a switched-off section).
-  template <class F>
-  void object(std::string_view key, F&& fn, bool on = true) {
-    if (!on) return;
-    w_.key(key);
-    w_.begin_object();
-    fn(*this);
-    w_.end_object();
-  }
-  /// An array of objects — or of positional tuples — one per item; `on`
-  /// = false omits it.
-  template <class C, class F = Fields>
-  void objects(std::string_view key, const C& items, F fn = {},
-               bool on = true, bool tuples = false) {
-    if (!on) return;
-    w_.key(key);
-    w_.begin_array();
-    for (const auto& item : items) {
-      tuples ? w_.begin_array() : w_.begin_object();
-      Writer sub(w_, tuples);
-      fn(item, sub);
-      tuples ? w_.end_array() : w_.end_object();
-    }
-    w_.end_array();
-  }
-
- private:
-  void name(std::string_view key) {
-    if (!positional_) w_.key(key);
-  }
-  template <class T>
-  void put(T x) {
-    if constexpr (std::is_floating_point_v<T> || std::is_same_v<T, bool>) {
-      w_.value(x);
-    } else if constexpr (std::is_signed_v<T>) {
-      w_.value(std::int64_t{x});
-    } else {
-      w_.value(std::uint64_t{x});
-    }
-  }
-
-  obs::JsonWriter& w_;
-  bool positional_;
-};
 
 template <class C>
 concept Keyed = requires { typename C::mapped_type; };
@@ -509,6 +347,8 @@ class Reader {
   bool positional_;
   std::size_t next_ = 0;
 };
+
+namespace {
 
 /// What a field list walks where the engine keeps state behind accessors:
 /// the live value when writing, a scratch copy the reader fills.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -12,6 +13,8 @@
 #include "nfv/obs/metrics.h"
 #include "nfv/scheduling/algorithm.h"
 #include "nfv/workload/btrace.h"
+
+#include "field_lists.h"
 
 namespace nfv::serve {
 
@@ -534,22 +537,14 @@ void ServeEngine::accumulate_availability(double now) {
   }
 }
 
-ServeEngine::TimelineBaseline ServeEngine::capture_baseline() const {
-  TimelineBaseline b;
-  b.events = totals_.events;
-  b.admitted = totals_.admitted;
-  b.admitted_from_queue = totals_.admitted_from_queue;
-  b.retry_admitted = totals_.retry_admitted;
-  b.rejected = totals_.rejected;
-  b.shed = totals_.shed;
-  b.shed_fault = totals_.shed_fault;
-  b.shed_overload = totals_.shed_overload;
-  b.evacuated_requests = totals_.evacuated_requests;
-  b.parked = totals_.parked;
-  b.migrations = totals_.migrations;
-  b.scale_outs = totals_.scale_outs;
-  b.scale_ins = totals_.scale_ins;
-  return b;
+std::uint64_t ServeEngine::draining_count() const {
+  std::uint64_t draining = 0;
+  for (const auto& act : active_of_vnf_) {
+    for (const std::uint32_t slot : act) {
+      if (instances_[slot].draining) ++draining;
+    }
+  }
+  return draining;
 }
 
 obs::TimelineRecord ServeEngine::make_window_record(
@@ -585,12 +580,8 @@ obs::TimelineRecord ServeEngine::make_window_record(
     rec.has_autoscale = true;
     std::uint64_t active = 0;
     for (const auto& act : active_of_vnf_) active += act.size();
-    std::uint64_t draining = 0;
-    for (const Instance& inst : instances_) {
-      if (!inst.retired && inst.draining) ++draining;
-    }
     rec.instances = active;
-    rec.draining = draining;
+    rec.draining = draining_count();
     rec.scale_outs = totals_.scale_outs - win_base_.scale_outs;
     rec.scale_ins = totals_.scale_ins - win_base_.scale_ins;
   }
@@ -623,7 +614,7 @@ void ServeEngine::close_window() {
       static_cast<double>(window_index_ + 1) * delta, win_served_,
       win_offered_));
   wait_hist_->rotate();
-  win_base_ = capture_baseline();
+  win_base_ = totals_;
   win_served_ = 0.0;
   win_offered_ = 0.0;
   ++window_index_;
@@ -1331,9 +1322,7 @@ ServeSummary ServeEngine::summary() const {
     s.autoscale_scale_outs = as_opened_;
     s.autoscale_scale_ins = as_drained_;
     s.instance_seconds = instance_seconds_;
-    for (const Instance& inst : instances_) {
-      if (!inst.retired && inst.draining) ++s.draining_instances;
-    }
+    s.draining_instances = draining_count();
   }
   return s;
 }
@@ -1426,121 +1415,62 @@ workload::Workload ServeEngine::live_workload() const {
   return w;
 }
 
-obs::ServeSection make_serve_section(const ServeEngine& engine,
-                                     bool include_events) {
-  const ServeSummary s = engine.summary();
-  obs::ServeSection out;
-  out.present = true;
-  out.events = s.events;
-  out.arrivals = s.arrivals;
-  out.admitted = s.admitted;
-  out.admitted_from_queue = s.admitted_from_queue;
-  out.rejected = s.rejected;
-  out.departures = s.departures;
-  out.rate_changes = s.rate_changes;
-  out.shed = s.shed;
-  out.migrations = s.migrations;
-  out.rebalances = s.rebalances;
-  out.max_migrations_per_rebalance = s.max_migrations_per_rebalance;
-  out.scale_outs = s.scale_outs;
-  out.scale_ins = s.scale_ins;
-  out.live_requests = s.live_requests;
-  out.queued_requests = s.queued_requests;
-  out.retry_queued = s.retry_queued;
-  out.active_instances = s.active_instances;
-  out.nodes_in_service = s.nodes_in_service;
-  out.node_downs = s.node_downs;
-  out.node_ups = s.node_ups;
-  out.instances_closed = s.instances_closed;
-  out.evacuated_requests = s.evacuated_requests;
-  out.evacuation_migrations = s.evacuation_migrations;
-  out.parked = s.parked;
-  out.retry_admitted = s.retry_admitted;
-  out.shed_fault = s.shed_fault;
-  out.shed_overload = s.shed_overload;
-  out.degradations = s.degradations;
-  out.degraded_events = s.degraded_events;
-  out.availability = s.availability;
-  out.admission_rate = s.admission_rate;
-  out.mean_predicted_latency = s.mean_predicted_latency;
-  out.p99_predicted_latency = s.p99_predicted_latency;
-  out.work = s.work;
-  if (engine.config().autoscale.enabled()) {
-    out.autoscale_present = true;
-    out.autoscale_policy =
-        std::string(to_string(engine.config().autoscale.policy));
-    out.autoscale_decisions = s.autoscale_decisions;
-    out.autoscale_scale_outs = s.autoscale_scale_outs;
-    out.autoscale_scale_ins = s.autoscale_scale_ins;
-    out.autoscale_flaps = s.autoscale_flaps;
-    out.autoscale_blocked_cooldown = s.autoscale_blocked_cooldown;
-    out.autoscale_draining = s.draining_instances;
-    out.instance_seconds = s.instance_seconds;
-  }
-  if (engine.config().snapshot_every > 0.0) {
-    out.timeline_present = true;
-    out.timeline = obs::aggregate_timeline(engine.timeline_doc().records);
-  }
-  if (include_events) {
-    out.events_log.reserve(engine.log().size());
-    for (const EventOutcome& e : engine.log()) {
-      obs::ServeEventEntry entry;
-      entry.index = e.index;
-      entry.time = e.time;
-      entry.kind = std::string(workload::to_string(e.kind));
-      entry.request = e.request;
-      entry.decision = std::string(to_string(e.decision));
-      entry.migrations = e.migrations;
-      entry.scale_outs = e.scale_outs;
-      entry.scale_ins = e.scale_ins;
-      entry.admitted_from_queue = e.admitted_from_queue;
-      entry.evacuated = e.evacuated;
-      entry.evacuation_migrations = e.evacuation_migrations;
-      entry.parked = e.parked;
-      entry.retry_admitted = e.retry_admitted;
-      entry.shed_fault = e.shed_fault;
-      entry.shed_overload = e.shed_overload;
-      entry.degraded = e.degraded;
-      entry.mean_predicted_latency = e.mean_predicted_latency;
-      entry.p99_predicted_latency = e.p99_predicted_latency;
-      out.events_log.push_back(std::move(entry));
-    }
-  }
-  return out;
+obs::SectionWriter report_section(const ServeEngine& engine,
+                                  bool include_events) {
+  return [&engine, include_events](obs::JsonWriter& w) {
+    const ServeSummary s = engine.summary();
+    const ServeConfig& config = engine.config();
+    Writer v(w, /*enum_names=*/true);
+    counter_fields(s, v);
+    v("live_requests", s.live_requests);
+    v("queued_requests", s.queued_requests);
+    v("retry_queued", s.retry_queued);
+    v("active_instances", s.active_instances);
+    v("nodes_in_service", s.nodes_in_service);
+    // Fault-tolerance counters nest under "churn" so they diff and print
+    // as one group rather than a flat sprawl of serve.* paths.
+    v.object("churn", [&](auto& c) { churn_fields(s, c); });
+    // Autoscaler counters nest like churn, written only when the run
+    // scaled so autoscale-off reports are unchanged.
+    v.object("autoscale", [&](auto& a) {
+      a("policy", config.autoscale.policy);
+      a("decisions", s.autoscale_decisions);
+      a("scale_outs", s.autoscale_scale_outs);
+      a("scale_ins", s.autoscale_scale_ins);
+      a("flaps", s.autoscale_flaps);
+      a("blocked_cooldown", s.autoscale_blocked_cooldown);
+      a("draining", s.draining_instances);
+      a("instance_seconds", s.instance_seconds);
+    }, config.autoscale.enabled());
+    v("availability", s.availability);
+    v("admission_rate", s.admission_rate);
+    v("mean_predicted_latency", s.mean_predicted_latency);
+    v("p99_predicted_latency", s.p99_predicted_latency);
+    v("work", s.work);
+    // The aggregate_values vocabulary doubles as the schema here, so the
+    // report keys stay in lock-step with `analyze-timeline --fail-on`.
+    v.object("timeline", [&](auto& t) {
+      const obs::TimelineAggregates agg =
+          obs::aggregate_timeline(engine.timeline_doc().records);
+      for (const auto& [name, value] : obs::aggregate_values(agg)) {
+        t(name, value);
+      }
+    }, config.snapshot_every > 0.0);
+    v.objects("events_log", engine.log(), Fields{},
+              include_events && !engine.log().empty());
+  };
 }
 
 void write_flight_dump(const ServeEngine& engine, std::size_t capacity,
                        std::ostream& os) {
-  const std::vector<EventOutcome>& log = engine.log();
-  const std::size_t kept = std::min(capacity, log.size());
+  const std::span<const EventOutcome> log = engine.log();
   obs::JsonWriter w(os);
   w.begin_object();
   w.kv("schema", kFlightSchema);
   w.kv("capacity", static_cast<std::uint64_t>(capacity));
   w.kv("recorded", static_cast<std::uint64_t>(log.size()));
-  w.key("entries");
-  w.begin_array();
-  for (std::size_t i = log.size() - kept; i < log.size(); ++i) {
-    const EventOutcome& e = log[i];
-    w.begin_object();
-    w.kv("index", e.index);
-    w.kv("t", e.time);
-    w.kv("kind", workload::to_string(e.kind));
-    w.kv("decision", to_string(e.decision));
-    w.kv("request", std::uint64_t{e.request});
-    w.kv("migrations", std::uint64_t{e.migrations});
-    w.kv("scale_outs", std::uint64_t{e.scale_outs});
-    w.kv("scale_ins", std::uint64_t{e.scale_ins});
-    w.kv("admitted_from_queue", std::uint64_t{e.admitted_from_queue});
-    w.kv("evacuated", std::uint64_t{e.evacuated});
-    w.kv("parked", std::uint64_t{e.parked});
-    w.kv("retry_admitted", std::uint64_t{e.retry_admitted});
-    w.kv("shed_fault", std::uint64_t{e.shed_fault});
-    w.kv("shed_overload", std::uint64_t{e.shed_overload});
-    w.kv("degraded", e.degraded);
-    w.end_object();
-  }
-  w.end_array();
+  Writer(w, /*enum_names=*/true)
+      .objects("entries", log.last(std::min(capacity, log.size())));
   w.end_object();
 }
 

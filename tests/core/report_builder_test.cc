@@ -76,7 +76,7 @@ TEST(ReportBuilder, FillsSectionsFromJointResult) {
   EXPECT_DOUBLE_EQ(report.requests.rejection_rate, result.job_rejection_rate);
 
   EXPECT_FALSE(report.des.present);
-  EXPECT_FALSE(report.serve.present);
+  EXPECT_FALSE(report.serve);
   EXPECT_FALSE(report.metrics.present);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "nfv/common/rng.h"
 #include "nfv/workload/generator.h"
 
@@ -238,12 +240,18 @@ TEST(ServeEngine, SummaryCountersAreConsistent) {
   EXPECT_EQ(s.live_requests, 1u);
   EXPECT_DOUBLE_EQ(s.admission_rate, 1.0);
   EXPECT_EQ(engine.log().size(), 4u);
-  const obs::ServeSection section = make_serve_section(engine, true);
-  EXPECT_TRUE(section.present);
-  EXPECT_EQ(section.events, 4u);
-  EXPECT_EQ(section.events_log.size(), 4u);
-  EXPECT_EQ(section.events_log[0].decision, "admitted");
-  EXPECT_EQ(section.events_log[3].decision, "departed");
+  obs::RunReport report;
+  report.serve = report_section(engine, /*include_events=*/true);
+  std::ostringstream os;
+  obs::write_run_report(report, os);
+  const obs::JsonValue doc = obs::load_run_report(os.str());
+  const obs::JsonValue* serve = doc.find("serve");
+  ASSERT_NE(serve, nullptr);
+  EXPECT_EQ(serve->number_or("events"), 4.0);
+  const obs::JsonValue::Array& log = serve->find("events_log")->as_array();
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[0].string_or("decision"), "admitted");
+  EXPECT_EQ(log[3].string_or("decision"), "departed");
 }
 
 TEST(ServeEngine, LiveWorkloadDensifiesIdsAndInstanceCounts) {

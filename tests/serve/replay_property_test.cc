@@ -3,8 +3,12 @@
 // the installed thread pool (DESIGN.md §10/§11).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "nfv/common/rng.h"
 #include "nfv/exec/thread_pool.h"
+#include "nfv/serve/checkpoint.h"
 #include "nfv/serve/engine.h"
 #include "nfv/workload/generator.h"
 
@@ -76,16 +80,28 @@ TEST(ServeReplayProperty, AnyPrefixReplayedTwiceIsIdentical) {
   }
 }
 
+// replay, on_event and apply_batch (in uneven chunks) are one state
+// machine: the final checkpoints, which carry the log, the live state and
+// the work counter, are byte-identical.
 TEST(ServeReplayProperty, IncrementalEventsMatchBulkReplay) {
   const Fixture fx = make_fixture(3);
   ServeEngine bulk = fresh_engine(fx);
   ServeEngine stepped = fresh_engine(fx);
+  ServeEngine batched = fresh_engine(fx);
   bulk.replay(fx.trace);
   for (const workload::StreamEvent& e : fx.trace.events) {
     stepped.on_event(e);
   }
+  const std::vector<workload::StreamEvent>& events = fx.trace.events;
+  ASSERT_GT(events.size(), 8u);
+  batched.apply_batch(events.data(), 1);
+  batched.apply_batch(events.data() + 1, 7);
+  batched.apply_batch(events.data() + 8, events.size() - 8);
   EXPECT_TRUE(bulk.snapshot() == stepped.snapshot());
   EXPECT_EQ(bulk.work(), stepped.work());
+  const std::string want = save_checkpoint_string(bulk, events.size());
+  EXPECT_EQ(save_checkpoint_string(stepped, events.size()), want);
+  EXPECT_EQ(save_checkpoint_string(batched, events.size()), want);
 }
 
 TEST(ServeReplayProperty, ThreadPoolDoesNotChangeState) {

@@ -229,19 +229,25 @@ void expect_entry_is(const obs::JsonValue& entry, const EventOutcome& e) {
   EXPECT_EQ(entry.find("index")->as_number(), static_cast<double>(e.index));
   EXPECT_EQ(entry.find("t")->as_number(), e.time);
   EXPECT_EQ(entry.find("kind")->as_string(), workload::to_string(e.kind));
-  EXPECT_EQ(entry.find("decision")->as_string(), to_string(e.decision));
   EXPECT_EQ(entry.find("request")->as_number(), e.request);
+  EXPECT_EQ(entry.find("decision")->as_string(), to_string(e.decision));
   EXPECT_EQ(entry.find("migrations")->as_number(), e.migrations);
   EXPECT_EQ(entry.find("scale_outs")->as_number(), e.scale_outs);
   EXPECT_EQ(entry.find("scale_ins")->as_number(), e.scale_ins);
   EXPECT_EQ(entry.find("admitted_from_queue")->as_number(),
             e.admitted_from_queue);
   EXPECT_EQ(entry.find("evacuated")->as_number(), e.evacuated);
+  EXPECT_EQ(entry.find("evacuation_migrations")->as_number(),
+            e.evacuation_migrations);
   EXPECT_EQ(entry.find("parked")->as_number(), e.parked);
   EXPECT_EQ(entry.find("retry_admitted")->as_number(), e.retry_admitted);
   EXPECT_EQ(entry.find("shed_fault")->as_number(), e.shed_fault);
   EXPECT_EQ(entry.find("shed_overload")->as_number(), e.shed_overload);
   EXPECT_EQ(entry.find("degraded")->as_bool(), e.degraded);
+  EXPECT_EQ(entry.find("mean_predicted_latency")->as_number(),
+            e.mean_predicted_latency);
+  EXPECT_EQ(entry.find("p99_predicted_latency")->as_number(),
+            e.p99_predicted_latency);
 }
 
 TEST(FlightRecorder, RingKeepsTheLastKOldestFirst) {
@@ -279,13 +285,15 @@ TEST(FlightRecorder, DumpJsonCarriesSchemaAndCounts) {
   ASSERT_EQ(entries->as_array().size(), 2u);
   expect_entry_is(entries->as_array()[0], log[log.size() - 2]);
   expect_entry_is(entries->as_array()[1], log.back());
-  // nfvpr.flight/1 key order: head first, then each entry's fields.
+  // nfvpr.flight/1 key order: head first, then each entry's fields in the
+  // run report's events_log order.
   std::size_t at = 0;
   for (const char* key :
        {"schema", "capacity", "recorded", "entries", "index", "t", "kind",
-        "decision", "request", "migrations", "scale_outs", "scale_ins",
-        "admitted_from_queue", "evacuated", "parked", "retry_admitted",
-        "shed_fault", "shed_overload", "degraded"}) {
+        "request", "decision", "migrations", "scale_outs", "scale_ins",
+        "admitted_from_queue", "evacuated", "evacuation_migrations", "parked",
+        "retry_admitted", "shed_fault", "shed_overload", "degraded",
+        "mean_predicted_latency", "p99_predicted_latency"}) {
     const std::size_t pos = text.find('"' + std::string(key) + '"', at);
     ASSERT_NE(pos, std::string::npos) << key;
     at = pos;

@@ -310,6 +310,38 @@ else
   failures=$((failures + 1))
 fi
 
+# A resumed run takes K and L from the checkpoint, not from the flags it
+# was resumed with: under a non-default -K/-l, the summary's K and the
+# --solver re-solve (priced with the engine's L) match the uninterrupted
+# run even when the resume passes neither flag.
+SMOKE="$(dirname "$0")/../bench/traces/chaos_smoke"
+python3 - "$SMOKE.trace.json" "$WORK" <<'EOF'
+import json, sys
+trace = json.load(open(sys.argv[1]))
+trace['events'] = trace['events'][:300]
+json.dump(trace, open(sys.argv[2] + '/chaos.part.json', 'w'))
+EOF
+expect_exit 0 "chaos_smoke replay with -K 2 -l 0.003 --solver bfdsu" \
+  "$NFVPR" serve -t "$SMOKE.topo" -w "$SMOKE.wl" -T "$SMOKE.trace.json" \
+  -K 2 -l 0.003 --solver bfdsu
+cp "$WORK/out.txt" "$WORK/kl_full.txt"
+expect_contains "$WORK/kl_full.txt" 'K=2)' "the summary names the run's K"
+expect_contains "$WORK/kl_full.txt" 'offline re-solve      : [0-9]' \
+  "the --solver re-solve ran"
+expect_exit 0 "chaos_smoke prefix with -K 2 -l 0.003 writes a checkpoint" \
+  "$NFVPR" serve -t "$SMOKE.topo" -w "$SMOKE.wl" -T "$WORK/chaos.part.json" \
+  -K 2 -l 0.003 --checkpoint-out "$WORK/kl.ckpt.json"
+expect_exit 0 "chaos_smoke --resume without -K/-l finishes the trace" \
+  "$NFVPR" serve -t "$SMOKE.topo" -w "$SMOKE.wl" -T "$SMOKE.trace.json" \
+  --resume "$WORK/kl.ckpt.json" --solver bfdsu
+if cmp -s "$WORK/out.txt" "$WORK/kl_full.txt"; then
+  echo "ok: resumed stdout under -K/-l is byte-identical to the uninterrupted run"
+else
+  echo "FAIL: resumed stdout under -K/-l differs from the uninterrupted run" >&2
+  diff "$WORK/out.txt" "$WORK/kl_full.txt" | sed 's/^/  /' >&2
+  failures=$((failures + 1))
+fi
+
 # Corrupt checkpoints are usage errors with a one-line diagnostic.
 head -c 150 "$WORK/mid.ckpt.json" > "$WORK/trunc.ckpt.json"
 expect_exit 2 "--resume on a truncated checkpoint exits 2" \

@@ -1185,15 +1185,15 @@ int cmd_serve(int argc, const char* const* argv) {
     if (flight_dump_on_exit) dump_flight();
     const auto summary = engine->summary();
 
-    const nfv::obs::ServeSection section =
-        nfv::serve::make_serve_section(*engine, with_events);
+    const nfv::obs::SectionWriter section =
+        nfv::serve::report_section(*engine, with_events);
     if (!report_out.empty()) {
       // The deterministic report: serve section only, no metrics-registry
       // snapshot (exec counters vary with --threads; this file must not).
       nfv::core::ReportInputs rinputs;
       rinputs.command = "serve";
       rinputs.seed = static_cast<std::uint64_t>(seed);
-      rinputs.serve = &section;
+      rinputs.serve = section;
       const nfv::obs::RunReport report = nfv::core::build_run_report(rinputs);
       std::ofstream os(report_out);
       if (!os) throw std::runtime_error("cannot open " + report_out);
@@ -1202,7 +1202,7 @@ int cmd_serve(int argc, const char* const* argv) {
     nfv::core::ReportInputs inputs;
     inputs.command = "serve";
     inputs.seed = static_cast<std::uint64_t>(seed);
-    inputs.serve = &section;
+    inputs.serve = section;
     tele.finish(inputs);
 
     if (!timeline_out.empty()) {
@@ -1242,12 +1242,12 @@ int cmd_serve(int argc, const char* const* argv) {
     std::fprintf(hout, "admission rate        : %.1f%%\n",
                 100.0 * summary.admission_rate);
     std::fprintf(hout, "migrations            : %llu over %llu rebalances "
-                "(max %llu per pass, K=%lld)\n",
+                "(max %llu per pass, K=%u)\n",
                 static_cast<unsigned long long>(summary.migrations),
                 static_cast<unsigned long long>(summary.rebalances),
                 static_cast<unsigned long long>(
                     summary.max_migrations_per_rebalance),
-                static_cast<long long>(budget));
+                engine->config().migration_budget);
     std::fprintf(hout, "scale out / in        : %llu / %llu\n",
                 static_cast<unsigned long long>(summary.scale_outs),
                 static_cast<unsigned long long>(summary.scale_ins));
@@ -1306,7 +1306,7 @@ int cmd_serve(int argc, const char* const* argv) {
         live_model.topology = topology;
         live_model.workload = engine->live_workload();
         nfv::core::JointConfig jcfg;
-        if (link >= 0.0) jcfg.link_latency = link;
+        jcfg.link_latency = engine->config().link_latency;
         const nfv::core::SolverOutcome race =
             nfv::core::PortfolioDriver(jcfg, solver.config())
                 .run(live_model, static_cast<std::uint64_t>(seed));
