@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
   std::puts(
       "\nexpected: BFDSU tops utilization (randomized multi-start beats its\n"
       "deterministic core); RCKK beats KK-fwd decisively (reverse order is\n"
-      "the load-balancing step) and approaches budgeted CKK at ~1/100 work;\n"
-      "locality refinement recovers most of the link cost that spreading\n"
-      "placements (NAH/WFD) leave on the table.");
+      "the load-balancing step) and matches budgeted CKK's W at ~1/408 of\n"
+      "its work; locality refinement recovers most of the link cost that\n"
+      "spreading placements (NAH/WFD) leave on the table.");
   return 0;
 }

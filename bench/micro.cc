@@ -21,6 +21,7 @@
 #include "nfv/placement/algorithm.h"
 #include "nfv/placement/lp_round.h"
 #include "nfv/scheduling/algorithm.h"
+#include "nfv/scheduling/migration.h"
 #include "nfv/workload/generator.h"
 
 namespace {
@@ -69,6 +70,18 @@ nfv::sched::SchedulingProblem scheduling_instance(std::size_t n,
   p.delivery_prob = 0.98;
   p.service_rate = 1.2 * total / m;
   return p;
+}
+
+/// The shape the serve engine re-solves on every rebalance of the
+/// perfbench crowd workload: ~124 members on 20 instances, with
+/// per-request delivery probabilities.
+nfv::sched::SchedulingProblem serve_shape_instance(std::uint64_t seed) {
+  auto problem = scheduling_instance(124, 20, seed);
+  nfv::Rng prng(seed + 2);
+  for (std::size_t i = 0; i < problem.request_count(); ++i) {
+    problem.delivery_probs.push_back(prng.uniform(0.9, 1.0));
+  }
+  return problem;
 }
 
 }  // namespace
@@ -157,17 +170,11 @@ int main(int argc, char** argv) {
                    static_cast<long long>(work)});
   }
 
-  // RCKK at the shape the serve engine re-solves on every rebalance of
-  // the perfbench crowd workload: ~124 members on 20 instances, with
-  // per-request delivery probabilities.  Appended last so the rows above
+  // RCKK at the serve re-solve shape.  Appended last so the rows above
   // keep their positions in the committed baseline.
   {
     const auto algo = nfv::sched::make_scheduling_algorithm("RCKK");
-    auto problem = scheduling_instance(124, 20, base_seed);
-    nfv::Rng prng(base_seed + 2);
-    for (std::size_t i = 0; i < problem.request_count(); ++i) {
-      problem.delivery_probs.push_back(prng.uniform(0.9, 1.0));
-    }
+    const auto problem = serve_shape_instance(base_seed);
     std::uint64_t work = 0;
     const double us = wall_us(reps * 100, [&] {
       nfv::Rng rng(base_seed + 1);
@@ -192,6 +199,33 @@ int main(int argc, char** argv) {
     table.add_row({std::string("lp_place"), 1LL,
                    static_cast<long long>(reps * 10), us,
                    static_cast<long long>(work)});
+  }
+
+  // The bounded-migration plan that follows each serve re-solve: the same
+  // shape, a live assignment drawn uniformly, RCKK's schedule as the
+  // target and the serve default of K = 4 moves, on one reused workspace
+  // as serve keeps it; work counts the moves.  Appended last, like the
+  // rows above.
+  {
+    const auto problem = serve_shape_instance(base_seed);
+    nfv::sched::Schedule target;
+    nfv::sched::KkWorkspace kk;
+    nfv::sched::rckk_schedule(problem, kk, target);
+    std::vector<std::uint32_t> current;
+    nfv::Rng crng(base_seed + 3);
+    for (std::size_t i = 0; i < problem.request_count(); ++i) {
+      current.push_back(static_cast<std::uint32_t>(
+          crng.uniform_int(0, problem.instance_count - 1)));
+    }
+    nfv::sched::MigrationWorkspace workspace;
+    nfv::sched::MigrationPlan plan;
+    const double us = wall_us(reps * 100, [&] {
+      nfv::sched::plan_bounded_migration(problem, current, target, 4, 0.0,
+                                         workspace, plan);
+    });
+    table.add_row({std::string("migration_serve_shape"), 1LL,
+                   static_cast<long long>(reps * 100), us,
+                   static_cast<long long>(plan.moves.size())});
   }
 
   std::fputs(table.markdown().c_str(), stdout);

@@ -54,12 +54,14 @@ struct KkWorkspace {
   std::vector<double> values;           ///< rows × m partition values
   std::vector<detail::SetSpan> sets;    ///< request rows × m set spans
   std::vector<std::uint32_t> next;      ///< request → next in its set
-  std::vector<detail::HeapEntry> heap;  ///< the Partition_list
+  std::vector<detail::HeapEntry> run;   ///< never-combined rows, ranked
+  std::vector<detail::HeapEntry> heap;  ///< combined rows
 };
 
 /// Scratch of the bounded-migration planner.
 struct MigrationWorkspace {
-  std::vector<double> overlap;  ///< parts × instances effective load
+  std::vector<double> effective;  ///< effective rate per request
+  std::vector<double> overlap;    ///< parts × instances effective load
   std::vector<detail::OverlapCell> cells;
   std::vector<std::uint32_t> instance_of_part;
   std::vector<double> load;

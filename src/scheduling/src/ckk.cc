@@ -27,7 +27,7 @@ struct CkkSearch {
             std::uint64_t budget_)
       : arena(arena_), n(n_), m(m_), budget(budget_), frames(n_),
         path(n_ - 1) {
-    frames[0] = arena.heap();
+    arena.rank_heap(frames[0]);
   }
 
   detail::KkArena& arena;
@@ -97,7 +97,6 @@ Schedule CkkScheduling::schedule(const SchedulingProblem& problem,
   const std::size_t n = problem.request_count();
   KkWorkspace workspace;
   detail::KkArena arena(problem, n - 1, workspace);
-  arena.rank_heap();
   const std::size_t m = problem.instance_count;
   CkkSearch search(arena, n, m, options_.node_budget);
   search.dfs(0);

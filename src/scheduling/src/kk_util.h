@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nfv/common/error.h"
 #include "nfv/scheduling/problem.h"
 #include "nfv/scheduling/workspace.h"
 
@@ -57,55 +58,60 @@ inline void push_entry(std::vector<HeapEntry>& heap, HeapEntry entry) {
 /// 0..n-1 also carry, per position, the set of requests whose rates sum to
 /// that value, as a (head, tail) span of one shared `next` list — so
 /// merging two sets is an O(1) splice.  Combines write in place.  The
-/// storage belongs to the caller's KkWorkspace, so a run allocates only
-/// when the workspace has never held a problem this large.
+/// Partition_list is the ranked run of never-combined request rows plus a
+/// heap of the combined ones.  The storage belongs to the caller's
+/// KkWorkspace, so a run allocates only when the workspace has never held
+/// a problem this large.
 class KkArena {
  public:
   /// Line 1 of Algorithm 2: row r is (λ_r/P_r, 0, ..., 0) with set {r} at
-  /// position 0, and the heap holds one entry per request with seq = r.
-  /// Under (head, seq) that pops in descending effective-rate order, ties
-  /// to the lower index — the order of a stable sort — and every entry
-  /// pushed later has a larger seq, so RCKK and forward KK pop exactly the
-  /// sequence of the sorted list.  `scratch_rows` value-only rows follow
-  /// the request rows (CKK's per-depth children).
+  /// position 0.  The never-combined rows form the run: entries (head,
+  /// seq = r, row = r) sorted once by head descending, ties to the lower
+  /// index — the stable sort of the paper's initial list.  The heap starts
+  /// empty and holds only combined rows, whose seqs start at n.
+  /// `scratch_rows` value-only rows follow the request rows (CKK's
+  /// per-depth children).
   KkArena(const SchedulingProblem& problem, std::size_t scratch_rows,
           KkWorkspace& storage)
       : m_(problem.instance_count),
         values_(storage.values),
         sets_(storage.sets),
         next_(storage.next),
+        run_(storage.run),
         heap_(storage.heap) {
     const std::size_t n = problem.request_count();
     values_.assign((n + scratch_rows) * m_, 0.0);
     sets_.assign(n * m_, SetSpan{});
     next_.assign(n, kNoRequest);
-    heap_.clear();
-    heap_.reserve(n);
+    run_.resize(n);
     for (std::uint32_t r = 0; r < n; ++r) {
       values_[r * m_] = problem.effective_rate(r);
       sets_[r * m_] = SetSpan{r, r};
-      heap_.push_back(HeapEntry{values_[r * m_], r, r});
+      run_[r] = HeapEntry{values_[r * m_], r, r};
     }
-    std::make_heap(heap_.begin(), heap_.end(), Before{});
+    // (head, seq) is total, so std::sort needs no stability (and, unlike
+    // std::stable_sort, no buffer).
+    std::sort(run_.begin(), run_.end(),
+              [](const HeapEntry& a, const HeapEntry& b) {
+                return Before{}(b, a);
+              });
+    heap_.clear();
+    heap_.reserve(n);
   }
   KkArena(const KkArena&) = delete;
   KkArena& operator=(const KkArena&) = delete;
 
-  /// Re-lays the initial heap as a stable descending sort (seq = rank)
-  /// followed by make_heap.  The pop order does not change, but CKK's
-  /// other_heads_sum sums in heap-array order, so CKK needs this exact
-  /// layout to stay bit-identical to the sorted Partition_list.
-  void rank_heap() {
-    std::sort(heap_.begin(), heap_.end(),
-              [](const HeapEntry& a, const HeapEntry& b) {
-                if (a.head != b.head) return a.head > b.head;
-                return a.row < b.row;
-              });
-    for (std::uint32_t i = 0; i < heap_.size(); ++i) heap_[i].seq = i;
-    std::make_heap(heap_.begin(), heap_.end(), Before{});
+  /// The whole initial Partition_list as one heap in `out`: the run in
+  /// order with seq = rank, then make_heap.  The pop order is the run's,
+  /// but CKK's other_heads_sum sums in heap-array order, so CKK's search
+  /// starts from this exact layout to stay bit-identical to the sorted
+  /// Partition_list.
+  void rank_heap(std::vector<HeapEntry>& out) const {
+    out.assign(run_.begin(), run_.end());
+    for (std::uint32_t i = 0; i < out.size(); ++i) out[i].seq = i;
+    std::make_heap(out.begin(), out.end(), Before{});
   }
 
-  [[nodiscard]] const std::vector<HeapEntry>& heap() const { return heap_; }
   [[nodiscard]] double head(std::uint32_t row) const {
     return values_[row * m_];
   }
@@ -119,21 +125,39 @@ class KkArena {
     combine<false>(dst, a, b, perm);
   }
 
-  /// Runs lines 2-7 on the heap: pops the two largest heads, combines the
-  /// second into the first's row in place with pairing perm(step, i),
-  /// sets spliced along, and pushes the result until one partition is
-  /// left.  Returns its row.
+  /// Runs lines 2-7: pops the two largest heads, combines the second into
+  /// the first's row in place with pairing perm(step, i), sets spliced
+  /// along, and pushes the result until one partition is left.  Returns
+  /// its row.  Each pop takes the larger of the run's front and the heap's
+  /// top under (head, seq), which is what one heap over both would pop.
+  /// perm(step, ·) must be an involution (the reverse, forward and shifted
+  /// reverse pairings all are), so a never-combined b's head lands at
+  /// position perm(step, 0).
   template <typename Perm>
   std::uint32_t reduce(Perm perm) {
-    auto seq = static_cast<std::uint32_t>(heap_.size());
-    for (std::size_t step = 0; heap_.size() > 1; ++step) {
-      const HeapEntry a = pop_entry(heap_);
-      const HeapEntry b = pop_entry(heap_);
-      combine<true>(a.row, a.row, b.row,
-                    [&](std::size_t i) { return perm(step, i); });
+    std::size_t front = 0;  // the run's first unpopped entry
+    const auto pop = [&](bool& never_combined) {
+      never_combined = front < run_.size() &&
+                       (heap_.empty() || Before{}(heap_.front(), run_[front]));
+      return never_combined ? run_[front++] : pop_entry(heap_);
+    };
+    auto seq = static_cast<std::uint32_t>(run_.size());
+    for (std::size_t step = 0; run_.size() - front + heap_.size() > 1;
+         ++step) {
+      bool a_fresh = false;
+      bool b_fresh = false;
+      const HeapEntry a = pop(a_fresh);
+      const HeapEntry b = pop(b_fresh);
+      const auto pairing = [&](std::size_t i) { return perm(step, i); };
+      if (b_fresh) {
+        NFV_CHECK(pairing(pairing(0)) == 0);
+        add_request_row(a.row, b.row, pairing(0));
+      } else {
+        combine<true>(a.row, a.row, b.row, pairing);
+      }
       push_entry(heap_, HeapEntry{head(a.row), seq++, a.row});
     }
-    return heap_.front().row;
+    return front < run_.size() ? run_[front].row : heap_.front().row;
   }
 
   /// Lines 8-10: the instance of every request in request row `row`,
@@ -173,9 +197,36 @@ class KkArena {
       v[i] = av[i] + bv[j];
       if constexpr (kSets) splice(s[i], bs[j]);
     }
-    // Stable insertion sort, descending: a position moves only past
-    // strictly smaller values, so equal values keep their order.
-    for (std::size_t i = 1; i < m_; ++i) {
+    sort_descending<kSets>(v, s, 1);
+    // Normalize: the offsets discarded here are equal across positions,
+    // so the relative balance — all any later combine needs — is kept.
+    const double base = v[m_ - 1];
+    for (std::size_t i = 0; i < m_; ++i) v[i] -= base;
+  }
+
+  /// The combine of a with a never-combined row b = (x, 0, ..., 0), set
+  /// {r} at position 0, where x lands at position p.  Every other
+  /// position would add +0.0 to a value that is never -0.0, and a
+  /// subtraction of exactly 0.0 changes no value, so this skips both: the
+  /// changed values go through the same operations as in combine.  The
+  /// positions before p are still sorted, so the sort starts at p.
+  void add_request_row(std::uint32_t a, std::uint32_t b, std::size_t p) {
+    double* v = values_.data() + a * m_;
+    SetSpan* s = sets_.data() + a * m_;
+    v[p] = v[p] + values_[b * m_];
+    splice(s[p], sets_[b * m_]);
+    sort_descending<true>(v, s, p == 0 ? 1 : p);
+    const double base = v[m_ - 1];
+    if (base == 0.0) return;
+    for (std::size_t i = 0; i < m_; ++i) v[i] -= base;
+  }
+
+  /// Stable insertion sort, descending, of positions [from, m) into the
+  /// sorted prefix: a position moves only past strictly smaller values,
+  /// so equal values keep their order.
+  template <bool kSets>
+  void sort_descending(double* v, SetSpan* s, std::size_t from) const {
+    for (std::size_t i = from; i < m_; ++i) {
       const double x = v[i];
       SetSpan sx;
       if constexpr (kSets) sx = s[i];
@@ -187,17 +238,14 @@ class KkArena {
       v[k] = x;
       if constexpr (kSets) s[k] = sx;
     }
-    // Normalize: the offsets discarded here are equal across positions,
-    // so the relative balance — all any later combine needs — is kept.
-    const double base = v[m_ - 1];
-    for (std::size_t i = 0; i < m_; ++i) v[i] -= base;
   }
 
   std::size_t m_;
   std::vector<double>& values_;        // rows × m
   std::vector<SetSpan>& sets_;         // request rows × m
   std::vector<std::uint32_t>& next_;   // request → next in its set
-  std::vector<HeapEntry>& heap_;       // the Partition_list
+  std::vector<HeapEntry>& run_;        // never-combined rows, ranked
+  std::vector<HeapEntry>& heap_;       // combined rows
 };
 
 }  // namespace nfv::sched::detail

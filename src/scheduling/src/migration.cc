@@ -32,22 +32,30 @@ void plan_bounded_migration(const SchedulingProblem& problem,
     NFV_REQUIRE(target.instance_of[r] < m);
   }
 
-  // Effective-load overlap between target part p and live instance k.
+  // Each request's effective rate, the effective-load overlap between
+  // target part p and live instance k, and each instance's current load.
+  std::vector<double>& effective = workspace.effective;
   std::vector<double>& overlap = workspace.overlap;
+  std::vector<double>& load = workspace.load;
+  effective.resize(n);
   overlap.assign(static_cast<std::size_t>(m) * m, 0.0);
+  load.assign(m, 0.0);
   for (std::size_t r = 0; r < n; ++r) {
+    effective[r] = problem.effective_rate(r);
     overlap[static_cast<std::size_t>(target.instance_of[r]) * m + current[r]] +=
-        problem.effective_rate(r);
+        effective[r];
+    load[current[r]] += effective[r];
   }
+  plan.imbalance_before = spread(load);
 
   // Greedy maximum-overlap matching of parts to instances: repeatedly take
   // the largest overlap among free pairs, ties on the lower part then the
   // lower instance.  One sort of the non-zero cells by that order, walked
-  // once, takes exactly those pairs.  (The walk usually reaches the last
-  // cells before every part is matched, so a lazy heap would pop nearly
-  // all of them; one sort is cheaper.)  The leftover parts then pair with
-  // the leftover instances in ascending order, as the all-zero rounds
-  // would.
+  // until every part is matched, takes exactly those pairs.  (The walk
+  // usually reaches the last cells before every part is matched, so a
+  // lazy heap would pop nearly all of them; one sort is cheaper.)  The
+  // leftover parts then pair with the leftover instances in ascending
+  // order, as the all-zero rounds would.
   constexpr std::uint32_t kFree = std::numeric_limits<std::uint32_t>::max();
   using detail::OverlapCell;
   std::vector<OverlapCell>& cells = workspace.cells;
@@ -71,10 +79,12 @@ void plan_bounded_migration(const SchedulingProblem& problem,
     instance_of_part[p] = k;
     plan.part_of_instance[k] = p;
   };
+  std::uint32_t matched = 0;
   for (const OverlapCell& c : cells) {
     if (instance_of_part[c.part] == kFree &&
         plan.part_of_instance[c.instance] == kFree) {
       match(c.part, c.instance);
+      if (++matched == m) break;
     }
   }
   for (std::uint32_t p = 0, k = 0; p < m; ++p) {
@@ -82,14 +92,6 @@ void plan_bounded_migration(const SchedulingProblem& problem,
     while (plan.part_of_instance[k] != kFree) ++k;
     match(p, k);
   }
-
-  // Current effective loads, and the instance each request should end on.
-  std::vector<double>& load = workspace.load;
-  load.assign(m, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    load[current[r]] += problem.effective_rate(r);
-  }
-  plan.imbalance_before = spread(load);
 
   // Moves go heaviest mismatched request first, ties on the lower index —
   // the order of a stable sort by rate.  (rate, index) is a total order,
@@ -102,7 +104,7 @@ void plan_bounded_migration(const SchedulingProblem& problem,
   if (budget > 0) {
     for (std::size_t r = 0; r < n; ++r) {
       if (instance_of_part[target.instance_of[r]] != current[r]) {
-        mismatched.push_back({problem.effective_rate(r), r});
+        mismatched.push_back({effective[r], r});
       }
     }
   }

@@ -377,9 +377,9 @@ std::uint32_t ServeEngine::rebalance(std::uint32_t vnf,
 
   // Gather this VNF's live members in ascending request-id order so the
   // problem positions are deterministic, then re-solve with RCKK and walk
-  // at most K moves toward its partition.  Each member is looked up in
-  // live_ once; the moves below reuse the pointer (live_ does not change
-  // until this rebalance returns).
+  // at most K moves toward its partition.  live_ is in ascending id order
+  // too, so one forward cursor finds every member; the moves below reuse
+  // the pointer (live_ does not change until this rebalance returns).
   scratch.members.clear();
   for (std::uint32_t pos = 0; pos < m; ++pos) {
     for (const std::uint32_t id : instances_[act[pos]].members) {
@@ -398,8 +398,11 @@ std::uint32_t ServeEngine::rebalance(std::uint32_t vnf,
   problem.arrival_rates.clear();
   problem.delivery_probs.clear();
   scratch.current.clear();
+  auto cursor = live_.begin();
   for (RebalanceMember& member : scratch.members) {
-    member.request = &live_.at(member.id);
+    while (cursor != live_.end() && cursor->first < member.id) ++cursor;
+    NFV_CHECK(cursor != live_.end() && cursor->first == member.id);
+    member.request = &cursor->second;
     problem.arrival_rates.push_back(member.request->rate);
     problem.delivery_probs.push_back(member.request->prob);
     scratch.current.push_back(member.pos);

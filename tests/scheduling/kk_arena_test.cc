@@ -270,6 +270,51 @@ TEST(KkArena, RckkAndForwardKkMatchSpecOnRandomProblems) {
   }
 }
 
+/// n requests on m instances with integer rates 1-4 and a delivery
+/// probability of 0.5 or 1 per request (`per_request`) or a shared 0.5:
+/// every effective rate and every partition value is a small exact
+/// integer, so a combined row's head often equals a never-combined row's
+/// head and the run-versus-heap tie break decides the pop.
+SchedulingProblem integer_problem(Rng& rng, std::size_t n, std::uint32_t m,
+                                  bool per_request) {
+  SchedulingProblem p;
+  for (std::size_t i = 0; i < n; ++i) {
+    p.arrival_rates.push_back(static_cast<double>(rng.uniform_int(1, 4)));
+    if (per_request) {
+      p.delivery_probs.push_back(rng.uniform_int(0, 1) == 0 ? 0.5 : 1.0);
+    }
+  }
+  if (!per_request) p.delivery_prob = 0.5;
+  p.instance_count = m;
+  p.service_rate = 1.2 * p.total_effective_rate() / m;
+  return p;
+}
+
+TEST(KkArena, RckkAndForwardKkMatchSpecOnTiedIntegerRates) {
+  Rng rng(77);
+  Rng unused(0);
+  const RckkScheduling rckk;
+  const KkForwardScheduling kk;
+  KkWorkspace workspace;
+  Schedule reused;
+  for (std::uint32_t m = 2; m <= 40; ++m) {
+    const std::size_t sizes[] = {1, 2, m / 2, m - 1, m, m + 1, 3 * m, 1000};
+    for (const std::size_t n : sizes) {
+      for (const bool per_request : {false, true}) {
+        const SchedulingProblem p = integer_problem(rng, n, m, per_request);
+        const auto round = static_cast<int>(m * 1000 + n);
+        const Schedule want =
+            spec_kk(p, [m](std::size_t i) { return m - 1 - i; });
+        expect_same(want, rckk.schedule(p, unused), "RCKK tied", round);
+        rckk_schedule(p, workspace, reused);
+        expect_same(want, reused, "RCKK tied workspace", round);
+        expect_same(spec_kk(p, [](std::size_t i) { return i; }),
+                    kk.schedule(p, unused), "KK tied", round);
+      }
+    }
+  }
+}
+
 // The spec CKK copies every partition's request sets at each search node
 // — O(nodes · n · m) allocations — so its draws are fewer than RCKK's and
 // skewed toward small n (budgets 1 and 64 still reach n = 300, m = 40);
@@ -358,7 +403,8 @@ TEST(KkArena, WorkspaceHoldsNoStateBetweenCalls) {
 
 TEST(KkArena, InitialHeapPopsFifoAmongEqualRates) {
   // Equal effective rates (λ/P = 10 for all three) pop in request-index
-  // order, exactly like the stable-sorted initial list.
+  // order, exactly like the stable-sorted initial list — here from the
+  // one-heap layout CKK's search starts from.
   SchedulingProblem p;
   p.arrival_rates = {5.0, 10.0, 5.0};
   p.delivery_probs = {0.5, 1.0, 0.5};
@@ -366,7 +412,8 @@ TEST(KkArena, InitialHeapPopsFifoAmongEqualRates) {
   p.service_rate = 100.0;
   KkWorkspace workspace;
   detail::KkArena arena(p, 0, workspace);
-  std::vector<detail::HeapEntry> heap = arena.heap();
+  std::vector<detail::HeapEntry> heap;
+  arena.rank_heap(heap);
   EXPECT_EQ(detail::pop_entry(heap).row, 0u);
   EXPECT_EQ(detail::pop_entry(heap).row, 1u);
   EXPECT_EQ(detail::pop_entry(heap).row, 2u);

@@ -212,6 +212,81 @@ MigrationPlan reference_plan(const SchedulingProblem& problem,
   return plan;
 }
 
+void expect_matches_reference(const SchedulingProblem& p,
+                              const std::vector<std::uint32_t>& current,
+                              const Schedule& target, std::uint32_t budget,
+                              double cap, int round) {
+  const MigrationPlan want = reference_plan(p, current, target, budget, cap);
+  const MigrationPlan got =
+      plan_bounded_migration(p, current, target, budget, cap);
+  ASSERT_EQ(got.part_of_instance, want.part_of_instance) << "round " << round;
+  ASSERT_EQ(got.moves.size(), want.moves.size()) << "round " << round;
+  for (std::size_t i = 0; i < got.moves.size(); ++i) {
+    ASSERT_EQ(got.moves[i].request, want.moves[i].request);
+    ASSERT_EQ(got.moves[i].from, want.moves[i].from);
+    ASSERT_EQ(got.moves[i].to, want.moves[i].to);
+  }
+  ASSERT_EQ(got.imbalance_before, want.imbalance_before);
+  ASSERT_EQ(got.imbalance_after, want.imbalance_after);
+}
+
+/// How the greedy matching meets an instance: some part overlaps no
+/// instance, or all m parts are matched before the last non-zero cell in
+/// the (overlap desc, part, instance) order.
+struct WalkShape {
+  bool empty_part = false;
+  bool matched_early = false;
+};
+
+WalkShape walk_shape(const SchedulingProblem& problem,
+                     const std::vector<std::uint32_t>& current,
+                     const Schedule& target) {
+  const std::uint32_t m = problem.instance_count;
+  std::vector<double> overlap(static_cast<std::size_t>(m) * m, 0.0);
+  for (std::size_t r = 0; r < current.size(); ++r) {
+    overlap[static_cast<std::size_t>(target.instance_of[r]) * m + current[r]] +=
+        problem.effective_rate(r);
+  }
+  struct Cell {
+    double overlap;
+    std::uint32_t part;
+    std::uint32_t instance;
+  };
+  std::vector<Cell> cells;
+  std::vector<bool> part_seen(m, false);
+  for (std::uint32_t p = 0; p < m; ++p) {
+    for (std::uint32_t k = 0; k < m; ++k) {
+      const double o = overlap[static_cast<std::size_t>(p) * m + k];
+      if (o > 0.0) {
+        cells.push_back({o, p, k});
+        part_seen[p] = true;
+      }
+    }
+  }
+  WalkShape shape;
+  shape.empty_part =
+      std::find(part_seen.begin(), part_seen.end(), false) != part_seen.end();
+  std::sort(cells.begin(), cells.end(), [](const Cell& a, const Cell& b) {
+    if (a.overlap != b.overlap) return a.overlap > b.overlap;
+    if (a.part != b.part) return a.part < b.part;
+    return a.instance < b.instance;
+  });
+  std::vector<bool> part_taken(m, false);
+  std::vector<bool> instance_taken(m, false);
+  std::uint32_t matched = 0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    if (part_taken[c.part] || instance_taken[c.instance]) continue;
+    part_taken[c.part] = true;
+    instance_taken[c.instance] = true;
+    if (++matched == m) {
+      shape.matched_early = i + 1 < cells.size();
+      break;
+    }
+  }
+  return shape;
+}
+
 TEST(BoundedMigration, MatchesCubicReferenceOnRandomInstances) {
   // Current assignments are the target relabelled and perturbed, uniform
   // noise, or everything on one instance; a quarter of the draws use
@@ -252,19 +327,64 @@ TEST(BoundedMigration, MatchesCubicReferenceOnRandomInstances) {
         rng.uniform_int(0, static_cast<std::int64_t>(n)));
     const double cap =
         rng.uniform_int(0, 1) == 0 ? 0.0 : 1.5 * p.total_effective_rate() / m;
-    const MigrationPlan want = reference_plan(p, current, target, budget, cap);
-    const MigrationPlan got =
-        plan_bounded_migration(p, current, target, budget, cap);
-    ASSERT_EQ(got.part_of_instance, want.part_of_instance) << "round " << round;
-    ASSERT_EQ(got.moves.size(), want.moves.size()) << "round " << round;
-    for (std::size_t i = 0; i < got.moves.size(); ++i) {
-      ASSERT_EQ(got.moves[i].request, want.moves[i].request);
-      ASSERT_EQ(got.moves[i].from, want.moves[i].from);
-      ASSERT_EQ(got.moves[i].to, want.moves[i].to);
-    }
-    ASSERT_EQ(got.imbalance_before, want.imbalance_before);
-    ASSERT_EQ(got.imbalance_after, want.imbalance_after);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_reference(p, current, target, budget, cap, round));
   }
+
+  // Two shapes the draws above rarely force.  Parts with no overlap: the
+  // target uses only the first few parts and the live assignment only
+  // some instances, so the leftover pass pairs the empty parts.  Every
+  // part matched early: each part sits mostly on one instance (a
+  // rotation of the target) and a few requests stray, so the greedy walk
+  // has matched all m parts while smaller stray cells remain.  Integer
+  // rates 1-3 tie many overlaps.
+  int empty_part_rounds = 0;
+  int matched_early_rounds = 0;
+  for (int round = 0; round < 1500; ++round) {
+    const auto m = static_cast<std::uint32_t>(rng.uniform_int(2, 40));
+    const bool tied = rng.uniform_int(0, 1) == 0;
+    const bool empty_parts = round % 2 == 0;
+    const auto n = static_cast<std::size_t>(
+        empty_parts ? rng.uniform_int(1, 6 * m) : rng.uniform_int(2, 6) * m);
+    std::vector<double> rates;
+    for (std::size_t r = 0; r < n; ++r) {
+      rates.push_back(tied ? static_cast<double>(rng.uniform_int(1, 3))
+                           : rng.uniform(1.0, 100.0));
+    }
+    const SchedulingProblem p = make_problem(std::move(rates), m);
+    Schedule target;
+    std::vector<std::uint32_t> current(n, 0);
+    if (empty_parts) {
+      const std::int64_t parts =
+          rng.uniform_int(1, std::max<std::int64_t>(1, m / 2));
+      const std::int64_t instances = rng.uniform_int(1, m);
+      for (std::size_t r = 0; r < n; ++r) {
+        target.instance_of.push_back(
+            static_cast<std::uint32_t>(rng.uniform_int(0, parts - 1)));
+        current[r] =
+            static_cast<std::uint32_t>(rng.uniform_int(0, instances - 1));
+      }
+    } else {
+      const auto shift = static_cast<std::uint32_t>(rng.uniform_int(0, m - 1));
+      for (std::size_t r = 0; r < n; ++r) {
+        target.instance_of.push_back(static_cast<std::uint32_t>(r % m));
+        current[r] = rng.uniform_int(0, 7) == 0
+                         ? static_cast<std::uint32_t>(rng.uniform_int(0, m - 1))
+                         : (target.instance_of[r] + shift) % m;
+      }
+    }
+    const WalkShape shape = walk_shape(p, current, target);
+    empty_part_rounds += shape.empty_part ? 1 : 0;
+    matched_early_rounds += shape.matched_early ? 1 : 0;
+    const auto budget = static_cast<std::uint32_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    const double cap =
+        rng.uniform_int(0, 1) == 0 ? 0.0 : 1.5 * p.total_effective_rate() / m;
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(p, current, target,
+                                                     budget, cap, 2500 + round));
+  }
+  EXPECT_GT(empty_part_rounds, 500);
+  EXPECT_GT(matched_early_rounds, 500);
 }
 
 TEST(BoundedMigration, LazyWalkMatchesStableSortWalkOnReusedWorkspace) {
