@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     nfv::Table table({"algorithm", "avg W", "p99 W", "imbalance",
                       "work units"});
     table.set_precision(5);
-    for (const auto* name : {"RCKK", "KK-fwd", "CKK", "LPT", "CGA", "CGA-online", "RR"}) {
+    for (const auto* name : {"RCKK", "KK-fwd", "CKK", "LPT", "CGA", "CGA-online"}) {
       nfv::bench::SchedulingScenario s;
       s.requests = 50;
       s.instances = 5;

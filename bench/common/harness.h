@@ -1,8 +1,11 @@
 // Shared Monte-Carlo harness for the figure-reproduction benches.
 //
-// Every bench binary is a thin main() that sweeps one paper axis, calls
-// these runners, and prints a Markdown table whose rows mirror the figure's
-// series.  All runs are seeded: run i uses seed base_seed + i.
+// Each paper result is one table spec in bench_paper (paper.cc): it sweeps
+// one paper axis, calls these runners once per point and algorithm, and
+// prints a Markdown table whose rows mirror the figure's series.  The
+// ablation and scalability benches run them too, and every bench shares
+// the helpers at the end.  All runs are seeded: run i uses seed
+// base_seed + i.
 #pragma once
 
 #include <cstdint>

@@ -4,22 +4,22 @@
 # diff (expected first, then what the bench printed) and fails.  A
 # deliberate change to a figure is committed by rewriting that file with
 # the bench's new stdout.
-# Usage: paper_pin.sh <bench binary> <expected file>
+# Usage: paper_pin.sh <expected file> <command> [args...]
 set -u
 
-BENCH=${1:?usage: paper_pin.sh <bench binary> <expected file>}
-EXPECTED=${2:?usage: paper_pin.sh <bench binary> <expected file>}
+EXPECTED=${1:?usage: paper_pin.sh <expected file> <command> [args...]}
+shift
 
 actual=$(mktemp) || exit 2
 trap 'rm -f "$actual"' EXIT
 
-"$BENCH" > "$actual"
+"$@" > "$actual"
 status=$?
 if [ "$status" -ne 0 ]; then
-  echo "FAIL: $BENCH exited $status" >&2
+  echo "FAIL: $* exited $status" >&2
   exit 1
 fi
 if ! diff -u "$EXPECTED" "$actual"; then
-  echo "FAIL: $(basename "$BENCH") no longer prints $EXPECTED" >&2
+  echo "FAIL: $* no longer prints $EXPECTED" >&2
   exit 1
 fi

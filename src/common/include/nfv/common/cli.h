@@ -1,9 +1,9 @@
 // Minimal command-line flag parser for the bench and example binaries.
 //
-//   CliParser cli("bench_fig05", "Utilization vs. request count");
-//   const auto& runs = cli.add_int("runs", 'r', "Monte-Carlo repetitions", 100);
-//   const auto& seed = cli.add_int("seed", 's', "base RNG seed", 42);
-//   if (!cli.parse(argc, argv)) return 1;   // --help or bad input
+//   CliParser cli("bench_ablation", "Design-choice ablations");
+//   const auto& runs = cli.add_int("runs", 'r', "Monte-Carlo repetitions", 200);
+//   const auto& seed = cli.add_int("seed", 's', "base RNG seed", 21);
+//   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 2;
 //   run(runs, seed);
 #pragma once
 

@@ -222,7 +222,7 @@ class Parser {
     skip_ws();
     if (consume('}')) {
       --depth_;
-      return JsonValue(std::move(obj));
+      return obj;
     }
     while (true) {
       skip_ws();
@@ -244,7 +244,7 @@ class Parser {
       return std::nullopt;
     }
     --depth_;
-    return JsonValue(std::move(obj));
+    return obj;
   }
 
   std::optional<JsonValue> parse_array() {
@@ -254,7 +254,7 @@ class Parser {
     skip_ws();
     if (consume(']')) {
       --depth_;
-      return JsonValue(std::move(arr));
+      return arr;
     }
     while (true) {
       skip_ws();
@@ -268,7 +268,7 @@ class Parser {
       return std::nullopt;
     }
     --depth_;
-    return JsonValue(std::move(arr));
+    return arr;
   }
 
   std::optional<std::string> parse_string() {

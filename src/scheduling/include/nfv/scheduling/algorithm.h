@@ -41,14 +41,6 @@ class LptScheduling final : public SchedulingAlgorithm {
   [[nodiscard]] std::string_view name() const override { return "LPT"; }
 };
 
-/// Round-robin over descending rates — the weakest sane baseline.
-class RoundRobinScheduling final : public SchedulingAlgorithm {
- public:
-  [[nodiscard]] Schedule schedule(const SchedulingProblem& problem,
-                                  Rng& rng) const override;
-  [[nodiscard]] std::string_view name() const override { return "RR"; }
-};
-
 /// Complete Greedy Algorithm (Korf): DFS over instance choices in
 /// ascending-load order, pruning dominated branches; anytime under a search
 /// budget.  The default budget of 0 runs the first descent only — exactly

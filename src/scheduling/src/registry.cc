@@ -12,7 +12,6 @@ std::unique_ptr<SchedulingAlgorithm> make_scheduling_algorithm(
     return std::make_unique<CgaScheduling>(online);
   }
   if (name == "LPT") return std::make_unique<LptScheduling>();
-  if (name == "RR") return std::make_unique<RoundRobinScheduling>();
   if (name == "KK-fwd") return std::make_unique<KkForwardScheduling>();
   if (name == "CKK") return std::make_unique<CkkScheduling>();
   if (name == "DP2") return std::make_unique<TwoWayDpScheduling>();
@@ -20,7 +19,7 @@ std::unique_ptr<SchedulingAlgorithm> make_scheduling_algorithm(
 }
 
 std::vector<std::string> scheduling_algorithm_names() {
-  return {"RCKK", "CGA", "CGA-online", "LPT", "RR", "KK-fwd", "CKK", "DP2"};
+  return {"RCKK", "CGA", "CGA-online", "LPT", "KK-fwd", "CKK", "DP2"};
 }
 
 }  // namespace nfv::sched

@@ -99,7 +99,9 @@ TEST(Admission, ValidatesRhoMax) {
   EXPECT_THROW((void)apply_admission(p, s, 1.5), std::invalid_argument);
 }
 
-TEST(Admission, RckkRejectsLessThanRoundRobinUnderPressure) {
+TEST(Admission, RckkRejectsLessThanCgaOnlineUnderPressure) {
+  // The paper's baseline: CGA's first descent, requests in arrival order.
+  const auto cga_online = make_scheduling_algorithm("CGA-online");
   Rng rng(42);
   int rckk_fewer = 0;
   for (int trial = 0; trial < 20; ++trial) {
@@ -114,9 +116,8 @@ TEST(Admission, RckkRejectsLessThanRoundRobinUnderPressure) {
     const auto p = problem_with(rates, 4, mu, 1.0);
     const auto rckk =
         apply_admission(p, RckkScheduling{}.schedule(p, rng), 0.999);
-    const auto rr =
-        apply_admission(p, RoundRobinScheduling{}.schedule(p, rng), 0.999);
-    if (rckk.rejected_count <= rr.rejected_count) ++rckk_fewer;
+    const auto cga = apply_admission(p, cga_online->schedule(p, rng), 0.999);
+    if (rckk.rejected_count <= cga.rejected_count) ++rckk_fewer;
   }
   EXPECT_GE(rckk_fewer, 16);
 }

@@ -54,41 +54,10 @@ TEST(Lpt, MoreInstancesThanRequests) {
   EXPECT_DOUBLE_EQ(m.min_load, 0.0);
 }
 
-TEST(RoundRobin, CyclesInstancesInRateOrder) {
-  Rng rng(5);
-  const auto p = problem_with({40, 30, 20, 10}, 2);
-  const Schedule s = RoundRobinScheduling{}.schedule(p, rng);
-  // Descending order: 40->0, 30->1, 20->0, 10->1.
-  EXPECT_EQ(s.instance_of[0], 0u);
-  EXPECT_EQ(s.instance_of[1], 1u);
-  EXPECT_EQ(s.instance_of[2], 0u);
-  EXPECT_EQ(s.instance_of[3], 1u);
-  const ScheduleMetrics m = evaluate(p, s);
-  EXPECT_DOUBLE_EQ(m.max_load, 60.0);
-  EXPECT_DOUBLE_EQ(m.min_load, 40.0);
-}
-
-TEST(RoundRobin, LptUsuallyBeatsIt) {
-  Rng rng(6);
-  int lpt_wins = 0;
-  for (int trial = 0; trial < 30; ++trial) {
-    std::vector<double> rates;
-    for (int i = 0; i < 20; ++i) rates.push_back(rng.uniform(1.0, 100.0));
-    const auto p = problem_with(rates, 4);
-    const ScheduleMetrics lpt =
-        evaluate(p, LptScheduling{}.schedule(p, rng));
-    const ScheduleMetrics rr =
-        evaluate(p, RoundRobinScheduling{}.schedule(p, rng));
-    if (lpt.imbalance <= rr.imbalance) ++lpt_wins;
-  }
-  EXPECT_GE(lpt_wins, 25);
-}
-
 TEST(Greedy, WorkCountsRequests) {
   Rng rng(7);
   const auto p = problem_with({1, 2, 3, 4}, 2);
   EXPECT_EQ(LptScheduling{}.schedule(p, rng).work, 4u);
-  EXPECT_EQ(RoundRobinScheduling{}.schedule(p, rng).work, 4u);
 }
 
 }  // namespace

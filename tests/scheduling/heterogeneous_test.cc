@@ -63,7 +63,7 @@ TEST(Heterogeneous, UniformVectorMatchesScalarSpecialCase) {
   scalar.service_rate = 1000.0;
   SchedulingProblem vectored = scalar;
   vectored.delivery_probs.assign(rates.size(), 0.97);
-  for (const auto* name : {"RCKK", "LPT", "CGA", "RR", "KK-fwd"}) {
+  for (const auto* name : {"RCKK", "LPT", "CGA", "KK-fwd"}) {
     const auto algo = make_scheduling_algorithm(name);
     Rng r1(1);
     Rng r2(1);

@@ -156,7 +156,7 @@ TEST(KkFamily, AllAlgorithmsDeterministic) {
   Rng seed_rng(12);
   for (int i = 0; i < 20; ++i) rates.push_back(seed_rng.uniform(1.0, 100.0));
   const auto p = problem_with(rates, 4);
-  for (const auto* name : {"RCKK", "KK-fwd", "CKK", "LPT", "RR", "CGA"}) {
+  for (const auto* name : {"RCKK", "KK-fwd", "CKK", "LPT", "CGA"}) {
     const auto algo = make_scheduling_algorithm(name);
     ASSERT_NE(algo, nullptr);
     Rng r1(1);

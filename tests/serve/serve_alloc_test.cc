@@ -24,7 +24,9 @@ bool g_counting = false;
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// new and the unsized delete stay out of line, and the other deletes forward
+// to the unsized one, so GCC sees no malloc freed by a mismatched delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_counting) ++g_news;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
@@ -32,10 +34,10 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace nfv::serve {
 namespace {

@@ -375,7 +375,7 @@ TEST(EventStreamGenerator, RateProfileKnobsAreValidated) {
 /// Loads `text`, requires a TraceParseError, and returns its message.
 std::string load_error(const std::string& text) {
   try {
-    load_event_trace(text);
+    (void)load_event_trace(text);
   } catch (const TraceParseError& e) {
     return e.what();
   }
@@ -388,7 +388,7 @@ std::size_t line_of(const std::string& text, const std::string& needle) {
   const auto pos = text.find(needle);
   EXPECT_NE(pos, std::string::npos) << needle;
   return 1 + static_cast<std::size_t>(
-                 std::count(text.begin(), text.begin() + pos, '\n'));
+                 std::count(text.data(), text.data() + pos, '\n'));
 }
 
 /// 1-based line of the `{` opening the event object that contains byte
@@ -397,7 +397,7 @@ std::size_t event_line_at(const std::string& text, std::size_t pos) {
   const auto brace = text.rfind('{', pos);
   EXPECT_NE(brace, std::string::npos);
   return 1 + static_cast<std::size_t>(
-                 std::count(text.begin(), text.begin() + brace, '\n'));
+                 std::count(text.data(), text.data() + brace, '\n'));
 }
 
 TEST(EventStreamErrors, TokenErrorsCarryLineNumberAndToken) {
