@@ -20,83 +20,33 @@
 // across machines and gated tightly.  The bench also self-checks the §16
 // determinism contract: per policy, a mid-trace save/resume must land on
 // the same checkpoint bytes as the uninterrupted run.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness.h"
 #include "nfv/common/cli.h"
-#include "nfv/common/rng.h"
 #include "nfv/common/table.h"
 #include "nfv/serve/checkpoint.h"
 #include "nfv/serve/engine.h"
-#include "nfv/topology/builders.h"
 #include "nfv/topology/io.h"
 #include "nfv/workload/event_stream.h"
-#include "nfv/workload/generator.h"
 #include "nfv/workload/io.h"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double us_between(Clock::time_point start, Clock::time_point stop) {
-  return std::chrono::duration<double, std::micro>(stop - start).count();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-struct Fixture {
-  nfv::topo::Topology topology;
-  nfv::workload::Workload workload;
-  nfv::workload::EventTrace trace;
-};
-
-Fixture generated_fixture(std::int64_t nodes, std::int64_t vnfs,
-                          std::int64_t events, std::int64_t churn_nodes,
-                          std::uint64_t seed) {
-  Fixture fx;
-  nfv::Rng rng(seed);
-  fx.topology = nfv::topo::make_star(static_cast<std::size_t>(nodes),
-                                     {1000.0, 5000.0}, {}, rng);
-  nfv::workload::WorkloadConfig wcfg;
-  wcfg.vnf_count = static_cast<std::uint32_t>(vnfs);
-  wcfg.request_count = 40;  // chain templates for the stream generator
-  wcfg.chain_template_count = 8;
-  fx.workload = nfv::workload::WorkloadGenerator(wcfg).generate(rng);
-  nfv::workload::EventStreamConfig ecfg;
-  ecfg.event_count = static_cast<std::size_t>(events);
-  ecfg.churn_node_count = static_cast<std::size_t>(churn_nodes);
-  ecfg.node_mtbf = 6.0;
-  ecfg.node_mttr = 0.5;
-  // The diurnal profile the subsystem exists for: a slow ±50% swing with
-  // a 2x burst riding on top (see EventStreamConfig's multiplier).
-  ecfg.ramp_amplitude = 0.5;
-  ecfg.ramp_period = 8.0;
-  ecfg.burst_every = 5.0;
-  ecfg.burst_length = 1.0;
-  ecfg.burst_factor = 2.0;
-  fx.trace =
-      nfv::workload::EventStreamGenerator(fx.workload, ecfg).generate(rng);
-  return fx;
-}
+using nfv::bench::Clock;
+using nfv::bench::ServeFixture;
+using nfv::bench::us_between;
 
 /// Offline re-solve: walks the trace once, tracking every live request's
 /// effective rate λ_r / P_r per VNF, and integrates the minimal feasible
 /// fleet Σ_f ceil(Λ_f / ((1 − h) · μ_f)) between event timestamps.  Node
 /// state is ignored — the oracle may pack instances anywhere — which only
 /// widens the gap the online controller has to close.
-double oracle_instance_seconds(const Fixture& fx, double headroom) {
+double oracle_instance_seconds(const ServeFixture& fx, double headroom) {
   struct Live {
     double effective = 0.0;
     double delivery_prob = 1.0;
@@ -184,7 +134,7 @@ nfv::serve::ServeConfig make_config(const Knobs& knobs,
   return cfg;
 }
 
-RunResult replay_once(const Fixture& fx, const Knobs& knobs,
+RunResult replay_once(const ServeFixture& fx, const Knobs& knobs,
                       nfv::serve::ScalePolicy policy) {
   nfv::serve::ServeEngine engine(fx.topology, fx.workload.vnfs,
                                  make_config(knobs, policy));
@@ -200,7 +150,7 @@ RunResult replay_once(const Fixture& fx, const Knobs& knobs,
 
 /// Serial prefix, checkpoint, resume, finish: the final checkpoint must be
 /// byte-identical to the uninterrupted run's.
-bool resume_matches(const Fixture& fx, const Knobs& knobs,
+bool resume_matches(const ServeFixture& fx, const Knobs& knobs,
                     nfv::serve::ScalePolicy policy,
                     const std::string& want) {
   const std::size_t n = fx.trace.events.size();
@@ -300,23 +250,26 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Fixture fx;
+  ServeFixture fx;
   try {
-    if (!topo_file.empty() || !wl_file.empty() || !trace_file.empty()) {
-      if (topo_file.empty() || wl_file.empty() || trace_file.empty()) {
-        std::fputs(
-            "bench_autoscale: --topology, --workload and --trace go "
-            "together\n",
-            stderr);
-        return 2;
-      }
-      fx.topology = nfv::topo::load_topology_string(read_file(topo_file));
-      fx.workload = nfv::workload::load_workload_string(read_file(wl_file));
-      fx.trace = nfv::workload::load_event_trace(read_file(trace_file));
-    } else {
-      fx = generated_fixture(nodes, vnfs, events, churn_nodes,
-                             static_cast<std::uint64_t>(seed));
-    }
+    nfv::workload::EventStreamConfig ecfg;
+    ecfg.event_count = static_cast<std::size_t>(events);
+    ecfg.churn_node_count = static_cast<std::size_t>(churn_nodes);
+    ecfg.node_mtbf = 6.0;
+    ecfg.node_mttr = 0.5;
+    // The diurnal profile the subsystem exists for: a slow ±50% swing with
+    // a 2x burst riding on top (see EventStreamConfig's multiplier).
+    ecfg.ramp_amplitude = 0.5;
+    ecfg.ramp_period = 8.0;
+    ecfg.burst_every = 5.0;
+    ecfg.burst_length = 1.0;
+    ecfg.burst_factor = 2.0;
+    fx = topo_file.empty() && wl_file.empty() && trace_file.empty()
+             ? nfv::bench::generated_serve_fixture(
+                   static_cast<std::size_t>(nodes),
+                   static_cast<std::uint32_t>(vnfs), ecfg,
+                   static_cast<std::uint64_t>(seed))
+             : nfv::bench::load_serve_fixture(topo_file, wl_file, trace_file);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_autoscale: %s\n", e.what());
     return 2;

@@ -18,72 +18,26 @@
 // in the name (diffed generously in CI); everything else — availability,
 // evacuation/shed counters, work — is bit-identical across machines and
 // gated tightly.
-#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "harness.h"
 #include "nfv/common/cli.h"
-#include "nfv/common/rng.h"
 #include "nfv/common/table.h"
 #include "nfv/serve/engine.h"
-#include "nfv/topology/builders.h"
-#include "nfv/topology/io.h"
 #include "nfv/workload/event_stream.h"
-#include "nfv/workload/generator.h"
-#include "nfv/workload/io.h"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double us_between(Clock::time_point start, Clock::time_point stop) {
-  return std::chrono::duration<double, std::micro>(stop - start).count();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-struct Fixture {
-  nfv::topo::Topology topology;
-  nfv::workload::Workload workload;
-  nfv::workload::EventTrace trace;
-};
-
-Fixture generated_fixture(std::int64_t nodes, std::int64_t vnfs,
-                          std::int64_t events, std::int64_t churn_nodes,
-                          double mtbf, double mttr, std::uint64_t seed) {
-  Fixture fx;
-  nfv::Rng rng(seed);
-  fx.topology = nfv::topo::make_star(static_cast<std::size_t>(nodes),
-                                     {1000.0, 5000.0}, {}, rng);
-  nfv::workload::WorkloadConfig wcfg;
-  wcfg.vnf_count = static_cast<std::uint32_t>(vnfs);
-  wcfg.request_count = 40;  // chain templates for the stream generator
-  wcfg.chain_template_count = 8;
-  fx.workload = nfv::workload::WorkloadGenerator(wcfg).generate(rng);
-  nfv::workload::EventStreamConfig ecfg;
-  ecfg.event_count = static_cast<std::size_t>(events);
-  ecfg.churn_node_count = static_cast<std::size_t>(churn_nodes);
-  ecfg.node_mtbf = mtbf;
-  ecfg.node_mttr = mttr;
-  fx.trace =
-      nfv::workload::EventStreamGenerator(fx.workload, ecfg).generate(rng);
-  return fx;
-}
+using nfv::bench::Clock;
+using nfv::bench::ServeFixture;
+using nfv::bench::us_between;
 
 struct ChaosResult {
   double replay_wall_us = 0.0;
   nfv::serve::ServeSummary summary;
 };
 
-ChaosResult replay_once(const Fixture& fx) {
+ChaosResult replay_once(const ServeFixture& fx) {
   nfv::serve::ServeEngine engine(fx.topology, fx.workload.vnfs);
   const auto start = Clock::now();
   engine.replay(fx.trace);
@@ -136,23 +90,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Fixture fx;
+  ServeFixture fx;
   try {
-    if (!topo_file.empty() || !wl_file.empty() || !trace_file.empty()) {
-      if (topo_file.empty() || wl_file.empty() || trace_file.empty()) {
-        std::fputs(
-            "bench_chaos_serve: --topology, --workload and --trace go "
-            "together\n",
-            stderr);
-        return 2;
-      }
-      fx.topology = nfv::topo::load_topology_string(read_file(topo_file));
-      fx.workload = nfv::workload::load_workload_string(read_file(wl_file));
-      fx.trace = nfv::workload::load_event_trace(read_file(trace_file));
-    } else {
-      fx = generated_fixture(nodes, vnfs, events, churn_nodes, mtbf, mttr,
-                             static_cast<std::uint64_t>(seed));
-    }
+    nfv::workload::EventStreamConfig ecfg;
+    ecfg.event_count = static_cast<std::size_t>(events);
+    ecfg.churn_node_count = static_cast<std::size_t>(churn_nodes);
+    ecfg.node_mtbf = mtbf;
+    ecfg.node_mttr = mttr;
+    fx = topo_file.empty() && wl_file.empty() && trace_file.empty()
+             ? nfv::bench::generated_serve_fixture(
+                   static_cast<std::size_t>(nodes),
+                   static_cast<std::uint32_t>(vnfs), ecfg,
+                   static_cast<std::uint64_t>(seed))
+             : nfv::bench::load_serve_fixture(topo_file, wl_file, trace_file);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_chaos_serve: %s\n", e.what());
     return 2;

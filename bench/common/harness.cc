@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -13,6 +14,8 @@
 #include "nfv/placement/algorithm.h"
 #include "nfv/placement/metrics.h"
 #include "nfv/topology/builders.h"
+#include "nfv/topology/io.h"
+#include "nfv/workload/io.h"
 #include "nfv/workload/trace.h"
 
 namespace nfv::bench {
@@ -277,6 +280,45 @@ void print_banner(std::string_view figure, std::string_view description) {
   std::printf("\n=== %.*s ===\n%.*s\n\n",
               static_cast<int>(figure.size()), figure.data(),
               static_cast<int>(description.size()), description.data());
+}
+
+ServeFixture load_serve_fixture(const std::string& topo_file,
+                                const std::string& wl_file,
+                                const std::string& trace_file) {
+  if (topo_file.empty() || wl_file.empty() || trace_file.empty()) {
+    throw std::runtime_error("--topology, --workload and --trace go together");
+  }
+  const auto read_file = [](const std::string& path) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("cannot open " + path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  ServeFixture fx;
+  fx.topology = topo::load_topology_string(read_file(topo_file));
+  fx.workload = workload::load_workload_string(read_file(wl_file));
+  fx.trace = workload::load_event_trace(read_file(trace_file));
+  return fx;
+}
+
+ServeFixture generated_serve_fixture(std::size_t nodes, std::uint32_t vnfs,
+                                     const workload::EventStreamConfig& config,
+                                     std::uint64_t seed) {
+  ServeFixture fx;
+  Rng rng(seed);
+  fx.topology = topo::make_star(nodes, {1000.0, 5000.0}, {}, rng);
+  workload::WorkloadConfig wcfg;
+  wcfg.vnf_count = vnfs;
+  wcfg.request_count = 40;  // chain templates for the stream generator
+  wcfg.chain_template_count = 8;
+  fx.workload = workload::WorkloadGenerator(wcfg).generate(rng);
+  fx.trace = workload::EventStreamGenerator(fx.workload, config).generate(rng);
+  return fx;
+}
+
+double us_between(Clock::time_point start, Clock::time_point stop) {
+  return std::chrono::duration<double, std::micro>(stop - start).count();
 }
 
 double enhancement_percent(double baseline, double ours) {

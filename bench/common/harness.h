@@ -3,11 +3,12 @@
 // Each paper result is one table spec in bench_paper (paper.cc): it sweeps
 // one paper axis, calls these runners once per point and algorithm, and
 // prints a Markdown table whose rows mirror the figure's series.  The
-// ablation and scalability benches run them too, and every bench shares
-// the helpers at the end.  All runs are seeded: run i uses seed
-// base_seed + i.
+// ablation and scalability benches run them too, the serve benches share
+// one fixture loader, and every bench shares the helpers at the end.  All
+// runs are seeded: run i uses seed base_seed + i.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,6 +19,8 @@
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/scheduling/algorithm.h"
 #include "nfv/scheduling/metrics.h"
+#include "nfv/topology/topology.h"
+#include "nfv/workload/event_stream.h"
 #include "nfv/workload/generator.h"
 
 namespace nfv::bench {
@@ -136,8 +139,41 @@ struct JointSummary {
                                      std::string_view scheduling_algorithm);
 
 // ---------------------------------------------------------------------------
+// Serve-engine fixtures (bench_online, bench_chaos_serve, bench_timeline,
+// bench_autoscale)
+// ---------------------------------------------------------------------------
+
+/// Everything one serve replay needs: a topology, its VNF catalog and an
+/// event trace, loaded from files or generated.
+struct ServeFixture {
+  topo::Topology topology;
+  workload::Workload workload;
+  workload::EventTrace trace;
+};
+
+/// Loads the files of a serve bench's -t/-w/-T flags.  Throws
+/// std::runtime_error when one of the three is empty or cannot be read,
+/// and TraceParseError on a malformed file.
+[[nodiscard]] ServeFixture load_serve_fixture(const std::string& topo_file,
+                                              const std::string& wl_file,
+                                              const std::string& trace_file);
+
+/// A `nodes`-node star with capacities in [1000, 5000], `vnfs` VNFs whose
+/// 40 requests supply 8 chain templates, and a trace generated from
+/// `config` — all drawn from one Rng(seed), in that order.
+[[nodiscard]] ServeFixture generated_serve_fixture(
+    std::size_t nodes, std::uint32_t vnfs,
+    const workload::EventStreamConfig& config, std::uint64_t seed);
+
+// ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+/// Wall-clock microseconds from `start` to `stop`.
+[[nodiscard]] double us_between(Clock::time_point start,
+                                Clock::time_point stop);
 
 /// Rescales every VNF's per-instance demand so total demand equals
 /// `target_total`, then clamps any single VNF footprint to `max_piece`

@@ -5,14 +5,17 @@
 //
 // Rows (all single-threaded — ingest is a front-door, not a fan-out):
 //   btrace_decode   streaming nfvpr.btrace/1 decode, zero steady-state
-//                   allocation, no materialization (the serve hot path)
-//   text_decode     full text load_event_trace (from_chars scanner +
-//                   whole-trace validate) on the same events
+//                   allocation, no materialization
+//   text_decode     full text load_event_trace (a drain of the text reader:
+//                   from_chars scanner + per-event validate) on the same
+//                   events
 //   json_dom_ref    generic obs::parse_json DOM build over the same text —
 //                   the front-end cost of the pre-scanner loader, kept as a
 //                   reference row for the scanner rewrite's win
-//   btrace_serve    full serve replay from binary via replay_binary
-//   text_serve      full serve replay from the materialized text trace
+//   text_serve      full serve replay streamed from the text trace through
+//                   open_text_trace's reader by ServeEngine::replay, as
+//                   `nfvpr serve` runs a text trace
+//   btrace_serve    the same replay streamed from the binary trace
 //
 // Every row pairs noisy `wall_us` (CI diffs at 400%) with a deterministic
 // `work` counter (CI diffs at 1%): decode rows count events + chain hops,
@@ -22,7 +25,6 @@
 //   * text -> binary -> text and binary -> text -> binary byte-exact
 //   * btrace_serve and text_serve end in byte-identical engine states
 //     (compared via their checkpoint serializations)
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -40,7 +42,7 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using nfv::bench::Clock;
 
 /// Best (minimum) wall-clock microseconds per call over `reps` calls —
 /// decode benches are memory-bound and the min is the steadiest estimator
@@ -51,9 +53,7 @@ double best_wall_us(std::int64_t reps, F&& f) {
   for (std::int64_t r = 0; r < reps; ++r) {
     const auto start = Clock::now();
     f();
-    const auto stop = Clock::now();
-    const double us =
-        std::chrono::duration<double, std::micro>(stop - start).count();
+    const double us = nfv::bench::us_between(start, Clock::now());
     if (r == 0 || us < best) best = us;
   }
   return best;
@@ -216,12 +216,12 @@ int main(int argc, char** argv) {
   {
     std::uint64_t work = 0;
     const double us = best_wall_us(reps, [&] {
-      const auto loaded = nfv::workload::load_event_trace(serve_text);
+      const auto reader = nfv::workload::open_text_trace(serve_text);
       nfv::serve::ServeEngine engine(topology, catalog.vnfs, scfg);
-      engine.replay(loaded);
+      engine.replay(*reader);
       work = engine.work();
-      text_state = nfv::serve::save_checkpoint_string(
-          engine, loaded.events.size());
+      text_state =
+          nfv::serve::save_checkpoint_string(engine, reader->decoded());
     });
     table.add_row({std::string("text_serve"), rows, us,
                    static_cast<long long>(work)});
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
     const double us = best_wall_us(reps, [&] {
       nfv::workload::BinaryTraceDecoder decoder(serve_binary);
       nfv::serve::ServeEngine engine(topology, catalog.vnfs, scfg);
-      engine.replay_binary(decoder);
+      engine.replay(decoder);
       work = engine.work();
       state = nfv::serve::save_checkpoint_string(engine, decoder.decoded());
     });

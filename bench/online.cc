@@ -21,65 +21,22 @@
 // rebalance ever moves a request, and offline_resolve is the oracle the
 // gaps are measured against.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "harness.h"
 #include "nfv/common/cli.h"
-#include "nfv/common/rng.h"
 #include "nfv/common/table.h"
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/serve/engine.h"
-#include "nfv/topology/builders.h"
-#include "nfv/topology/io.h"
 #include "nfv/workload/event_stream.h"
-#include "nfv/workload/generator.h"
-#include "nfv/workload/io.h"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double us_between(Clock::time_point start, Clock::time_point stop) {
-  return std::chrono::duration<double, std::micro>(stop - start).count();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Everything one replay needs; either loaded from files or generated.
-struct Fixture {
-  nfv::topo::Topology topology;
-  nfv::workload::Workload workload;
-  nfv::workload::EventTrace trace;
-};
-
-Fixture generated_fixture(std::int64_t nodes, std::int64_t vnfs,
-                          std::int64_t events, std::uint64_t seed) {
-  Fixture fx;
-  nfv::Rng rng(seed);
-  fx.topology = nfv::topo::make_star(static_cast<std::size_t>(nodes),
-                                     {1000.0, 5000.0}, {}, rng);
-  nfv::workload::WorkloadConfig wcfg;
-  wcfg.vnf_count = static_cast<std::uint32_t>(vnfs);
-  wcfg.request_count = 40;  // chain templates for the stream generator
-  wcfg.chain_template_count = 8;
-  fx.workload = nfv::workload::WorkloadGenerator(wcfg).generate(rng);
-  nfv::workload::EventStreamConfig ecfg;
-  ecfg.event_count = static_cast<std::size_t>(events);
-  fx.trace =
-      nfv::workload::EventStreamGenerator(fx.workload, ecfg).generate(rng);
-  return fx;
-}
+using nfv::bench::Clock;
+using nfv::bench::ServeFixture;
+using nfv::bench::us_between;
 
 /// One full replay under `config`, with offline re-solves of the live set
 /// every `resolve_every` events (and after the last one).
@@ -94,7 +51,7 @@ struct ReplayResult {
   std::uint64_t offline_work = 0;     ///< Σ scheduling work of re-solves
 };
 
-ReplayResult replay_once(const Fixture& fx,
+ReplayResult replay_once(const ServeFixture& fx,
                          const nfv::serve::ServeConfig& config,
                          std::int64_t resolve_every, std::uint64_t seed) {
   nfv::serve::ServeEngine engine(fx.topology, fx.workload.vnfs, config);
@@ -191,21 +148,15 @@ int main(int argc, char** argv) {
   }
   const auto base_seed = static_cast<std::uint64_t>(seed);
 
-  Fixture fx;
+  ServeFixture fx;
   try {
-    if (!topo_file.empty() || !wl_file.empty() || !trace_file.empty()) {
-      if (topo_file.empty() || wl_file.empty() || trace_file.empty()) {
-        std::fputs(
-            "bench_online: --topology, --workload and --trace go together\n",
-            stderr);
-        return 2;
-      }
-      fx.topology = nfv::topo::load_topology_string(read_file(topo_file));
-      fx.workload = nfv::workload::load_workload_string(read_file(wl_file));
-      fx.trace = nfv::workload::load_event_trace(read_file(trace_file));
-    } else {
-      fx = generated_fixture(nodes, vnfs, events, base_seed);
-    }
+    nfv::workload::EventStreamConfig ecfg;
+    ecfg.event_count = static_cast<std::size_t>(events);
+    fx = topo_file.empty() && wl_file.empty() && trace_file.empty()
+             ? nfv::bench::generated_serve_fixture(
+                   static_cast<std::size_t>(nodes),
+                   static_cast<std::uint32_t>(vnfs), ecfg, base_seed)
+             : nfv::bench::load_serve_fixture(topo_file, wl_file, trace_file);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_online: %s\n", e.what());
     return 2;

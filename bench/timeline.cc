@@ -13,10 +13,7 @@
 //
 //   bench_timeline -t smoke.topo -w smoke.wl -T smoke.trace.json --json t.json
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "harness.h"
@@ -24,31 +21,13 @@
 #include "nfv/common/table.h"
 #include "nfv/obs/timeline.h"
 #include "nfv/serve/engine.h"
-#include "nfv/topology/io.h"
 #include "nfv/workload/event_stream.h"
-#include "nfv/workload/io.h"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double us_between(Clock::time_point start, Clock::time_point stop) {
-  return std::chrono::duration<double, std::micro>(stop - start).count();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-struct Fixture {
-  nfv::topo::Topology topology;
-  nfv::workload::Workload workload;
-  nfv::workload::EventTrace trace;
-};
+using nfv::bench::Clock;
+using nfv::bench::ServeFixture;
+using nfv::bench::us_between;
 
 struct Measured {
   double wall_us = 0.0;  ///< min over reps
@@ -58,7 +37,7 @@ struct Measured {
 };
 
 /// One timed replay; fills summary/aggregates on the first rep only.
-void replay_once(const Fixture& fx, const nfv::serve::ServeConfig& cfg,
+void replay_once(const ServeFixture& fx, const nfv::serve::ServeConfig& cfg,
                  Measured& out) {
   nfv::serve::ServeEngine engine(fx.topology, fx.workload.vnfs, cfg);
   const auto start = Clock::now();
@@ -106,11 +85,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Fixture fx;
+  ServeFixture fx;
   try {
-    fx.topology = nfv::topo::load_topology_string(read_file(topo_file));
-    fx.workload = nfv::workload::load_workload_string(read_file(wl_file));
-    fx.trace = nfv::workload::load_event_trace(read_file(trace_file));
+    fx = nfv::bench::load_serve_fixture(topo_file, wl_file, trace_file);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_timeline: %s\n", e.what());
     return 2;

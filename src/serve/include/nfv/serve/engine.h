@@ -68,10 +68,6 @@
 #include "nfv/workload/event_stream.h"
 #include "nfv/workload/vnf.h"
 
-namespace nfv::workload {
-class BinaryTraceDecoder;
-}  // namespace nfv::workload
-
 namespace nfv::serve {
 
 /// Serving-policy knobs.
@@ -244,16 +240,16 @@ class ServeEngine {
   /// to the caller).
   void apply_batch(const workload::StreamEvent* events, std::size_t count);
 
-  /// Streams up to `limit` events out of a binary trace decoder, applying
-  /// each as soon as it is decoded into one reusable buffer, so the
-  /// steady-state loop performs no heap allocation, and returns the number
-  /// applied (less than `limit` only when the decoder ran dry).  The
-  /// resulting state is bit-identical to on_event over the same events;
-  /// when the decoder throws on a corrupt record, every record before it
-  /// has been applied.  Callers chasing a checkpoint cadence pass the
-  /// distance to the next checkpoint as `limit`.
-  std::uint64_t replay_binary(workload::BinaryTraceDecoder& decoder,
-                              std::uint64_t limit = ~std::uint64_t{0});
+  /// Streams up to `limit` events out of a trace reader (text or binary),
+  /// applying each as soon as it is read into one reusable buffer, so a
+  /// warm loop over a binary trace performs no heap allocation, and
+  /// returns the number applied (less than `limit` only when the reader
+  /// ran dry).  The resulting state is bit-identical to on_event over the
+  /// same events; when the reader throws on a corrupt or invalid event,
+  /// every event before it has been applied.  Callers chasing a checkpoint
+  /// cadence pass the distance to the next checkpoint as `limit`.
+  std::uint64_t replay(workload::TraceReader& reader,
+                       std::uint64_t limit = ~std::uint64_t{0});
 
   /// All outcomes so far, in event order.
   [[nodiscard]] const std::vector<EventOutcome>& log() const { return log_; }
@@ -510,7 +506,7 @@ class ServeEngine {
 
   // Transient per-event scratch (never checkpointed, never read across
   // events): the touched-VNF accumulator every settle step works on, and
-  // replay_binary's reusable decode buffer.
+  // the reader replay's reusable event buffer.
   std::vector<std::uint32_t> touched_scratch_;
   workload::StreamEvent decoded_;
 

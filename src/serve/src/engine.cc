@@ -12,7 +12,6 @@
 #include "nfv/obs/json.h"
 #include "nfv/obs/metrics.h"
 #include "nfv/scheduling/algorithm.h"
-#include "nfv/workload/btrace.h"
 
 #include "field_lists.h"
 
@@ -1277,15 +1276,15 @@ void ServeEngine::apply_batch(const workload::StreamEvent* events,
   for (std::size_t i = 0; i < count; ++i) process_event(events[i]);
 }
 
-std::uint64_t ServeEngine::replay_binary(workload::BinaryTraceDecoder& decoder,
-                                         std::uint64_t limit) {
-  NFV_REQUIRE(decoder.vnf_count() <= vnfs_.size());
-  // Decode in place: decoded_.chain keeps its capacity across events, so
-  // a warm loop decodes and applies without touching the heap.  Each event
-  // is applied before the next is decoded, so a corrupt record leaves
-  // every record ahead of it applied.
+std::uint64_t ServeEngine::replay(workload::TraceReader& reader,
+                                  std::uint64_t limit) {
+  NFV_REQUIRE(reader.vnf_count() <= vnfs_.size());
+  // Read in place: decoded_.chain keeps its capacity across events, so a
+  // warm loop reads and applies without touching the heap.  Each event is
+  // applied before the next is read, so a corrupt or invalid event leaves
+  // every event ahead of it applied.
   std::uint64_t applied = 0;
-  while (applied < limit && decoder.next(decoded_)) {
+  while (applied < limit && reader.next(decoded_)) {
     process_event(decoded_);
     ++applied;
   }

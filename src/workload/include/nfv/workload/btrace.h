@@ -68,34 +68,36 @@ inline constexpr std::string_view kBinaryTraceMagic = "NFVBT1";
 void save_binary_trace(const EventTrace& trace, std::ostream& out);
 [[nodiscard]] std::string save_binary_trace_string(const EventTrace& trace);
 
-/// Parses and fully validates (EventTrace::validate) a binary trace.
-/// Convenience wrapper over BinaryTraceDecoder for transcoding and tests;
-/// the serve hot path streams through the decoder instead.
+/// Parses and fully validates (EventTrace::validate) a binary trace: a
+/// drain of BinaryTraceDecoder, for transcoding and tests.
 [[nodiscard]] EventTrace load_binary_trace(std::string_view data);
 
-/// Streaming decoder over an in-memory binary trace.  The hot path
-/// allocates nothing in steady state: next() writes into a caller-owned
-/// StreamEvent whose chain vector is reused (clear() keeps capacity), and
-/// the decoder's only buffer — a sort scratch for the distinctness check
-/// of unusually long chains — keeps its capacity across records.
+/// Streaming decoder over an in-memory binary trace, the binary side of
+/// the TraceReader interface the serve hot path (`nfvpr serve`,
+/// ServeEngine::replay) pulls from.  It allocates nothing in steady state:
+/// next() writes into a caller-owned StreamEvent whose chain vector is
+/// reused (clear() keeps capacity), and the decoder's only buffer — a sort
+/// scratch for the distinctness check of unusually long chains — keeps its
+/// capacity across records.  It is final, so direct calls (perfbench's)
+/// need no virtual dispatch.
 ///
-/// next() enforces every record-local invariant of the text loader
+/// next() enforces every record-local invariant of the text format
 /// (monotonic finite timestamps, positive finite rates, delivery
-/// probability in (0, 1], non-empty distinct in-range chains); the
-/// cross-event invariants (request liveness, node up/down alternation)
-/// are left to the consumer, which tracks that state anyway — the serve
-/// engine throws the same TraceParseError on violation, and
-/// load_binary_trace runs the full EventTrace::validate replay.
-class BinaryTraceDecoder {
+/// probability in (0, 1], non-empty distinct in-range chains).  Unlike
+/// the text reader it leaves the cross-event invariants (request liveness,
+/// node up/down alternation) to the consumer, which tracks that state
+/// anyway: the serve engine throws the same TraceParseError on violation,
+/// and load_binary_trace runs the full EventTrace::validate replay.
+class BinaryTraceDecoder final : public TraceReader {
  public:
   /// Parses the header; throws TraceParseError on bad magic/flags/counts.
   explicit BinaryTraceDecoder(std::string_view data);
 
-  [[nodiscard]] std::uint32_t vnf_count() const { return vnf_count_; }
+  [[nodiscard]] std::uint32_t vnf_count() const override { return vnf_count_; }
   [[nodiscard]] std::uint64_t event_count() const { return count_; }
   /// Records decoded (or skipped) so far.
-  [[nodiscard]] std::uint64_t decoded() const { return index_; }
-  [[nodiscard]] bool done() const { return index_ == count_; }
+  [[nodiscard]] std::uint64_t decoded() const override { return index_; }
+  [[nodiscard]] bool done() const override { return index_ == count_; }
 
   /// Byte offset of the next record (just past the header initially);
   /// pairs with last_time_bits() as a resumable cursor.
@@ -107,12 +109,12 @@ class BinaryTraceDecoder {
   /// Decodes the next record into `out`, reusing its chain capacity.
   /// Returns false at a clean end of stream (and then requires the buffer
   /// to hold no trailing bytes); throws TraceParseError on corruption.
-  bool next(StreamEvent& out);
+  bool next(StreamEvent& out) override;
 
   /// Skips `n` records without materializing events (decodes only the
   /// record framing and timestamp so the cursor stays consistent).
   /// Throws TraceParseError past the end of the stream.
-  void skip(std::uint64_t n);
+  void skip(std::uint64_t n) override;
 
   /// Restores a cursor previously read off byte_offset() / decoded() /
   /// last_time_bits() — the serve checkpoint's binary trace cursor.  The

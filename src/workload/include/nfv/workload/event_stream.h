@@ -20,7 +20,9 @@
 //     ]
 //   }
 //
-// Invariants (enforced by load_event_trace / EventTrace::validate):
+// Invariants (checked one event at a time, in O(live requests + down
+// nodes) memory, by the text reader on every event it reads or skips and
+// by EventTrace::validate over a whole trace):
 //  * timestamps are non-decreasing (ties allowed, going backwards is not);
 //  * "arrive" events carry a positive finite rate, a delivery probability
 //    in (0, 1], and a non-empty chain of distinct VNF indices below
@@ -31,6 +33,12 @@
 //    alternate per node: a node goes down only while up and vice versa.
 //    The node id's range is checked by the consumer, which knows the
 //    topology; a "/1" document containing node events fails to load.
+//
+// The serve hot path (`nfvpr serve`, ServeEngine::replay) pulls one event
+// at a time through TraceReader from the text reader or the binary
+// BinaryTraceDecoder (btrace.h) and never builds an EventTrace, so a text
+// trace that breaks an invariant late fails there, after every event
+// before it was returned.
 //
 // save_event_trace writes "/1" when the stream has no node events, so
 // pre-churn traces keep round-tripping byte-identically under the old
@@ -43,6 +51,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -99,13 +108,53 @@ struct EventTrace {
 
   friend bool operator==(const EventTrace&, const EventTrace&) = default;
 
-  /// Checks every invariant listed at the top of this header (including a
-  /// full liveness replay).  Throws TraceParseError with the offending
-  /// event index on violation.
+  /// Checks every invariant listed at the top of this header.  Throws
+  /// TraceParseError with the offending event index on violation.
   void validate() const;
 };
 
-/// Parses and validates an "nfvpr.trace/1" document.
+/// Pull interface over an event trace, one event per call: the text
+/// reader (open_text_trace, below) and BinaryTraceDecoder (btrace.h).
+class TraceReader {
+ public:
+  TraceReader() = default;
+  TraceReader(const TraceReader&) = default;
+  TraceReader(TraceReader&&) = default;
+  TraceReader& operator=(const TraceReader&) = default;
+  TraceReader& operator=(TraceReader&&) = default;
+  virtual ~TraceReader() = default;
+
+  /// The VNF universe the trace's chains index into.
+  [[nodiscard]] virtual std::uint32_t vnf_count() const = 0;
+  /// Events read or skipped so far.
+  [[nodiscard]] virtual std::uint64_t decoded() const = 0;
+  /// True once every event has been read or skipped.
+  [[nodiscard]] virtual bool done() const = 0;
+
+  /// Reads the next event into `out`, reusing its chain capacity.  Returns
+  /// false at a clean end of the trace; throws TraceParseError on a
+  /// malformed event, after every event before it was returned.
+  virtual bool next(StreamEvent& out) = 0;
+  /// Skips `n` events.  Throws TraceParseError past the end of the trace.
+  virtual void skip(std::uint64_t n) = 0;
+};
+
+/// Opens a reader over an "nfvpr.trace/1" or "/2" document held in memory
+/// (the caller keeps `text` alive).  It finds "schema", "vnf_count" and
+/// the "events" array in any key order, then parses one event per next()
+/// or skip() straight off the buffer and checks it against the invariants
+/// above, holding only the live request ids and the down nodes.  Every
+/// error names its 1-based "trace line N"; token errors name the token,
+/// invariant violations the event index.  Throws TraceParseError on a
+/// malformed document outside the events array.
+[[nodiscard]] std::unique_ptr<TraceReader> open_text_trace(
+    std::string_view text);
+
+/// Reads every remaining event of `reader` into an EventTrace.
+[[nodiscard]] EventTrace drain_trace(TraceReader& reader);
+
+/// Parses and validates an "nfvpr.trace/1" or "/2" document: a drain of
+/// the text reader.
 [[nodiscard]] EventTrace load_event_trace(std::string_view text);
 
 /// Serializes under kEventTraceSchema (round-trips through

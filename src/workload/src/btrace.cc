@@ -130,11 +130,7 @@ std::string save_binary_trace_string(const EventTrace& trace) {
 
 EventTrace load_binary_trace(std::string_view data) {
   BinaryTraceDecoder decoder(data);
-  EventTrace trace;
-  trace.vnf_count = decoder.vnf_count();
-  trace.events.reserve(decoder.event_count());
-  StreamEvent e;
-  while (decoder.next(e)) trace.events.push_back(e);
+  EventTrace trace = drain_trace(decoder);
   trace.validate();
   return trace;
 }

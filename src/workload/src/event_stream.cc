@@ -17,12 +17,84 @@ namespace nfv::workload {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t event_index, const std::string& what) {
-  throw TraceParseError("trace event " + std::to_string(event_index) + ": " +
-                        what);
-}
-
 bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
+
+/// Checks the invariants listed at the top of event_stream.h one event at
+/// a time, in O(live requests + down nodes) memory.
+class TraceValidator {
+ public:
+  explicit TraceValidator(std::uint32_t vnf_count) : vnf_count_(vnf_count) {}
+
+  /// Records `e` as the stream's next event.  Returns what is wrong with
+  /// it, or an empty string when it is valid.
+  [[nodiscard]] std::string check(const StreamEvent& e) {
+    if (!std::isfinite(e.time) || e.time < 0.0) {
+      return "timestamp must be finite and non-negative";
+    }
+    if (e.time < last_time_) {
+      std::ostringstream os;
+      os << "non-monotonic timestamp " << e.time << " after " << last_time_;
+      return os.str();
+    }
+    last_time_ = e.time;
+    switch (e.kind) {
+      case StreamEventKind::kArrive: {
+        if (live_.contains(e.request)) {
+          return "arrive for already-live request " +
+                 std::to_string(e.request);
+        }
+        if (!finite_positive(e.rate)) return "arrival rate must be > 0";
+        if (!(e.delivery_prob > 0.0) || e.delivery_prob > 1.0) {
+          return "delivery_prob must be in (0, 1]";
+        }
+        if (e.chain.empty()) return "arrive needs a non-empty chain";
+        std::unordered_set<std::uint32_t> seen;
+        for (const std::uint32_t f : e.chain) {
+          if (f >= vnf_count_) {
+            return "chain references VNF " + std::to_string(f) +
+                   " but vnf_count is " + std::to_string(vnf_count_);
+          }
+          if (!seen.insert(f).second) {
+            return "chain repeats VNF " + std::to_string(f) +
+                   " (U_r^f is binary)";
+          }
+        }
+        live_.insert(e.request);
+        return {};
+      }
+      case StreamEventKind::kDepart:
+        if (!live_.erase(e.request)) {
+          return "depart for unknown request " + std::to_string(e.request);
+        }
+        return {};
+      case StreamEventKind::kRateChange:
+        if (!live_.contains(e.request)) {
+          return "rate_change for unknown request " +
+                 std::to_string(e.request);
+        }
+        if (!finite_positive(e.rate)) return "new rate must be > 0";
+        return {};
+      case StreamEventKind::kNodeDown:
+        if (!down_.insert(e.node).second) {
+          return "node_down for already-down node " + std::to_string(e.node);
+        }
+        return {};
+      case StreamEventKind::kNodeUp:
+        if (!down_.erase(e.node)) {
+          return "node_up for a node that is not down: " +
+                 std::to_string(e.node);
+        }
+        return {};
+    }
+    return {};
+  }
+
+ private:
+  std::uint32_t vnf_count_;
+  double last_time_ = 0.0;
+  std::unordered_set<std::uint32_t> live_;
+  std::unordered_set<std::uint32_t> down_;
+};
 
 }  // namespace
 
@@ -43,68 +115,10 @@ std::string_view to_string(StreamEventKind kind) {
 }
 
 void EventTrace::validate() const {
-  double last_time = -std::numeric_limits<double>::infinity();
-  std::unordered_set<std::uint32_t> live;
-  std::unordered_set<std::uint32_t> down;
+  TraceValidator validator(vnf_count);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const StreamEvent& e = events[i];
-    if (!std::isfinite(e.time) || e.time < 0.0) {
-      fail(i, "timestamp must be finite and non-negative");
-    }
-    if (e.time < last_time) {
-      std::ostringstream os;
-      os << "non-monotonic timestamp " << e.time << " after " << last_time;
-      fail(i, os.str());
-    }
-    last_time = e.time;
-    switch (e.kind) {
-      case StreamEventKind::kArrive: {
-        if (live.contains(e.request)) {
-          fail(i, "arrive for already-live request " +
-                      std::to_string(e.request));
-        }
-        if (!finite_positive(e.rate)) fail(i, "arrival rate must be > 0");
-        if (!(e.delivery_prob > 0.0) || e.delivery_prob > 1.0) {
-          fail(i, "delivery_prob must be in (0, 1]");
-        }
-        if (e.chain.empty()) fail(i, "arrive needs a non-empty chain");
-        std::unordered_set<std::uint32_t> seen;
-        for (const std::uint32_t f : e.chain) {
-          if (f >= vnf_count) {
-            fail(i, "chain references VNF " + std::to_string(f) +
-                        " but vnf_count is " + std::to_string(vnf_count));
-          }
-          if (!seen.insert(f).second) {
-            fail(i, "chain repeats VNF " + std::to_string(f) +
-                        " (U_r^f is binary)");
-          }
-        }
-        live.insert(e.request);
-        break;
-      }
-      case StreamEventKind::kDepart:
-        if (!live.erase(e.request)) {
-          fail(i, "depart for unknown request " + std::to_string(e.request));
-        }
-        break;
-      case StreamEventKind::kRateChange:
-        if (!live.contains(e.request)) {
-          fail(i, "rate_change for unknown request " +
-                      std::to_string(e.request));
-        }
-        if (!finite_positive(e.rate)) fail(i, "new rate must be > 0");
-        break;
-      case StreamEventKind::kNodeDown:
-        if (!down.insert(e.node).second) {
-          fail(i, "node_down for already-down node " + std::to_string(e.node));
-        }
-        break;
-      case StreamEventKind::kNodeUp:
-        if (!down.erase(e.node)) {
-          fail(i, "node_up for a node that is not down: " +
-                      std::to_string(e.node));
-        }
-        break;
+    if (const std::string what = validator.check(events[i]); !what.empty()) {
+      throw TraceParseError("trace event " + std::to_string(i) + ": " + what);
     }
   }
 }
@@ -119,22 +133,23 @@ constexpr bool is_json_ws(char c) {
 constexpr double kMaxId =
     static_cast<double>(std::numeric_limits<std::uint32_t>::max());
 
-// In-place single-pass scanner for the trace JSON subset.  Replaces the
-// generic obs::parse_json DOM on the serve front door: no tree, no
-// per-token strings — std::from_chars straight off the input buffer, a
-// reusable scratch only for the (rare) escaped string.  Every error names
-// the 1-based line and, for token-level failures, the offending token;
-// lines are counted only on the cold error path.
-class TraceScanner {
+// In-place scanner for the trace JSON subset: no tree, no per-token
+// strings — std::from_chars straight off the input buffer, a reusable
+// scratch only for the (rare) escaped string.  Lines are counted only on
+// the cold error path.
+class TextTraceReader final : public TraceReader {
  public:
-  explicit TraceScanner(std::string_view text)
-      : begin_(text.data()), p_(begin_), end_(begin_ + text.size()) {}
-
-  EventTrace parse() {
+  /// One pass over the document's structure finds the header fields in
+  /// any key order.  The events array is only skipped here, because the
+  /// node-event kinds are gated on a "schema" that may come after it.
+  explicit TextTraceReader(std::string_view text)
+      : begin_(text.data()), p_(begin_), end_(begin_ + text.size()) {
     skip_ws();
     consume('{', "trace must be a JSON object");
     skip_ws();
-    const char* deferred_events = nullptr;
+    bool saw_schema = false;
+    bool saw_vnf_count = false;
+    const char* events = nullptr;
     if (!try_consume('}')) {
       for (;;) {
         const std::string_view key = parse_string("an object key");
@@ -149,26 +164,16 @@ class TraceScanner {
                       "' (expected '" + std::string(kEventTraceSchema) +
                       "' or '" + std::string(kEventTraceSchemaV2) + "')");
           }
-          saw_schema_ = true;
+          saw_schema = true;
         } else if (key == "vnf_count") {
           const double v = parse_number("vnf_count must be a positive integer");
           if (!(v >= 1.0) || v != std::floor(v) || v > kMaxId) {
             err_plain("vnf_count must be a positive integer");
           }
-          trace_.vnf_count = static_cast<std::uint32_t>(v);
-          saw_vnf_count_ = true;
-        } else if (key == "events") {
-          if (saw_schema_) {
-            parse_events();
-          } else {
-            // The node-event kinds are gated on the schema version, so an
-            // events array that precedes "schema" is skipped now and
-            // re-scanned once the whole object is read.
-            deferred_events = p_;
-            skip_value();
-          }
-          saw_events_ = true;
+          vnf_count_ = static_cast<std::uint32_t>(v);
+          saw_vnf_count = true;
         } else {
+          if (key == "events") events = p_;
           skip_value();
         }
         skip_ws();
@@ -180,23 +185,48 @@ class TraceScanner {
         break;
       }
     }
-    if (!saw_schema_) err_plain("trace is missing its \"schema\" field");
-    if (!saw_vnf_count_) err_plain("vnf_count must be a positive integer");
-    if (!saw_events_) err_plain("trace needs an \"events\" array");
-    if (deferred_events != nullptr) {
-      const char* after_object = p_;
-      p_ = deferred_events;
-      parse_events();
-      p_ = after_object;
-    }
+    if (!saw_schema) err_plain("trace is missing its \"schema\" field");
+    if (!saw_vnf_count) err_plain("vnf_count must be a positive integer");
+    if (events == nullptr) err_plain("trace needs an \"events\" array");
     skip_ws();
     if (p_ != end_) err("trailing content after the trace document");
-    try {
-      trace_.validate();
-    } catch (const TraceParseError& e) {
-      rethrow_with_line(e);
+    validator_ = TraceValidator(vnf_count_);
+    p_ = events;
+    consume('[', "trace needs an \"events\" array");
+    skip_ws();
+    done_ = try_consume(']');
+  }
+
+  [[nodiscard]] std::uint32_t vnf_count() const override {
+    return vnf_count_;
+  }
+  [[nodiscard]] std::uint64_t decoded() const override { return index_; }
+  [[nodiscard]] bool done() const override { return done_; }
+
+  /// Parses and validates the next event; a validation error names the
+  /// line the event starts on.
+  bool next(StreamEvent& out) override {
+    if (done_) return false;
+    const char* start = p_;
+    parse_event(out);
+    if (const std::string what = validator_.check(out); !what.empty()) {
+      err_at(start, "trace event " + std::to_string(index_) + ": " + what);
     }
-    return std::move(trace_);
+    skip_ws();
+    if (try_consume(',')) {
+      skip_ws();
+    } else {
+      consume(']', "expected ',' or ']' in the events array");
+      done_ = true;
+    }
+    ++index_;
+    return true;
+  }
+
+  void skip(std::uint64_t n) override {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (!next(skipped_)) err_plain("skip past the end of the trace");
+    }
   }
 
  private:
@@ -218,37 +248,17 @@ class TraceScanner {
     return "'" + std::string(p_, q) + "'";
   }
 
-  [[noreturn]] void err(const std::string& what) const {
-    throw TraceParseError("trace line " + std::to_string(line_of(p_)) + ": " +
-                          what + " near " + token_at());
+  [[noreturn]] void err_at(const char* pos, const std::string& what) const {
+    throw TraceParseError("trace line " + std::to_string(line_of(pos)) +
+                          ": " + what);
   }
 
   [[noreturn]] void err_plain(const std::string& what) const {
-    throw TraceParseError("trace line " + std::to_string(line_of(p_)) + ": " +
-                          what);
+    err_at(p_, what);
   }
 
-  /// Remaps EventTrace::validate's "trace event N: ..." onto the line the
-  /// loader recorded for event N.
-  [[noreturn]] void rethrow_with_line(const TraceParseError& e) const {
-    const std::string_view msg = e.what();
-    constexpr std::string_view prefix = "trace event ";
-    if (msg.substr(0, prefix.size()) == prefix) {
-      std::size_t i = prefix.size();
-      std::size_t n = 0;
-      bool any = false;
-      while (i < msg.size() && is_json_digit(msg[i])) {
-        n = n * 10 + static_cast<std::size_t>(msg[i] - '0');
-        any = true;
-        ++i;
-      }
-      if (any && n < event_pos_.size()) {
-        throw TraceParseError("trace line " +
-                              std::to_string(line_of(event_pos_[n])) + ": " +
-                              std::string(msg));
-      }
-    }
-    throw e;
+  [[noreturn]] void err(const std::string& what) const {
+    err_plain(what + " near " + token_at());
   }
 
   void skip_ws() {
@@ -383,8 +393,9 @@ class TraceScanner {
 
   /// Skips any JSON value without building anything.  Iterative (a depth
   /// counter, not recursion) so adversarially nested input cannot blow the
-  /// stack; inside a skip, bracket kinds are not cross-checked — the value
-  /// is unknown to the schema and only its extent matters.
+  /// stack; inside a skip, bracket kinds are not cross-checked — only the
+  /// value's extent matters here, and the events array is parsed for real
+  /// when it is read.
   void skip_value() {
     skip_ws();
     if (p_ == end_) err_plain("unexpected end of input in value");
@@ -396,7 +407,7 @@ class TraceScanner {
     if (c == '{' || c == '[') {
       std::size_t depth = 0;
       do {
-        if (p_ == end_) err_plain("unterminated value");
+        if (p_ == end_) err("unterminated value");
         const char ch = *p_;
         if (ch == '"') {
           (void)parse_string("a skipped value");
@@ -419,27 +430,9 @@ class TraceScanner {
     if (p_ == start) err("expected a value");
   }
 
-  void parse_events() {
-    consume('[', "trace needs an \"events\" array");
-    skip_ws();
-    if (try_consume(']')) return;
-    for (;;) {
-      parse_event();
-      skip_ws();
-      if (try_consume(',')) {
-        skip_ws();
-        continue;
-      }
-      consume(']', "expected ',' or ']' in the events array");
-      return;
-    }
-  }
-
-  void parse_event() {
-    const std::size_t i = trace_.events.size();
-    event_pos_.push_back(p_);
+  void parse_event(StreamEvent& out) {
     const auto fail_event = [&](const std::string& what) {
-      err_plain("event " + std::to_string(i) + ": " + what);
+      err_plain("event " + std::to_string(index_) + ": " + what);
     };
     if (!try_consume('{')) fail_event("event must be an object");
     bool saw_t = false;
@@ -453,7 +446,7 @@ class TraceScanner {
     double request = 0.0;
     double node = 0.0;
     StreamEventKind kind = StreamEventKind::kArrive;
-    std::vector<std::uint32_t> chain;
+    out.chain.clear();
     skip_ws();
     if (!try_consume('}')) {
       for (;;) {
@@ -496,7 +489,7 @@ class TraceScanner {
         } else if (key == "chain") {
           consume('[', "arrive needs a \"chain\" array");
           skip_ws();
-          chain.clear();
+          out.chain.clear();
           if (!try_consume(']')) {
             for (;;) {
               const double h =
@@ -504,7 +497,7 @@ class TraceScanner {
               if (h < 0.0 || h != std::floor(h) || h > kMaxId) {
                 fail_event("chain entries must be non-negative integers");
               }
-              chain.push_back(static_cast<std::uint32_t>(h));
+              out.chain.push_back(static_cast<std::uint32_t>(h));
               skip_ws();
               if (try_consume(',')) {
                 skip_ws();
@@ -529,47 +522,62 @@ class TraceScanner {
     }
     if (!saw_t) fail_event("event needs a numeric \"t\"");
     if (!saw_kind) fail_event("unknown kind ''");
-    StreamEvent e;
-    e.time = t;
-    e.kind = kind;
+    out.time = t;
+    out.kind = kind;
+    out.request = 0;
+    out.rate = 0.0;
+    out.delivery_prob = 1.0;
+    out.node = 0;
     if (is_node_event(kind)) {
       if (!saw_node) fail_event("node event needs a numeric \"node\" id");
       if (node < 0.0 || node != std::floor(node) || node > kMaxId) {
         fail_event("node id must be a non-negative integer");
       }
-      e.node = static_cast<std::uint32_t>(node);
+      out.node = static_cast<std::uint32_t>(node);
     } else {
       if (!saw_request) fail_event("event needs a numeric \"request\" id");
       if (request < 0.0 || request != std::floor(request) || request > kMaxId) {
         fail_event("request id must be a non-negative integer");
       }
-      e.request = static_cast<std::uint32_t>(request);
-      if (kind != StreamEventKind::kDepart) e.rate = rate;
+      out.request = static_cast<std::uint32_t>(request);
+      if (kind != StreamEventKind::kDepart) out.rate = rate;
       if (kind == StreamEventKind::kArrive) {
-        e.delivery_prob = prob;
+        out.delivery_prob = prob;
         if (!saw_chain) fail_event("arrive needs a \"chain\" array");
-        e.chain = std::move(chain);
       }
     }
-    trace_.events.push_back(std::move(e));
+    if (kind != StreamEventKind::kArrive) out.chain.clear();
   }
 
   const char* begin_;
   const char* p_;
   const char* end_;
   bool v2_ = false;
-  bool saw_schema_ = false;
-  bool saw_vnf_count_ = false;
-  bool saw_events_ = false;
-  EventTrace trace_;
-  std::vector<const char*> event_pos_;  ///< event start, for error lines
-  std::string scratch_;                 ///< escaped-string decode buffer
+  bool done_ = false;
+  std::uint32_t vnf_count_ = 0;
+  std::uint64_t index_ = 0;  ///< events read or skipped
+  TraceValidator validator_{0};
+  StreamEvent skipped_;  ///< skip()'s parse target, capacity reused
+  std::string scratch_;  ///< escaped-string decode buffer
 };
 
 }  // namespace
 
+std::unique_ptr<TraceReader> open_text_trace(std::string_view text) {
+  return std::make_unique<TextTraceReader>(text);
+}
+
+EventTrace drain_trace(TraceReader& reader) {
+  EventTrace trace;
+  trace.vnf_count = reader.vnf_count();
+  StreamEvent e;
+  while (reader.next(e)) trace.events.push_back(e);
+  return trace;
+}
+
 EventTrace load_event_trace(std::string_view text) {
-  return TraceScanner(text).parse();
+  TextTraceReader reader(text);
+  return drain_trace(reader);
 }
 
 void save_event_trace(const EventTrace& trace, std::ostream& out) {

@@ -1,10 +1,10 @@
-// Binary-ingest differential contract (DESIGN.md §15): serving a trace
-// through the streaming binary path — replay_binary over a
-// BinaryTraceDecoder, in chunks of any size, any kill/resume split — is
-// bit-identical to the per-event text path, and a corrupt record stops it
-// with every record ahead of it applied.  The comparator is the
-// checkpoint serialization, which covers every float verbatim, the whole
-// outcome log, and all aggregate counters.
+// Streaming-ingest differential contract (DESIGN.md §15): serving a trace
+// through ServeEngine::replay over a TraceReader — a BinaryTraceDecoder or
+// the text reader, in chunks of any size, any kill/resume split — is
+// bit-identical to on_event over the loaded events, and a corrupt or
+// invalid event stops it with every event ahead of it applied.  The
+// comparator is the checkpoint serialization, which covers every float
+// verbatim, the whole outcome log, and all aggregate counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -81,20 +81,26 @@ std::string text_path_state(const Fixture& fx, double snapshot_every = 0.0) {
 }
 
 TEST(BtraceServe, AnyBatchSizeMatchesTheTextPath) {
-  // A batch is one replay_binary call of at most `batch` events, as the
-  // CLI issues them between checkpoints.
+  // A batch is one replay call of at most `batch` events, as the CLI
+  // issues them between checkpoints; both readers must land on the state
+  // on_event reaches over the loaded events.
   const Fixture fx = make_fixture(7);
   const std::string want = text_path_state(fx);
+  const std::string text = workload::save_event_trace_string(fx.trace);
   for (const std::uint64_t batch : {1u, 7u, 64u, 256u}) {
     workload::BinaryTraceDecoder decoder(fx.binary);
-    ServeEngine engine = fresh_engine(fx);
-    std::uint64_t applied = 0;
-    while (const std::uint64_t n = engine.replay_binary(decoder, batch)) {
-      applied += n;
+    const auto text_reader = workload::open_text_trace(text);
+    for (workload::TraceReader* reader :
+         {static_cast<workload::TraceReader*>(&decoder), text_reader.get()}) {
+      ServeEngine engine = fresh_engine(fx);
+      std::uint64_t applied = 0;
+      while (const std::uint64_t n = engine.replay(*reader, batch)) {
+        applied += n;
+      }
+      EXPECT_EQ(applied, fx.trace.events.size()) << "batch " << batch;
+      EXPECT_EQ(save_checkpoint_string(engine, applied), want)
+          << "batch " << batch << (reader == &decoder ? " binary" : " text");
     }
-    EXPECT_EQ(applied, fx.trace.events.size()) << "batch " << batch;
-    EXPECT_EQ(save_checkpoint_string(engine, applied), want)
-        << "batch " << batch;
   }
 }
 
@@ -105,7 +111,7 @@ TEST(BtraceServe, TimelineAndLogMatchTheTextPath) {
 
   workload::BinaryTraceDecoder decoder(fx.binary);
   ServeEngine bin_engine = fresh_engine(fx, /*snapshot_every=*/0.5);
-  bin_engine.replay_binary(decoder);
+  bin_engine.replay(decoder);
 
   ASSERT_EQ(bin_engine.log().size(), text_engine.log().size());
   EXPECT_TRUE(bin_engine.snapshot() == text_engine.snapshot());
@@ -121,13 +127,13 @@ TEST(BtraceServe, ReplayBinaryHonorsTheLimit) {
   const Fixture fx = make_fixture(3);
   workload::BinaryTraceDecoder decoder(fx.binary);
   ServeEngine engine = fresh_engine(fx);
-  EXPECT_EQ(engine.replay_binary(decoder, 50), 50u);
+  EXPECT_EQ(engine.replay(decoder, 50), 50u);
   EXPECT_EQ(decoder.decoded(), 50u);
   EXPECT_EQ(engine.log().size(), 50u);
   // Draining the rest completes the trace; a further call applies nothing.
-  EXPECT_EQ(engine.replay_binary(decoder),
+  EXPECT_EQ(engine.replay(decoder),
             fx.trace.events.size() - 50u);
-  EXPECT_EQ(engine.replay_binary(decoder), 0u);
+  EXPECT_EQ(engine.replay(decoder), 0u);
   EXPECT_TRUE(decoder.done());
 }
 
@@ -142,7 +148,7 @@ TEST(BtraceServe, KillAnywhereAndSeekResumesByteIdentical) {
       // decoder's cursor, exactly as `nfvpr serve --checkpoint` does.
       workload::BinaryTraceDecoder decoder(fx.binary);
       ServeEngine engine = fresh_engine(fx);
-      const std::uint64_t applied = engine.replay_binary(decoder, kill);
+      const std::uint64_t applied = engine.replay(decoder, kill);
       ASSERT_EQ(applied, kill);
       const BinaryTraceCursor cursor{decoder.byte_offset(),
                                      decoder.last_time_bits()};
@@ -162,7 +168,7 @@ TEST(BtraceServe, KillAnywhereAndSeekResumesByteIdentical) {
       workload::BinaryTraceDecoder fresh(fx.binary);
       fresh.seek(restored_cursor.byte_offset, start,
                  restored_cursor.time_bits);
-      resumed.replay_binary(fresh);
+      resumed.replay(fresh);
       EXPECT_EQ(save_checkpoint_string(resumed, n), want)
           << "seed " << seed << " kill " << kill;
     }
@@ -190,7 +196,7 @@ TEST(BtraceServe, TextCheckpointResumesAgainstABinaryTrace) {
   EXPECT_EQ(start, kill);
   workload::BinaryTraceDecoder decoder(fx.binary);
   decoder.skip(start);
-  resumed.replay_binary(decoder);
+  resumed.replay(decoder);
   EXPECT_EQ(save_checkpoint_string(resumed, n), want);
 }
 
@@ -198,7 +204,7 @@ TEST(BtraceServe, BinaryCheckpointRoundTripsThroughPeek) {
   const Fixture fx = make_fixture(11);
   workload::BinaryTraceDecoder decoder(fx.binary);
   ServeEngine engine = fresh_engine(fx);
-  engine.replay_binary(decoder, 60);
+  engine.replay(decoder, 60);
   const BinaryTraceCursor cursor{decoder.byte_offset(),
                                  decoder.last_time_bits()};
   const std::string ckpt = save_checkpoint_string(engine, 60, &cursor);
@@ -226,10 +232,12 @@ std::string read_fixture(const std::string& name) {
 }
 
 TEST(BtraceServe, CorruptRecordLeavesEveryEarlierRecordApplied) {
-  // The binary twin of bench/traces/chaos_smoke with record kBad's kind
-  // byte overwritten.  Replay stops there; the engine state, its log and
-  // so the crash dump `nfvpr serve --flight-recorder-out` writes all equal
-  // a clean run over the kBad records before it.
+  // bench/traces/chaos_smoke broken at event kBad, once per format: the
+  // binary twin with that record's kind byte overwritten, and the text
+  // trace with that event turned into a depart of a never-arrived id.
+  // Replay stops there; the engine state, its log and so the crash dump
+  // `nfvpr serve --flight-recorder-out` writes all equal a clean run over
+  // the kBad events before it.
   constexpr std::uint64_t kBad = 435;
   const topo::Topology topology =
       topo::load_topology_string(read_fixture("chaos_smoke.topo"));
@@ -246,21 +254,34 @@ TEST(BtraceServe, CorruptRecordLeavesEveryEarlierRecordApplied) {
   while ((static_cast<unsigned char>(binary[at]) & 0x80) != 0) ++at;
   binary[at + 1] = static_cast<char>(0xff);  // its kind byte: no such kind
 
-  workload::BinaryTraceDecoder decoder(binary);
-  ServeEngine engine(topology, wl.vnfs, ServeConfig{});
-  EXPECT_THROW((void)engine.replay_binary(decoder),
-               workload::TraceParseError);
+  workload::EventTrace broken = trace;
+  broken.events[kBad] = workload::StreamEvent{};
+  broken.events[kBad].time = trace.events[kBad].time;
+  broken.events[kBad].kind = workload::StreamEventKind::kDepart;
+  broken.events[kBad].request = 1000000;  // never arrives
+  const std::string text = workload::save_event_trace_string(broken);
 
   ServeEngine clean(topology, wl.vnfs, ServeConfig{});
   for (std::uint64_t i = 0; i < kBad; ++i) clean.on_event(trace.events[i]);
-  ASSERT_EQ(engine.log().size(), kBad);
-  EXPECT_EQ(save_checkpoint_string(engine, kBad),
-            save_checkpoint_string(clean, kBad));
-  std::ostringstream crash_dump;
   std::ostringstream clean_dump;
-  write_flight_dump(engine, 64, crash_dump);
   write_flight_dump(clean, 64, clean_dump);
-  EXPECT_EQ(crash_dump.str(), clean_dump.str());
+
+  workload::BinaryTraceDecoder decoder(binary);
+  const auto text_reader = workload::open_text_trace(text);
+  for (workload::TraceReader* reader :
+       {static_cast<workload::TraceReader*>(&decoder), text_reader.get()}) {
+    const char* format = reader == &decoder ? "binary" : "text";
+    ServeEngine engine(topology, wl.vnfs, ServeConfig{});
+    EXPECT_THROW((void)engine.replay(*reader), workload::TraceParseError)
+        << format;
+    ASSERT_EQ(engine.log().size(), kBad) << format;
+    EXPECT_EQ(save_checkpoint_string(engine, kBad),
+              save_checkpoint_string(clean, kBad))
+        << format;
+    std::ostringstream crash_dump;
+    write_flight_dump(engine, 64, crash_dump);
+    EXPECT_EQ(crash_dump.str(), clean_dump.str()) << format;
+  }
 }
 
 }  // namespace

@@ -132,13 +132,13 @@ Window measure(std::uint32_t live) {
   ServeEngine engine(make_topo(), make_vnfs(), cfg);
 
   const std::uint64_t warm = 2ull * live + kWarmOscillations;
-  EXPECT_EQ(engine.replay_binary(decoder, warm), warm);
+  EXPECT_EQ(engine.replay(decoder, warm), warm);
   // The outcome log grows geometrically — amortized, and independent of
   // the live population.  Start the window with room for it, so the
   // count below isolates the decision path.
   for (int k = 0; k < 3; ++k) {
     if (engine.log().capacity() - engine.log().size() >= kMeasured) break;
-    EXPECT_EQ(engine.replay_binary(decoder, kMeasured), kMeasured);
+    EXPECT_EQ(engine.replay(decoder, kMeasured), kMeasured);
   }
   EXPECT_GE(engine.log().capacity() - engine.log().size(), kMeasured);
   EXPECT_EQ(engine.summary().live_requests, live);
@@ -146,7 +146,7 @@ Window measure(std::uint32_t live) {
 
   g_news = 0;
   g_counting = true;
-  const std::uint64_t applied = engine.replay_binary(decoder, kMeasured);
+  const std::uint64_t applied = engine.replay(decoder, kMeasured);
   g_counting = false;
   EXPECT_EQ(applied, kMeasured);
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -465,6 +467,85 @@ TEST(EventStreamErrors, UnknownKeysAndBadStructureNameTheToken) {
     const std::string msg = load_error(text.substr(0, pos + 3));
     EXPECT_NE(msg.find("trace line "), std::string::npos) << msg;
   }
+}
+
+std::string read_fixture(const std::string& name) {
+  const std::string path = std::string(NFV_TRACES_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) ADD_FAILURE() << "cannot open " << path;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Pulls every event out of a reader through one reused StreamEvent, the
+/// way ServeEngine::replay does.
+std::vector<StreamEvent> drain_reused(TraceReader& reader) {
+  std::vector<StreamEvent> events;
+  StreamEvent e;
+  while (reader.next(e)) events.push_back(e);
+  EXPECT_TRUE(reader.done());
+  EXPECT_EQ(reader.decoded(), events.size());
+  return events;
+}
+
+TEST(TextTraceReader, DrainsExactlyTheLoadedFixtures) {
+  for (const std::string stem :
+       {"online_smoke", "chaos_smoke", "autoscale_smoke"}) {
+    const std::string text = read_fixture(stem + ".trace.json");
+    const EventTrace loaded = load_event_trace(text);
+    ASSERT_FALSE(loaded.events.empty()) << stem;
+
+    const auto reader = open_text_trace(text);
+    EXPECT_EQ(reader->vnf_count(), loaded.vnf_count) << stem;
+    EXPECT_EQ(drain_reused(*reader), loaded.events) << stem;
+
+    // The same document with the events array ahead of "schema" and
+    // "vnf_count" (the node kinds of a /2 trace depend on the schema).
+    const auto events_at = text.find("\"events\"");
+    ASSERT_NE(events_at, std::string::npos) << stem;
+    const auto header_at = text.find("\"schema\"");
+    const auto close_at = text.rfind('}');
+    std::string header = text.substr(header_at, events_at - header_at);
+    header.erase(header.find_last_of(','));  // the separator before "events"
+    const std::string reordered =
+        "{" + text.substr(events_at, close_at - events_at) + ", " + header +
+        "}";
+    const auto moved = open_text_trace(reordered);
+    EXPECT_EQ(moved->vnf_count(), loaded.vnf_count) << stem;
+    EXPECT_EQ(drain_reused(*moved), loaded.events) << stem;
+
+    // skip(k) lands where k reads would.
+    const std::size_t k = loaded.events.size() / 3;
+    const auto skipped = open_text_trace(text);
+    skipped->skip(k);
+    EXPECT_EQ(skipped->decoded(), k);
+    StreamEvent e;
+    ASSERT_TRUE(skipped->next(e));
+    EXPECT_EQ(e, loaded.events[k]) << stem;
+    EXPECT_THROW(skipped->skip(loaded.events.size()), TraceParseError);
+    EXPECT_TRUE(skipped->done());
+  }
+}
+
+TEST(TextTraceReader, SkipValidatesTheSkippedPrefix) {
+  // A depart of a never-arrived id at event 3: skipping past it fails as
+  // reading it would, with the same line-anchored message.
+  EventTrace t = small_trace();
+  t.events[3].request = 9;
+  const std::string text = save_event_trace_string(t);
+  const auto reader = open_text_trace(text);
+  std::string msg;
+  try {
+    reader->skip(4);
+  } catch (const TraceParseError& e) {
+    msg = e.what();
+  }
+  EXPECT_NE(msg.find("trace event 3: depart for unknown request 9"),
+            std::string::npos)
+      << msg;
+  EXPECT_EQ(msg, load_error(text));
+  EXPECT_EQ(reader->decoded(), 3u);
+  EXPECT_FALSE(reader->done());
 }
 
 }  // namespace

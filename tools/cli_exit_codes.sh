@@ -365,6 +365,30 @@ sed 's/"cursor": [0-9]*/"cursor": 999999/' "$WORK/mid.ckpt.json" \
 expect_exit 2 "--resume past the end of the trace exits 2" \
   "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
   -T "$WORK/churn.trace.json" --resume "$WORK/past.ckpt.json"
+expect_contains "$WORK/err.txt" 'is past the end of the trace' \
+  "--resume past the end names the trace length"
+
+# A text trace streams through the reader, which checks each event as it
+# reads it: a bad event near the end stops the run there with exit 2, and
+# the crash dump records exactly the events before it.
+bad=$(python3 - "$WORK" <<'EOF'
+import json, sys
+work = sys.argv[1]
+trace = json.load(open(work + '/churn.trace.json'))
+bad = len(trace['events']) - 3
+trace['events'][bad] = {'t': trace['events'][bad]['t'], 'kind': 'depart',
+                        'request': 999999}
+json.dump(trace, open(work + '/late_bad.trace.json', 'w'))
+print(bad)
+EOF
+)
+expect_exit 2 "a text trace with a bad event near its end exits 2" \
+  "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
+  -T "$WORK/late_bad.trace.json" --flight-recorder-out "$WORK/late.flight.json"
+expect_contains "$WORK/err.txt" "trace event $bad: depart for unknown request" \
+  "the diagnostic names the bad event"
+expect_contains "$WORK/late.flight.json" "\"recorded\": $bad," \
+  "the crash dump records every event before the bad one"
 
 # --- serve: elastic autoscaling (DESIGN.md §16) ---------------------------
 expect_exit 2 "--autoscale bogus exits 2" \

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -114,11 +115,22 @@ nfv::workload::Workload read_workload(const std::string& path) {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  // A regular file is read into a string of its size: an ostringstream
+  // would briefly hold a large trace twice (its buffer and str()'s copy),
+  // which sets the peak RSS of a text-trace serve run.
+  std::error_code not_regular;
+  const std::uintmax_t size = std::filesystem::file_size(path, not_regular);
+  if (not_regular) {
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  }
+  std::string bytes(size, '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(size));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  return bytes;
 }
 
 /// read_file, with "-" meaning stdin.
@@ -1050,24 +1062,23 @@ int cmd_serve(int argc, const char* const* argv) {
 
   try {
     const auto [topology, workload] = files.load();
-    // The trace format is auto-detected by magic: binary nfvpr.btrace/1
-    // streams through the zero-allocation decoder in micro-batches; text
-    // traces materialize fully (the loader pre-validates the whole file).
+    // The trace streams one event at a time through a reader picked by
+    // magic bytes (binary nfvpr.btrace/1, else text nfvpr.trace/1|2); no
+    // EventTrace is built.  A text trace's invariants are checked as each
+    // event is read, so one broken late stops the run there, with every
+    // event before it applied, as a corrupt binary record does.
     const std::string trace_bytes = read_file(trace_file);
-    const bool binary_trace = nfv::workload::is_binary_trace(trace_bytes);
-    std::optional<nfv::workload::EventTrace> trace;
-    std::optional<nfv::workload::BinaryTraceDecoder> decoder;
-    std::uint64_t total_events = 0;
-    std::uint32_t trace_vnfs = 0;
-    if (binary_trace) {
-      decoder.emplace(trace_bytes);
-      total_events = decoder->event_count();
-      trace_vnfs = decoder->vnf_count();
+    std::unique_ptr<nfv::workload::TraceReader> reader;
+    nfv::workload::BinaryTraceDecoder* binary = nullptr;  // cursor access
+    if (nfv::workload::is_binary_trace(trace_bytes)) {
+      auto decoder =
+          std::make_unique<nfv::workload::BinaryTraceDecoder>(trace_bytes);
+      binary = decoder.get();
+      reader = std::move(decoder);
     } else {
-      trace.emplace(nfv::workload::load_event_trace(trace_bytes));
-      total_events = trace->events.size();
-      trace_vnfs = trace->vnf_count;
+      reader = nfv::workload::open_text_trace(trace_bytes);
     }
+    const std::uint32_t trace_vnfs = reader->vnf_count();
     if (trace_vnfs > workload.vnfs.size()) {
       std::fprintf(stderr,
                    "nfvpr serve: trace references %u VNFs but the workload "
@@ -1085,22 +1096,24 @@ int cmd_serve(int argc, const char* const* argv) {
       engine.emplace(nfv::serve::restore_checkpoint(
           read_file(resume_file), topology, workload.vnfs, &start, &bcursor,
           &has_bcursor));
-      if (start > total_events) {
-        std::fprintf(stderr,
-                     "nfvpr serve: checkpoint cursor %llu is past the end of "
-                     "the trace (%llu events)\n",
-                     static_cast<unsigned long long>(start),
-                     static_cast<unsigned long long>(total_events));
-        return 2;
-      }
-      if (binary_trace) {
-        if (has_bcursor) {
-          // O(1) resume: land the decoder exactly where the checkpointed
-          // run left it (offset + XOR delta base).
-          decoder->seek(bcursor.byte_offset, start, bcursor.time_bits);
-        } else {
-          // Checkpoint from a text-trace run: hop record to record.
-          decoder->skip(start);
+      if (binary != nullptr && has_bcursor &&
+          start <= binary->event_count()) {
+        // O(1) resume: land the decoder exactly where the checkpointed
+        // run left it (offset + XOR delta base).
+        binary->seek(bcursor.byte_offset, start, bcursor.time_bits);
+      } else {
+        // Hop event to event (the text reader validates what it skips)
+        // until the cursor, or until a cursor past the end runs it dry.
+        try {
+          reader->skip(start);
+        } catch (const nfv::workload::TraceParseError&) {
+          if (!reader->done()) throw;
+          std::fprintf(stderr,
+                       "nfvpr serve: checkpoint cursor %llu is past the end "
+                       "of the trace (%llu events)\n",
+                       static_cast<unsigned long long>(start),
+                       static_cast<unsigned long long>(reader->decoded()));
+          return 2;
         }
       }
     } else {
@@ -1131,17 +1144,15 @@ int cmd_serve(int argc, const char* const* argv) {
           *engine, static_cast<std::size_t>(flight_cap), os);
     };
 
-    const auto maybe_checkpoint = [&](std::uint64_t applied, bool final) {
+    const auto checkpoint = [&](std::uint64_t applied) {
       if (checkpoint_out.empty()) return;
-      const auto every = static_cast<std::uint64_t>(checkpoint_every);
-      if (!final && (every == 0 || applied % every != 0)) return;
       std::ofstream os(checkpoint_out);
       if (!os) throw std::runtime_error("cannot open " + checkpoint_out);
-      if (binary_trace) {
+      if (binary != nullptr) {
         // Binary runs record the decoder position so --resume can seek
         // instead of re-hopping every earlier record.
-        const nfv::serve::BinaryTraceCursor bcur{decoder->byte_offset(),
-                                                 decoder->last_time_bits()};
+        const nfv::serve::BinaryTraceCursor bcur{binary->byte_offset(),
+                                                 binary->last_time_bits()};
         nfv::serve::save_checkpoint(*engine, applied, os, &bcur);
       } else {
         nfv::serve::save_checkpoint(*engine, applied, os);
@@ -1151,30 +1162,21 @@ int cmd_serve(int argc, const char* const* argv) {
       dump_flight();
     };
     try {
-      if (binary_trace) {
-        // Stream events; each chunk ends at the next checkpoint boundary
-        // so checkpoints land at the same event counts (and thus the same
-        // states) as the per-event text loop.
-        const auto every = static_cast<std::uint64_t>(checkpoint_every);
-        std::uint64_t applied = start;
-        while (applied < total_events) {
-          std::uint64_t limit = total_events - applied;
-          if (!checkpoint_out.empty() && every > 0) {
-            const std::uint64_t boundary = ((applied / every) + 1) * every;
-            limit = std::min(limit, boundary - applied);
-          }
-          const std::uint64_t n = engine->replay_binary(*decoder, limit);
-          if (n == 0) break;  // decoder ran dry (count_ was trusted above)
-          applied += n;
-          maybe_checkpoint(applied, applied == total_events);
-        }
-        if (total_events == 0) maybe_checkpoint(0, true);
-      } else {
-        for (std::uint64_t i = start; i < total_events; ++i) {
-          engine->on_event(trace->events[i]);
-          maybe_checkpoint(i + 1, i + 1 == total_events);
-        }
-        if (total_events == 0) maybe_checkpoint(0, true);
+      // Each chunk ends at the next multiple of --checkpoint-every, so
+      // checkpoints land at the same event counts, and thus the same
+      // states, for either format and any resume point.  One more goes
+      // out when the reader runs dry, unless this run applied nothing
+      // since its last checkpoint or its resume point.
+      const auto every = static_cast<std::uint64_t>(checkpoint_every);
+      std::uint64_t applied = start;
+      for (;;) {
+        const std::uint64_t limit =
+            every > 0 ? (applied / every + 1) * every - applied
+                      : ~std::uint64_t{0};
+        const std::uint64_t n = engine->replay(*reader, limit);
+        applied += n;
+        if (n > 0 || applied == 0) checkpoint(applied);
+        if (n < limit) break;
       }
     } catch (...) {
       // Crash dump: the last K decisions are exactly what a post-mortem
