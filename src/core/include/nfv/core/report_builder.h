@@ -1,9 +1,21 @@
-// Bridges the solver types to the obs run-report schema: converts a
-// JointResult (and optionally a SimResult, a solver race and the live
-// metrics registry) into an obs::RunReport ready for obs::write_run_report,
-// and passes the serve section's writer through as the serve library
-// supplied it.  Lives in core — obs stays a leaf library that knows nothing
-// about placement/scheduling/sim/serve types.
+// Writes the run-report sections whose data the solver types own and
+// assembles the obs::RunReport envelope around them.  Lives in core — obs
+// stays a leaf library that knows nothing about placement/scheduling/sim/
+// serve types.  The sections, in report order:
+//
+//   "placement":  {feasible, algorithm, iterations, nodes_in_service,
+//                  node_count, avg_utilization, occupation}
+//   "scheduling": {algorithm, vnfs: [{vnf, instances, service_rate,
+//                  delivery_prob, admitted, rejected, work,
+//                  instance_load: [Λ_k...], instance_response: [W_k...]}]}
+//   "requests":   {total, admitted, rejection_rate, avg_total_latency,
+//                  avg_response}
+//   "des":        {events, measured_window, generated, delivered,
+//                  retransmissions, avg_utilization, mean_latency}
+//   "serve":      the serve library's writer, passed through unopened
+//   "solver":     {solver, winner, budget,
+//                  backends: [{id, feasible, rejected, objective, work}]}
+//   "metrics":    obs::metrics_section of the registry
 #pragma once
 
 #include <cstdint>
@@ -36,7 +48,9 @@ struct ReportInputs {
   const obs::MetricsRegistry* metrics = nullptr;  ///< registry snapshot
 };
 
-/// Builds the report; sections with null inputs are marked absent.
+/// The report of one run: a section per non-null input (scheduling and
+/// requests only when `result` carries them).  The writers read the
+/// pointed-to inputs when the report is written, so those must outlive it.
 [[nodiscard]] obs::RunReport build_run_report(const ReportInputs& inputs);
 
 }  // namespace nfv::core

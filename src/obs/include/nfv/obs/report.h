@@ -1,40 +1,25 @@
-// Machine-readable run reports: a stable JSON schema describing one whole
-// pipeline run (placement summary, per-instance loads and response times,
-// DES counters, serving counters, solver-race summary,
-// metrics-registry snapshot).
+// Machine-readable run reports: a stable JSON document describing one
+// whole run of an nfvpr command.
 //
-// The obs library owns the schema, serialization, loading, pretty-printing
-// and diffing; it knows nothing about the solver or serving types.  The
-// core library provides the builder that converts a JointResult /
-// SimResult into a RunReport (nfv/core/report_builder.h); the serve
-// library writes its own section from its records' field lists
-// (serve::report_section), so obs never sees the serve schema.
-//
-// Schema ("nfvpr.run_report/1"):
+// A report is an envelope plus an ordered list of named sections, each
+// written straight to the JsonWriter by the library that owns its data:
 //
 //   {
 //     "schema": "nfvpr.run_report/1",
 //     "command": "pipeline", "seed": 1,
-//     "placement":  {feasible, algorithm, iterations, nodes_in_service,
-//                    node_count, avg_utilization, occupation},
-//     "scheduling": {algorithm, vnfs: [{vnf, instances, service_rate,
-//                    delivery_prob, admitted, rejected, work,
-//                    instance_load: [Λ_k...], instance_response: [W_k...]}]},
-//     "requests":   {total, admitted, rejection_rate, avg_total_latency,
-//                    avg_response},
-//     "des":        {events, measured_window, generated, delivered,
-//                    retransmissions, avg_utilization, mean_latency},
-//     "serve":      {events, arrivals, admitted, ..., churn: {...},
-//                    autoscale: {...}?, availability, ..., work,
-//                    timeline: {...}?, events_log: [...]?}  (written by
-//                    the serve library; DESIGN.md §9),
-//     "solver":     {solver, winner, budget,
-//                    backends: [{id, feasible, rejected, objective, work}]},
-//     "metrics":    {counters: {...}, gauges: {...}, histograms: {...}}
+//     "placement": {...}, "scheduling": {...}, "requests": {...},
+//     "des": {...}          (core: nfv/core/report_builder.h)
+//     "serve": {...}        (serve: serve::report_section)
+//     "solver": {...}       (core)
+//     "metrics": {counters: {...}, gauges: {...}, histograms: {...}}
 //   }
 //
-// Absent sections are omitted, never emitted empty, so diffs across
-// commands stay meaningful.
+// obs writes only the envelope and the "metrics" snapshot of the registry
+// it owns; the other schemas are documented next to their writers.
+// Loading, rendering and diffing are schema-free walks over the parsed
+// JSON, so they serve bench tables ("nfvpr.bench/1") too.  Absent
+// sections are omitted, never emitted empty, so diffs across commands
+// stay meaningful.
 #pragma once
 
 #include <cstdint>
@@ -51,94 +36,26 @@ namespace nfv::obs {
 
 inline constexpr std::string_view kRunReportSchema = "nfvpr.run_report/1";
 
-struct PlacementSection {
-  bool present = false;
-  bool feasible = false;
-  std::string algorithm;
-  std::uint64_t iterations = 0;
-  std::uint64_t nodes_in_service = 0;
-  std::uint64_t node_count = 0;
-  double avg_utilization = 0.0;
-  double occupation = 0.0;
-};
-
-struct VnfScheduleEntry {
-  std::string vnf;                       ///< catalog name, e.g. "FW-3"
-  std::uint32_t instances = 0;           ///< M_f
-  double service_rate = 0.0;             ///< μ_f
-  double delivery_prob = 0.0;            ///< P
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t work = 0;                ///< algorithm work units
-  std::vector<double> instance_load;     ///< Λ_k per instance (Eq. 7)
-  std::vector<double> instance_response; ///< W(f,k) per instance (Eq. 12)
-};
-
-struct SchedulingSection {
-  bool present = false;
-  std::string algorithm;
-  std::vector<VnfScheduleEntry> vnfs;
-};
-
-struct RequestSection {
-  bool present = false;
-  std::uint64_t total = 0;
-  std::uint64_t admitted = 0;
-  double rejection_rate = 0.0;
-  double avg_total_latency = 0.0;  ///< Eq. 16 per admitted request
-  double avg_response = 0.0;       ///< mean instance W (Eq. 15)
-};
-
-struct DesSection {
-  bool present = false;
-  std::uint64_t events = 0;
-  double measured_window = 0.0;
-  std::uint64_t generated = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t retransmissions = 0;
-  double avg_utilization = 0.0;  ///< mean station utilization
-  double mean_latency = 0.0;     ///< delivered-weighted end-to-end mean
-};
-
-struct MetricsSection {
-  bool present = false;
-  MetricsRegistry::Snapshot snapshot;
-};
-
-/// Writes the members of one section whose schema a library above obs
-/// owns (the serve library's "serve" section); write_run_report opens and
-/// closes the object around it.
+/// Writes the members of one section; write_run_report opens and closes
+/// the object around it.
 using SectionWriter = std::function<void(JsonWriter&)>;
 
-/// One backend's line in a solver portfolio race (DESIGN.md §17).
-struct SolverBackendEntry {
-  std::string id;  ///< "bfdsu" | "lp" | "pso"
-  bool feasible = false;
-  std::uint64_t rejected = 0;
-  double objective = 0.0;  ///< Eq. 16 latency (node count for place races)
-  std::uint64_t work = 0;  ///< placement iterations spent
-};
-
-/// Outcome of a --solver portfolio race (DESIGN.md §17).
-struct SolverSection {
-  bool present = false;
-  std::string solver;  ///< requested id ("portfolio" or a single backend)
-  std::string winner;  ///< backend the reported result came from
-  std::uint64_t budget_work = 0;  ///< work units per backend; 0 = defaults
-  std::vector<SolverBackendEntry> backends;  ///< in backend-id order
+/// One named section of a run report, written by the library that owns its
+/// data.
+struct ReportSection {
+  std::string name;
+  SectionWriter write;
 };
 
 struct RunReport {
   std::string command;
   std::uint64_t seed = 0;
-  PlacementSection placement;
-  SchedulingSection scheduling;
-  RequestSection requests;
-  DesSection des;
-  SectionWriter serve;  ///< written when set
-  SolverSection solver;
-  MetricsSection metrics;
+  std::vector<ReportSection> sections;  ///< written in this order
 };
+
+/// The "metrics" section: the snapshot `registry` holds when the report is
+/// written, so the registry must outlive the writer.
+[[nodiscard]] ReportSection metrics_section(const MetricsRegistry& registry);
 
 /// Serializes a report under kRunReportSchema.
 void write_run_report(const RunReport& report, std::ostream& os);
@@ -147,7 +64,12 @@ void write_run_report(const RunReport& report, std::ostream& os);
 /// JSON or a missing/unknown "schema" field.
 [[nodiscard]] JsonValue load_run_report(std::string_view text);
 
-/// Human-readable summary of a loaded report.
+/// Human-readable rendering of any loaded report, run report or bench
+/// table: scalar members print as aligned `key : value` lines, nested
+/// objects as indented headings (a blank line before each top-level one),
+/// arrays of scalars inline, and an array of objects one `- k=v ...` line
+/// per element.  Within an object the scalar lines come first; each group
+/// is in key order.
 [[nodiscard]] std::string pretty_print_report(const JsonValue& report);
 
 // ---------------------------------------------------------------------------
@@ -156,7 +78,7 @@ void write_run_report(const RunReport& report, std::ostream& os);
 
 /// One numeric leaf that differs between two reports.
 struct DiffEntry {
-  std::string path;  ///< dotted path, e.g. "requests.avg_total_latency"
+  std::string path;  ///< dotted path, e.g. "rows[0].wall_us"
   double before = 0.0;
   double after = 0.0;
   double delta = 0.0;

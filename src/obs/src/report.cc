@@ -13,48 +13,34 @@
 
 namespace nfv::obs {
 
-namespace {
-
-void write_metrics_snapshot(JsonWriter& w,
-                            const MetricsRegistry::Snapshot& snap) {
-  w.begin_object();
-  w.key("counters");
-  w.begin_object();
-  for (const auto& c : snap.counters) w.kv(c.name, c.value);
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
-  for (const auto& g : snap.gauges) w.kv(g.name, g.value);
-  w.end_object();
-  w.key("histograms");
-  w.begin_object();
-  for (const auto& h : snap.histograms) {
-    w.key(h.name);
-    w.begin_object();
-    w.kv("count", h.count);
-    w.kv("mean", h.mean);
-    w.kv("min", h.min);
-    w.kv("max", h.max);
-    w.kv("p50", h.p50);
-    w.kv("p90", h.p90);
-    w.kv("p99", h.p99);
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
+ReportSection metrics_section(const MetricsRegistry& registry) {
+  return {"metrics", [&registry](JsonWriter& w) {
+            const MetricsRegistry::Snapshot snap = registry.snapshot();
+            w.key("counters");
+            w.begin_object();
+            for (const auto& c : snap.counters) w.kv(c.name, c.value);
+            w.end_object();
+            w.key("gauges");
+            w.begin_object();
+            for (const auto& g : snap.gauges) w.kv(g.name, g.value);
+            w.end_object();
+            w.key("histograms");
+            w.begin_object();
+            for (const auto& h : snap.histograms) {
+              w.key(h.name);
+              w.begin_object();
+              w.kv("count", h.count);
+              w.kv("mean", h.mean);
+              w.kv("min", h.min);
+              w.kv("max", h.max);
+              w.kv("p50", h.p50);
+              w.kv("p90", h.p90);
+              w.kv("p99", h.p99);
+              w.end_object();
+            }
+            w.end_object();
+          }};
 }
-
-std::string format_number(double v) {
-  char buf[32];
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-  }
-  return buf;
-}
-
-}  // namespace
 
 void write_run_report(const RunReport& report, std::ostream& os) {
   JsonWriter w(os);
@@ -62,111 +48,12 @@ void write_run_report(const RunReport& report, std::ostream& os) {
   w.kv("schema", kRunReportSchema);
   w.kv("command", report.command);
   w.kv("seed", report.seed);
-
-  if (report.placement.present) {
-    const PlacementSection& p = report.placement;
-    w.key("placement");
+  for (const ReportSection& section : report.sections) {
+    w.key(section.name);
     w.begin_object();
-    w.kv("feasible", p.feasible);
-    w.kv("algorithm", p.algorithm);
-    w.kv("iterations", p.iterations);
-    w.kv("nodes_in_service", p.nodes_in_service);
-    w.kv("node_count", p.node_count);
-    w.kv("avg_utilization", p.avg_utilization);
-    w.kv("occupation", p.occupation);
+    section.write(w);
     w.end_object();
   }
-
-  if (report.scheduling.present) {
-    const SchedulingSection& s = report.scheduling;
-    w.key("scheduling");
-    w.begin_object();
-    w.kv("algorithm", s.algorithm);
-    w.key("vnfs");
-    w.begin_array();
-    for (const VnfScheduleEntry& v : s.vnfs) {
-      w.begin_object();
-      w.kv("vnf", v.vnf);
-      w.kv("instances", std::uint64_t{v.instances});
-      w.kv("service_rate", v.service_rate);
-      w.kv("delivery_prob", v.delivery_prob);
-      w.kv("admitted", v.admitted);
-      w.kv("rejected", v.rejected);
-      w.kv("work", v.work);
-      w.key("instance_load");
-      w.begin_array();
-      for (const double x : v.instance_load) w.value(x);
-      w.end_array();
-      w.key("instance_response");
-      w.begin_array();
-      for (const double x : v.instance_response) w.value(x);
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-
-  if (report.requests.present) {
-    const RequestSection& r = report.requests;
-    w.key("requests");
-    w.begin_object();
-    w.kv("total", r.total);
-    w.kv("admitted", r.admitted);
-    w.kv("rejection_rate", r.rejection_rate);
-    w.kv("avg_total_latency", r.avg_total_latency);
-    w.kv("avg_response", r.avg_response);
-    w.end_object();
-  }
-
-  if (report.des.present) {
-    const DesSection& d = report.des;
-    w.key("des");
-    w.begin_object();
-    w.kv("events", d.events);
-    w.kv("measured_window", d.measured_window);
-    w.kv("generated", d.generated);
-    w.kv("delivered", d.delivered);
-    w.kv("retransmissions", d.retransmissions);
-    w.kv("avg_utilization", d.avg_utilization);
-    w.kv("mean_latency", d.mean_latency);
-    w.end_object();
-  }
-
-  if (report.serve) {
-    w.key("serve");
-    w.begin_object();
-    report.serve(w);
-    w.end_object();
-  }
-
-  if (report.solver.present) {
-    const SolverSection& s = report.solver;
-    w.key("solver");
-    w.begin_object();
-    w.kv("solver", s.solver);
-    w.kv("winner", s.winner);
-    w.kv("budget", s.budget_work);
-    w.key("backends");
-    w.begin_array();
-    for (const SolverBackendEntry& b : s.backends) {
-      w.begin_object();
-      w.kv("id", b.id);
-      w.kv("feasible", b.feasible);
-      w.kv("rejected", b.rejected);
-      w.kv("objective", b.objective);
-      w.kv("work", b.work);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-
-  if (report.metrics.present) {
-    w.key("metrics");
-    write_metrics_snapshot(w, report.metrics.snapshot);
-  }
-
   w.end_object();
   os << '\n';
 }
@@ -191,210 +78,92 @@ JsonValue load_run_report(std::string_view text) {
   return std::move(*doc);
 }
 
+namespace {
+
+std::string format_number(double v) {
+  char buf[32];
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.6g", v);
+  }
+  return buf;
+}
+
+std::string scalar_text(const JsonValue& v) {
+  if (v.is_number()) return format_number(v.as_number());
+  if (v.is_bool()) return v.as_bool() ? "true" : "false";
+  if (v.is_string()) return v.as_string();
+  return "null";
+}
+
+/// Objects, and arrays holding an object, print as blocks under a heading;
+/// everything else fits on its key's line.
+bool is_block(const JsonValue& v) {
+  if (v.is_object()) return true;
+  if (!v.is_array()) return false;
+  const JsonValue::Array& items = v.as_array();
+  return std::any_of(items.begin(), items.end(),
+                     [](const JsonValue& item) { return item.is_object(); });
+}
+
+std::string inline_text(const JsonValue& v);
+
+/// An object's members on one line: `k=v k=v ...`.
+std::string members_text(const JsonValue::Object& members) {
+  std::string out;
+  for (const auto& [key, child] : members) {
+    if (!out.empty()) out += ' ';
+    out += key + "=" + inline_text(child);
+  }
+  return out;
+}
+
+std::string inline_text(const JsonValue& v) {
+  if (v.is_object()) return "{" + members_text(v.as_object()) + "}";
+  if (!v.is_array()) return scalar_text(v);
+  std::string out;
+  for (const JsonValue& item : v.as_array()) {
+    out += (out.empty() ? "[" : ", ") + inline_text(item);
+  }
+  return out.empty() ? "[]" : out + "]";
+}
+
+/// Scalar members first, aligned, then one heading per block member.  The
+/// parser caps nesting at 128, which bounds the recursion.
+void render_object(const JsonValue::Object& members, std::size_t depth,
+                   std::ostream& os) {
+  const std::string pad(2 * depth, ' ');
+  std::size_t width = 0;
+  for (const auto& [key, child] : members) {
+    if (!is_block(child)) width = std::max(width, key.size());
+  }
+  for (const auto& [key, child] : members) {
+    if (is_block(child)) continue;
+    os << pad << key << std::string(width - key.size(), ' ') << " : "
+       << inline_text(child) << '\n';
+  }
+  for (const auto& [key, child] : members) {
+    if (!is_block(child)) continue;
+    os << (depth == 0 ? "\n" : "") << pad << key << '\n';
+    if (child.is_object()) {
+      render_object(child.as_object(), depth + 1, os);
+      continue;
+    }
+    for (const JsonValue& item : child.as_array()) {
+      os << pad << "  - "
+         << (item.is_object() ? members_text(item.as_object())
+                              : inline_text(item))
+         << '\n';
+    }
+  }
+}
+
+}  // namespace
+
 std::string pretty_print_report(const JsonValue& report) {
   std::ostringstream os;
-  os << "run report — command '" << report.string_or("command", "?")
-     << "', seed " << format_number(report.number_or("seed")) << "\n";
-
-  if (const JsonValue* p = report.find("placement")) {
-    os << "\nplacement (" << p->string_or("algorithm", "?") << ")\n";
-    const JsonValue* feasible = p->find("feasible");
-    os << "  feasible          : "
-       << ((feasible != nullptr && feasible->is_bool() && feasible->as_bool())
-               ? "yes"
-               : "no")
-       << "\n";
-    os << "  nodes in service  : " << format_number(p->number_or("nodes_in_service"))
-       << " / " << format_number(p->number_or("node_count")) << "\n";
-    os << "  avg utilization   : "
-       << format_number(100.0 * p->number_or("avg_utilization")) << "%\n";
-    os << "  occupation        : " << format_number(p->number_or("occupation"))
-       << "\n";
-    os << "  iterations        : " << format_number(p->number_or("iterations"))
-       << "\n";
-  }
-
-  if (const JsonValue* s = report.find("scheduling")) {
-    const JsonValue* vnfs = s->find("vnfs");
-    const std::size_t n =
-        (vnfs != nullptr && vnfs->is_array()) ? vnfs->as_array().size() : 0;
-    os << "\nscheduling (" << s->string_or("algorithm", "?") << "), " << n
-       << " VNFs\n";
-    if (vnfs != nullptr && vnfs->is_array()) {
-      for (const JsonValue& v : vnfs->as_array()) {
-        os << "  " << v.string_or("vnf", "?") << ": "
-           << format_number(v.number_or("instances")) << " instances, "
-           << format_number(v.number_or("admitted")) << " admitted, "
-           << format_number(v.number_or("rejected")) << " rejected\n";
-      }
-    }
-  }
-
-  if (const JsonValue* r = report.find("requests")) {
-    os << "\nrequests\n";
-    os << "  admitted          : " << format_number(r->number_or("admitted"))
-       << " / " << format_number(r->number_or("total")) << "\n";
-    os << "  rejection rate    : "
-       << format_number(100.0 * r->number_or("rejection_rate")) << "%\n";
-    os << "  avg total latency : "
-       << format_number(r->number_or("avg_total_latency")) << " s (Eq. 16)\n";
-    os << "  avg response      : "
-       << format_number(r->number_or("avg_response")) << " s\n";
-  }
-
-  if (const JsonValue* d = report.find("des")) {
-    os << "\ndiscrete-event simulation\n";
-    os << "  events processed  : " << format_number(d->number_or("events"))
-       << "\n";
-    os << "  delivered         : " << format_number(d->number_or("delivered"))
-       << " / " << format_number(d->number_or("generated")) << " generated\n";
-    os << "  mean latency      : "
-       << format_number(d->number_or("mean_latency")) << " s\n";
-    os << "  retransmissions   : "
-       << format_number(d->number_or("retransmissions")) << "\n";
-  }
-
-  if (const JsonValue* s = report.find("serve")) {
-    // Churn counters nest under serve.churn since the telemetry PR; fall
-    // back to the flat fields so pre-telemetry reports still print.
-    const JsonValue* churn = s->find("churn");
-    const auto churn_num = [&](std::string_view name) {
-      if (churn != nullptr && churn->is_object() &&
-          churn->find(name) != nullptr) {
-        return churn->number_or(name);
-      }
-      return s->number_or(name);
-    };
-    os << "\nserving (" << format_number(s->number_or("events"))
-       << " events)\n";
-    os << "  admitted          : "
-       << format_number(s->number_or("admitted")) << " (+"
-       << format_number(s->number_or("admitted_from_queue"))
-       << " from queue) / " << format_number(s->number_or("arrivals"))
-       << " arrivals\n";
-    os << "  rejected / shed   : " << format_number(s->number_or("rejected"))
-       << " / " << format_number(s->number_or("shed")) << " (+"
-       << format_number(churn_num("shed_fault")) << " fault, "
-       << format_number(churn_num("shed_overload")) << " overload)\n";
-    os << "  availability      : "
-       << format_number(s->number_or("availability", 1.0)) << " over "
-       << format_number(churn_num("node_downs")) << " node failures ("
-       << format_number(churn_num("instances_closed"))
-       << " instances closed)\n";
-    os << "  evacuations       : "
-       << format_number(churn_num("evacuated_requests")) << " requests ("
-       << format_number(churn_num("evacuation_migrations"))
-       << " hop moves), " << format_number(churn_num("parked"))
-       << " parked, " << format_number(churn_num("retry_admitted"))
-       << " retry-admitted\n";
-    os << "  degradations      : "
-       << format_number(churn_num("degradations")) << " ("
-       << format_number(churn_num("degraded_events"))
-       << " events degraded)\n";
-    if (churn != nullptr && churn->is_object()) {
-      os << "  churn\n";
-      std::size_t width = 0;
-      for (const auto& [name, value] : churn->as_object()) {
-        if (value.is_number()) width = std::max(width, name.size());
-      }
-      for (const auto& [name, value] : churn->as_object()) {
-        if (!value.is_number()) continue;
-        os << "    " << name << std::string(width - name.size(), ' ')
-           << " : " << format_number(value.as_number()) << "\n";
-      }
-    }
-    if (const JsonValue* a = s->find("autoscale");
-        a != nullptr && a->is_object()) {
-      os << "  autoscale (" << a->string_or("policy", "?") << ")\n";
-      std::size_t width = 0;
-      for (const auto& [name, value] : a->as_object()) {
-        if (value.is_number()) width = std::max(width, name.size());
-      }
-      for (const auto& [name, value] : a->as_object()) {
-        if (!value.is_number()) continue;
-        os << "    " << name << std::string(width - name.size(), ' ')
-           << " : " << format_number(value.as_number()) << "\n";
-      }
-    }
-    if (const JsonValue* t = s->find("timeline");
-        t != nullptr && t->is_object()) {
-      os << "  timeline          : "
-         << format_number(t->number_or("windows")) << " windows, min avail "
-         << format_number(t->number_or("availability_min", 1.0))
-         << " (window " << format_number(t->number_or("worst_window"))
-         << " @ t=" << format_number(t->number_or("worst_window_t_start"))
-         << "), " << format_number(t->number_or("shed_total")) << " shed\n";
-    }
-    os << "  migrations        : "
-       << format_number(s->number_or("migrations")) << " over "
-       << format_number(s->number_or("rebalances")) << " rebalances (max "
-       << format_number(s->number_or("max_migrations_per_rebalance"))
-       << " per pass)\n";
-    os << "  scale out / in    : "
-       << format_number(s->number_or("scale_outs")) << " / "
-       << format_number(s->number_or("scale_ins")) << "\n";
-    os << "  live at end       : "
-       << format_number(s->number_or("live_requests")) << " requests on "
-       << format_number(s->number_or("active_instances")) << " instances ("
-       << format_number(s->number_or("nodes_in_service")) << " nodes), "
-       << format_number(s->number_or("queued_requests")) << " queued, "
-       << format_number(s->number_or("retry_queued")) << " retrying\n";
-    os << "  predicted latency : mean "
-       << format_number(s->number_or("mean_predicted_latency")) << " s, p99 "
-       << format_number(s->number_or("p99_predicted_latency"))
-       << " s (Eq. 16)\n";
-  }
-
-  if (const JsonValue* s = report.find("solver")) {
-    os << "\nsolver race (" << s->string_or("solver", "?") << ")\n";
-    os << "  winner            : " << s->string_or("winner", "?") << "\n";
-    os << "  budget            : "
-       << format_number(s->number_or("budget")) << " work units\n";
-    if (const JsonValue* backends = s->find("backends");
-        backends != nullptr && backends->is_array()) {
-      for (const JsonValue& b : backends->as_array()) {
-        const JsonValue* feasible = b.find("feasible");
-        os << "  " << b.string_or("id", "?") << ": "
-           << ((feasible != nullptr && feasible->is_bool() &&
-                feasible->as_bool())
-                   ? "feasible"
-                   : "infeasible")
-           << ", objective " << format_number(b.number_or("objective"))
-           << ", " << format_number(b.number_or("rejected"))
-           << " rejected, " << format_number(b.number_or("work"))
-           << " work\n";
-      }
-    }
-  }
-
-  if (const JsonValue* m = report.find("metrics")) {
-    std::size_t counters = 0;
-    std::size_t gauges = 0;
-    std::size_t hists = 0;
-    if (const JsonValue* c = m->find("counters");
-        c != nullptr && c->is_object()) {
-      counters = c->as_object().size();
-    }
-    if (const JsonValue* g = m->find("gauges");
-        g != nullptr && g->is_object()) {
-      gauges = g->as_object().size();
-    }
-    if (const JsonValue* h = m->find("histograms");
-        h != nullptr && h->is_object()) {
-      hists = h->as_object().size();
-    }
-    os << "\nmetrics registry: " << counters << " counters, " << gauges
-       << " gauges, " << hists << " histograms\n";
-    if (const JsonValue* c = m->find("counters");
-        c != nullptr && c->is_object()) {
-      for (const auto& [name, value] : c->as_object()) {
-        if (value.is_number()) {
-          os << "  " << name << " = " << format_number(value.as_number())
-             << "\n";
-        }
-      }
-    }
-  }
+  if (report.is_object()) render_object(report.as_object(), 0, os);
   return os.str();
 }
 
@@ -432,10 +201,7 @@ int classify_direction(std::string_view path) {
 }
 
 std::string leaf_repr(const JsonValue& v) {
-  if (v.is_number()) return format_number(v.as_number());
-  if (v.is_bool()) return v.as_bool() ? "true" : "false";
-  if (v.is_string()) return "\"" + v.as_string() + "\"";
-  return "null";
+  return v.is_string() ? "\"" + v.as_string() + "\"" : scalar_text(v);
 }
 
 void collect_leaves(const JsonValue& v, const std::string& path,

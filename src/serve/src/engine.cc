@@ -10,7 +10,6 @@
 
 #include "nfv/common/error.h"
 #include "nfv/obs/json.h"
-#include "nfv/obs/metrics.h"
 #include "nfv/scheduling/algorithm.h"
 
 #include "field_lists.h"
@@ -1035,36 +1034,6 @@ void ServeEngine::finish_outcome(EventOutcome& outcome) {
   outcome.mean_predicted_latency = lat.mean;
   outcome.p99_predicted_latency = lat.p99;
   ++totals_.events;
-  obs::count("serve.events");
-  switch (outcome.decision) {
-    case Decision::kAdmitted: obs::count("serve.admitted"); break;
-    case Decision::kQueued: obs::count("serve.queued"); break;
-    case Decision::kRejected: obs::count("serve.rejected"); break;
-    case Decision::kDeparted: obs::count("serve.departed"); break;
-    case Decision::kRateChanged: obs::count("serve.rate_changed"); break;
-    case Decision::kShed: obs::count("serve.shed"); break;
-    case Decision::kNodeDown: obs::count("serve.node_down"); break;
-    case Decision::kNodeUp: obs::count("serve.node_up"); break;
-  }
-  if (outcome.migrations > 0) {
-    obs::count("serve.migrations", outcome.migrations);
-  }
-  if (outcome.scale_outs > 0) obs::count("serve.scale_outs", outcome.scale_outs);
-  if (outcome.scale_ins > 0) obs::count("serve.scale_ins", outcome.scale_ins);
-  if (outcome.admitted_from_queue > 0) {
-    obs::count("serve.admitted_from_queue", outcome.admitted_from_queue);
-  }
-  if (outcome.evacuated > 0) obs::count("serve.evacuated", outcome.evacuated);
-  if (outcome.parked > 0) obs::count("serve.parked", outcome.parked);
-  if (outcome.retry_admitted > 0) {
-    obs::count("serve.retry_admitted", outcome.retry_admitted);
-  }
-  if (outcome.shed_fault > 0) {
-    obs::count("serve.shed_fault", outcome.shed_fault);
-  }
-  if (outcome.shed_overload > 0) {
-    obs::count("serve.shed_overload", outcome.shed_overload);
-  }
   log_.push_back(outcome);
 }
 

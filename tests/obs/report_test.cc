@@ -3,56 +3,73 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 namespace nfv::obs {
 namespace {
 
-/// A small but fully-populated report, tweakable per test.
+/// A small but fully-populated report, tweakable per test.  Each section
+/// is a writer, as the library that owns its data supplies it; obs only
+/// places them.
 RunReport canned_report(double latency, double availability) {
   RunReport report;
   report.command = "pipeline";
   report.seed = 42;
-
-  report.placement.present = true;
-  report.placement.feasible = true;
-  report.placement.algorithm = "BFDSU";
-  report.placement.iterations = 3;
-  report.placement.nodes_in_service = 4;
-  report.placement.node_count = 8;
-  report.placement.avg_utilization = 0.8;
-  report.placement.occupation = 0.55;
-
-  report.scheduling.present = true;
-  report.scheduling.algorithm = "RCKK";
-  VnfScheduleEntry vnf;
-  vnf.vnf = "FW-1";
-  vnf.instances = 2;
-  vnf.service_rate = 120.0;
-  vnf.delivery_prob = 0.98;
-  vnf.admitted = 10;
-  vnf.rejected = 1;
-  vnf.work = 30;
-  vnf.instance_load = {55.0, 48.0};
-  vnf.instance_response = {0.021, 0.019};
-  report.scheduling.vnfs.push_back(vnf);
-
-  report.requests.present = true;
-  report.requests.total = 11;
-  report.requests.admitted = 10;
-  report.requests.rejection_rate = 1.0 / 11.0;
-  report.requests.avg_total_latency = latency;
-  report.requests.avg_response = 0.02;
-
-  report.des.present = true;
-  report.des.events = 1000;
-  report.des.measured_window = 18.0;
-  report.des.generated = 500;
-  report.des.delivered = 490;
-
-  // The serve library owns the serve schema; obs only places the section.
-  report.serve = [availability](JsonWriter& w) {
+  report.sections.push_back({"placement", [](JsonWriter& w) {
+    w.kv("feasible", true);
+    w.kv("algorithm", "BFDSU");
+    w.kv("iterations", std::uint64_t{3});
+    w.kv("nodes_in_service", std::uint64_t{4});
+    w.kv("node_count", std::uint64_t{8});
+    w.kv("avg_utilization", 0.8);
+    w.kv("occupation", 0.55);
+  }});
+  report.sections.push_back({"scheduling", [](JsonWriter& w) {
+    w.kv("algorithm", "RCKK");
+    w.key("vnfs");
+    w.begin_array();
+    w.begin_object();
+    w.kv("vnf", "FW-1");
+    w.kv("instances", std::uint64_t{2});
+    w.kv("service_rate", 120.0);
+    w.kv("delivery_prob", 0.98);
+    w.kv("admitted", std::uint64_t{10});
+    w.kv("rejected", std::uint64_t{1});
+    w.kv("work", std::uint64_t{30});
+    w.key("instance_load");
+    w.begin_array();
+    w.value(55.0);
+    w.value(48.0);
+    w.end_array();
+    w.key("instance_response");
+    w.begin_array();
+    w.value(0.021);
+    w.value(0.019);
+    w.end_array();
+    w.end_object();
+    w.end_array();
+  }});
+  report.sections.push_back({"requests", [latency](JsonWriter& w) {
+    w.kv("total", std::uint64_t{11});
+    w.kv("admitted", std::uint64_t{10});
+    w.kv("rejection_rate", 1.0 / 11.0);
+    w.kv("avg_total_latency", latency);
+    w.kv("avg_response", 0.02);
+  }});
+  report.sections.push_back({"des", [](JsonWriter& w) {
+    w.kv("events", std::uint64_t{1000});
+    w.kv("measured_window", 18.0);
+    w.kv("generated", std::uint64_t{500});
+    w.kv("delivered", std::uint64_t{490});
+    w.kv("retransmissions", std::uint64_t{0});
+    w.kv("avg_utilization", 0.0);
+    w.kv("mean_latency", 0.0);
+  }});
+  report.sections.push_back({"serve", [availability](JsonWriter& w) {
     w.kv("events", std::uint64_t{12});
     w.kv("arrivals", std::uint64_t{6});
     w.kv("admitted", std::uint64_t{6});
@@ -62,8 +79,13 @@ RunReport canned_report(double latency, double availability) {
     w.kv("evacuated_requests", std::uint64_t{2});
     w.end_object();
     w.kv("availability", availability);
-  };
+  }});
   return report;
+}
+
+void drop_section(RunReport& report, std::string_view name) {
+  std::erase_if(report.sections,
+                [name](const ReportSection& s) { return s.name == name; });
 }
 
 std::string serialize(const RunReport& report) {
@@ -120,6 +142,76 @@ TEST(RunReport, PrettyPrintMentionsKeySections) {
   EXPECT_NE(text.find("FW-1"), std::string::npos);
 }
 
+TEST(RunReport, PrettyPrintIsPinned) {
+  // One schema-free walk renders every section: scalars aligned first,
+  // then a heading per nested object, one line per array element.
+  const auto loaded = load_run_report(serialize(canned_report(0.05, 0.99)));
+  EXPECT_EQ(pretty_print_report(loaded), R"(command : pipeline
+schema  : nfvpr.run_report/1
+seed    : 42
+
+des
+  avg_utilization : 0
+  delivered       : 490
+  events          : 1000
+  generated       : 500
+  mean_latency    : 0
+  measured_window : 18
+  retransmissions : 0
+
+placement
+  algorithm        : BFDSU
+  avg_utilization  : 0.8
+  feasible         : true
+  iterations       : 3
+  node_count       : 8
+  nodes_in_service : 4
+  occupation       : 0.55
+
+requests
+  admitted          : 10
+  avg_response      : 0.02
+  avg_total_latency : 0.05
+  rejection_rate    : 0.0909091
+  total             : 11
+
+scheduling
+  algorithm : RCKK
+  vnfs
+    - admitted=10 delivery_prob=0.98 instance_load=[55, 48] instance_response=[0.021, 0.019] instances=2 rejected=1 service_rate=120 vnf=FW-1 work=30
+
+serve
+  admitted     : 6
+  arrivals     : 6
+  availability : 0.99
+  events       : 12
+  churn
+    evacuated_requests : 2
+    node_downs         : 1
+)");
+}
+
+TEST(RunReport, PrettyPrintRendersEveryBenchRow) {
+  const auto table = load_run_report(R"({
+    "schema": "nfvpr.bench/1", "bench": "micro",
+    "rows": [
+      {"case": "bfdsu_place", "threads": 1, "wall_us": 217.5, "work": 17},
+      {"case": "rckk_schedule", "threads": 1, "wall_us": 165.07, "work": 999},
+      {"case": "joint_par", "threads": 4, "wall_us": 6485.1497, "work": 20}
+    ]})");
+  const std::string text = pretty_print_report(table);
+  EXPECT_NE(text.find("bench  : micro\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nrows\n"
+                      "  - case=bfdsu_place threads=1 wall_us=217.5 "
+                      "work=17\n"
+                      "  - case=rckk_schedule threads=1 wall_us=165.07 "
+                      "work=999\n"
+                      "  - case=joint_par threads=4 wall_us=6485.15 "
+                      "work=20\n"),
+            std::string::npos)
+      << text;
+}
+
 TEST(ReportDiff, FlagsRegressionsAndImprovements) {
   // Latency up 20% (higher-worse -> regression), availability up
   // (higher-better -> improvement).
@@ -167,8 +259,8 @@ TEST(ReportDiff, ThresholdSuppressesSmallMoves) {
 TEST(ReportDiff, StructuralDifferencesAreReported) {
   RunReport lean;
   lean.command = "pipeline";
-  lean.requests.present = true;
-  lean.requests.total = 5;
+  lean.sections.push_back(
+      {"requests", [](JsonWriter& w) { w.kv("total", std::uint64_t{5}); }});
   const auto before = load_run_report(serialize(canned_report(0.05, 0.99)));
   const auto after = load_run_report(serialize(lean));
   const ReportDiff diff = diff_reports(before, after, 1.0);
@@ -205,8 +297,8 @@ TEST(ReportDiff, OneSidedMetricsCarryTheirValues) {
   // its value, not silently drop out of the diff.
   RunReport base = canned_report(0.05, 0.99);
   RunReport cand = canned_report(0.05, 0.99);
-  base.des.present = false;      // des.* only in the candidate -> added
-  cand.serve = nullptr;          // serve.* only in baseline -> removed
+  drop_section(base, "des");    // des.* only in the candidate -> added
+  drop_section(cand, "serve");  // serve.* only in baseline -> removed
   const auto before = load_run_report(serialize(base));
   const auto after = load_run_report(serialize(cand));
   const ReportDiff diff = diff_reports(before, after, 1.0);
@@ -243,11 +335,21 @@ TEST(ReportDiff, OldSolverSectionDiffsAsTwoRemovedKeys) {
   // load, and against a current report those two keys are the whole diff:
   // removed, not regressions.
   RunReport report = canned_report(0.05, 0.99);
-  report.solver.present = true;
-  report.solver.solver = "portfolio";
-  report.solver.winner = "lp";
-  report.solver.budget_work = 32;
-  report.solver.backends.push_back({"lp", true, 0, 0.04, 32});
+  report.sections.push_back({"solver", [](JsonWriter& w) {
+    w.kv("solver", "portfolio");
+    w.kv("winner", "lp");
+    w.kv("budget", std::uint64_t{32});
+    w.key("backends");
+    w.begin_array();
+    w.begin_object();
+    w.kv("id", "lp");
+    w.kv("feasible", true);
+    w.kv("rejected", std::uint64_t{0});
+    w.kv("objective", 0.04);
+    w.kv("work", std::uint64_t{32});
+    w.end_object();
+    w.end_array();
+  }});
   const std::string current = serialize(report);
   std::string old = current;
   const std::string budget = "\"budget\": 32,";
@@ -267,7 +369,8 @@ TEST(ReportDiff, OldSolverSectionDiffsAsTwoRemovedKeys) {
   EXPECT_TRUE(diff.changed.empty());
   EXPECT_TRUE(diff.type_changed.empty());
   EXPECT_EQ(diff.regressions, 0u);
-  EXPECT_NE(pretty_print_report(load_run_report(old)).find("32 work units"),
+  EXPECT_NE(pretty_print_report(load_run_report(old))
+                .find("  budget        : 32\n"),
             std::string::npos);
 }
 
@@ -302,7 +405,7 @@ TEST(ReportDiff, GapCountsAsHigherWorse) {
 TEST(RunReport, ServeSectionRoundTrips) {
   RunReport report;
   report.command = "serve";
-  report.serve = [](JsonWriter& w) {
+  report.sections.push_back({"serve", [](JsonWriter& w) {
     w.kv("events", std::uint64_t{6});
     w.kv("migrations", std::uint64_t{2});
     w.kv("mean_predicted_latency", 0.0556);
@@ -313,7 +416,7 @@ TEST(RunReport, ServeSectionRoundTrips) {
     w.kv("decision", "admitted");
     w.end_object();
     w.end_array();
-  };
+  }});
 
   const auto loaded = load_run_report(serialize(report));
   const JsonValue* serve = loaded.find("serve");
@@ -327,8 +430,13 @@ TEST(RunReport, ServeSectionRoundTrips) {
   EXPECT_EQ(log->as_array()[0].string_or("decision"), "admitted");
   EXPECT_EQ(log->as_array()[0].string_or("kind"), "arrive");
 
-  EXPECT_NE(pretty_print_report(loaded).find("serving (6 events)"),
-            std::string::npos);
+  const std::string text = pretty_print_report(loaded);
+  EXPECT_NE(text.find("\nserve\n  events                 : 6\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("  events_log\n    - decision=admitted kind=arrive\n"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

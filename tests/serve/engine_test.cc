@@ -241,7 +241,8 @@ TEST(ServeEngine, SummaryCountersAreConsistent) {
   EXPECT_DOUBLE_EQ(s.admission_rate, 1.0);
   EXPECT_EQ(engine.log().size(), 4u);
   obs::RunReport report;
-  report.serve = report_section(engine, /*include_events=*/true);
+  report.sections.push_back(
+      {"serve", report_section(engine, /*include_events=*/true)});
   std::ostringstream os;
   obs::write_run_report(report, os);
   const obs::JsonValue doc = obs::load_run_report(os.str());

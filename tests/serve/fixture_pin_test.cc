@@ -82,7 +82,8 @@ void expect_outputs_pinned(const std::string& stem, ServeConfig config,
   obs::RunReport run;
   run.command = "serve";
   run.seed = 1;
-  run.serve = report_section(engine, /*include_events=*/true);
+  run.sections.push_back(
+      {"serve", report_section(engine, /*include_events=*/true)});
   std::ostringstream report_text;
   obs::write_run_report(run, report_text);
   expect_pinned(report_text.str(), report);

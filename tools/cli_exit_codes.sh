@@ -124,8 +124,8 @@ else
 fi
 
 # --- solver portfolio (DESIGN.md §17) --------------------------------------
-# Unknown algorithm names and solver ids are usage errors, not runtime
-# failures.
+# Unknown algorithm names, topology kinds and solver ids are usage errors,
+# not runtime failures.
 expect_exit 2 "place unknown --algorithm exits 2" \
   "$NFVPR" place -t "$WORK/dc.topo" -w "$WORK/peak.wl" --algorithm NOPE
 expect_exit 2 "schedule unknown --algorithm exits 2" \
@@ -134,6 +134,8 @@ expect_exit 2 "pipeline unknown placement algorithm exits 2" \
   "$NFVPR" pipeline -t "$WORK/dc.topo" -w "$WORK/peak.wl" -p NOPE
 expect_exit 2 "pipeline unknown scheduling algorithm exits 2" \
   "$NFVPR" pipeline -t "$WORK/dc.topo" -w "$WORK/peak.wl" -q NOPE
+expect_exit 2 "generate-topology unknown --kind exits 2" \
+  "$NFVPR" generate-topology --kind bogus
 for sub in place pipeline serve; do
   expect_exit 2 "$sub unknown --solver exits 2" \
     "$NFVPR" "$sub" -t "$WORK/dc.topo" -w "$WORK/peak.wl" --solver bogus

@@ -17,7 +17,6 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "nfv/common/cli.h"
@@ -114,31 +113,37 @@ nfv::workload::Workload read_workload(const std::string& path) {
   return nfv::workload::load_workload(in);
 }
 
+/// Every byte left in `in`, in one string.  When `path` names a regular
+/// file its size is known, so the bytes are read straight into a string of
+/// that size; otherwise they are appended chunk by chunk.  An
+/// ostringstream would briefly hold a large trace twice (its buffer and
+/// str()'s copy), which sets the peak RSS of a text-trace run.
+std::string read_stream(std::istream& in, const std::string& path) {
+  std::error_code not_regular;
+  const std::uintmax_t size = std::filesystem::file_size(path, not_regular);
+  std::string bytes;
+  if (!not_regular) {
+    bytes.resize(size);
+    in.read(bytes.data(), static_cast<std::streamsize>(size));
+    bytes.resize(static_cast<std::size_t>(in.gcount()));
+    return bytes;
+  }
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return bytes;
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
-  // A regular file is read into a string of its size: an ostringstream
-  // would briefly hold a large trace twice (its buffer and str()'s copy),
-  // which sets the peak RSS of a text-trace serve run.
-  std::error_code not_regular;
-  const std::uintmax_t size = std::filesystem::file_size(path, not_regular);
-  if (not_regular) {
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  }
-  std::string bytes(size, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(size));
-  bytes.resize(static_cast<std::size_t>(in.gcount()));
-  return bytes;
+  return read_stream(in, path);
 }
 
 /// read_file, with "-" meaning stdin.
 std::string read_input(const std::string& path) {
-  if (path != "-") return read_file(path);
-  std::ostringstream ss;
-  ss << std::cin.rdbuf();
-  return ss.str();
+  return path == "-" ? read_stream(std::cin, "/dev/stdin") : read_file(path);
 }
 
 /// Registers --topology / --workload on a subcommand; load() reads both.
@@ -287,6 +292,14 @@ void print_solver_outcome(const nfv::core::SolverOutcome& outcome,
                outcome.winner.c_str(), detail.c_str());
 }
 
+/// Writes the run report `inputs` describe to `path`.
+void write_report(const nfv::core::ReportInputs& inputs,
+                  const std::string& path) {
+  std::ofstream os(path);
+  if (!os) throw std::runtime_error("cannot open " + path);
+  nfv::obs::write_run_report(nfv::core::build_run_report(inputs), os);
+}
+
 /// Registers --metrics-out / --trace-out on a subcommand and owns the
 /// telemetry sinks.  activate() installs them globally after parse();
 /// finish() uninstalls them and writes the files.  Commands call finish()
@@ -319,10 +332,7 @@ class Telemetry {
     if (registry_ != nullptr) {
       install_metrics_.reset();  // uninstall before snapshotting
       inputs.metrics = registry_.get();
-      const nfv::obs::RunReport report = nfv::core::build_run_report(inputs);
-      std::ofstream os(metrics_out_);
-      if (!os) throw std::runtime_error("cannot open " + metrics_out_);
-      nfv::obs::write_run_report(report, os);
+      write_report(inputs, metrics_out_);
       registry_.reset();
     }
     if (tracer_ != nullptr) {
@@ -377,7 +387,7 @@ int cmd_generate_topology(int argc, const char* const* argv) {
                                          cap, link, rng);
   } else {
     std::fprintf(stderr, "unknown kind '%s'\n", kind.c_str());
-    return 1;
+    return 2;
   }
   nfv::topo::save_topology(t, std::cout);
   return 0;
@@ -616,15 +626,10 @@ int cmd_pipeline(int argc, const char* const* argv) {
   inputs.model = &model;
   inputs.result = &result;
 
-  if (!report_out.empty()) {
-    // The deterministic report: structured sections only, no
-    // metrics-registry snapshot (exec counters vary with --threads; this
-    // file must not).  Written on infeasible runs too.
-    const nfv::obs::RunReport report = nfv::core::build_run_report(inputs);
-    std::ofstream os(report_out);
-    if (!os) throw std::runtime_error("cannot open " + report_out);
-    nfv::obs::write_run_report(report, os);
-  }
+  // The deterministic report: structured sections only, no
+  // metrics-registry snapshot (exec counters vary with --threads; this file
+  // must not).  Written on infeasible runs too.
+  if (!report_out.empty()) write_report(inputs, report_out);
 
   if (!result.feasible) {
     tele.finish(inputs);
@@ -1187,24 +1192,13 @@ int cmd_serve(int argc, const char* const* argv) {
     if (flight_dump_on_exit) dump_flight();
     const auto summary = engine->summary();
 
-    const nfv::obs::SectionWriter section =
-        nfv::serve::report_section(*engine, with_events);
-    if (!report_out.empty()) {
-      // The deterministic report: serve section only, no metrics-registry
-      // snapshot (exec counters vary with --threads; this file must not).
-      nfv::core::ReportInputs rinputs;
-      rinputs.command = "serve";
-      rinputs.seed = static_cast<std::uint64_t>(seed);
-      rinputs.serve = section;
-      const nfv::obs::RunReport report = nfv::core::build_run_report(rinputs);
-      std::ofstream os(report_out);
-      if (!os) throw std::runtime_error("cannot open " + report_out);
-      nfv::obs::write_run_report(report, os);
-    }
     nfv::core::ReportInputs inputs;
     inputs.command = "serve";
     inputs.seed = static_cast<std::uint64_t>(seed);
-    inputs.serve = section;
+    inputs.serve = nfv::serve::report_section(*engine, with_events);
+    // The deterministic report: serve section only, no metrics-registry
+    // snapshot (exec counters vary with --threads; this file must not).
+    if (!report_out.empty()) write_report(inputs, report_out);
     tele.finish(inputs);
 
     if (!timeline_out.empty()) {
