@@ -101,7 +101,8 @@ struct JointResult {
 };
 
 /// One instance prepared for the stages, once per run or race: Eq. 14's
-/// packing problem.  Refers to `model`, which must outlive it.
+/// packing problem, with chains only when a placer that reads them will
+/// run.  Refers to `model`, which must outlive it.
 struct PreparedModel {
   const SystemModel& model;
   placement::PlacementProblem problem;
@@ -156,8 +157,11 @@ class JointOptimizer {
   [[nodiscard]] JointResult run(const SystemModel& model,
                                 std::uint64_t seed) const;
 
-  /// Validates `model` and builds what every stage reads.
-  [[nodiscard]] PreparedModel prepare(const SystemModel& model) const;
+  /// Validates `model` and builds what every stage reads; the chain dedup
+  /// (placement::add_chains) only `with_chains`, i.e. when a placer that
+  /// will run reads_chains().
+  [[nodiscard]] PreparedModel prepare(const SystemModel& model,
+                                      bool with_chains) const;
 
   /// Stage 1: `algo` places the instance from Rng(seed).  Fills placement
   /// and placement_metrics.

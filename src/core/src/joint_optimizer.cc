@@ -154,9 +154,10 @@ JointResult JointOptimizer::run(const SystemModel& model,
   // runs share one fan-out width.
   const exec::LocalPool pool(config_.exec.threads);
   const obs::ScopedSpan run_span("core.joint.run");
-  const PreparedModel in = prepare(model);
   const auto placer =
       placement::make_placement_algorithm(config_.placement_algorithm);
+  const PreparedModel in =
+      prepare(model, placer != nullptr && placer->reads_chains());
   NFV_REQUIRE(placer != nullptr);
 
   JointResult result;
@@ -182,9 +183,14 @@ JointResult JointOptimizer::run(const SystemModel& model,
   return result;
 }
 
-PreparedModel JointOptimizer::prepare(const SystemModel& model) const {
+PreparedModel JointOptimizer::prepare(const SystemModel& model,
+                                      bool with_chains) const {
   model.validate();
-  return {model, placement::make_problem(model.topology, model.workload)};
+  PreparedModel in{model,
+                   placement::make_packing_problem(model.topology,
+                                                   model.workload)};
+  if (with_chains) placement::add_chains(in.problem, model.workload);
+  return in;
 }
 
 JointResult JointOptimizer::place(const PreparedModel& in,
@@ -263,23 +269,26 @@ void JointOptimizer::evaluate(const SystemModel& model, const PhaseTerms& terms,
   result.requests = terms.requests;
   std::size_t admitted_count = 0;
   double total = 0.0;
-  // Distinct-node scratch reused across requests: chains are short, so a
-  // sort+unique over a small vector beats a per-request std::set (one
-  // node allocation per chain element) by a wide margin.
-  std::vector<std::uint32_t> nodes_scratch;
-  for (const auto& r : model.workload.requests) {
+  // Distinct nodes per request by a node-indexed stamp: a node counts the
+  // first time request r's chain reaches it, when its stamp is not yet r.
+  // Keying the stamp by request index resets it for every request without
+  // a clear.
+  constexpr std::uint32_t kNoRequest = 0xffffffffu;
+  std::vector<std::uint32_t> seen_by(model.topology.compute_count(),
+                                     kNoRequest);
+  const auto& requests = model.workload.requests;
+  for (std::uint32_t r_idx = 0; r_idx < requests.size(); ++r_idx) {
+    const workload::Request& r = requests[r_idx];
     RequestOutcome& out = result.requests[r.id.index()];
     if (!out.admitted) continue;
-    nodes_scratch.clear();
+    std::uint32_t nodes = 0;
     for (const VnfId f : r.chain) {
-      nodes_scratch.push_back(
-          result.placement.assignment[f.index()]->value());
+      const NodeId v = *result.placement.assignment[f.index()];
+      if (seen_by[v.index()] == r_idx) continue;
+      seen_by[v.index()] = r_idx;
+      ++nodes;
     }
-    std::sort(nodes_scratch.begin(), nodes_scratch.end());
-    nodes_scratch.erase(
-        std::unique(nodes_scratch.begin(), nodes_scratch.end()),
-        nodes_scratch.end());
-    out.nodes_traversed = static_cast<std::uint32_t>(nodes_scratch.size());
+    out.nodes_traversed = nodes;
     out.link_latency =
         static_cast<double>(out.nodes_traversed - 1) * link_l;
     total += out.total_latency();

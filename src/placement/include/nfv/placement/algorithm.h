@@ -31,6 +31,10 @@ class PlacementAlgorithm {
 
   /// Stable display name ("BFDSU", "FFD", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
+
+  /// True when place() reads PlacementProblem::chains / chain_weights;
+  /// callers build them (add_chains) only for such algorithms.
+  [[nodiscard]] virtual bool reads_chains() const { return false; }
 };
 
 /// First Fit Decreasing: VNFs by descending demand, each to the
@@ -72,6 +76,7 @@ class NahPlacement final : public PlacementAlgorithm {
   [[nodiscard]] Placement place(const PlacementProblem& problem,
                                 Rng& rng) const override;
   [[nodiscard]] std::string_view name() const override { return "NAH"; }
+  [[nodiscard]] bool reads_chains() const override { return true; }
 };
 
 /// BFDSU (Algorithm 1): Best Fit Decreasing using Smallest Used nodes with

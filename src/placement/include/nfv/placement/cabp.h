@@ -33,6 +33,7 @@ class CabpPlacement final : public PlacementAlgorithm {
   [[nodiscard]] Placement place(const PlacementProblem& problem,
                                 Rng& rng) const override;
   [[nodiscard]] std::string_view name() const override { return "CABP"; }
+  [[nodiscard]] bool reads_chains() const override { return true; }
 
   [[nodiscard]] const Options& options() const { return options_; }
 

@@ -3,7 +3,7 @@
 // Inputs: node capacities A_v and per-VNF total demands D_f·M_f (each VNF's
 // instances are co-located, Eq. 2).  Chains are carried along because the
 // NAH baseline [12] places chain-by-chain; pure bin-packing algorithms
-// ignore them.
+// ignore them, so callers that run only those skip the chain dedup.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,8 @@ struct PlacementProblem {
   std::vector<double> capacities;  ///< A_v, indexed by NodeId
   std::vector<double> demands;     ///< D_f · M_f, indexed by VnfId
   /// Distinct chains (each a sequence of VNF indices), most frequent first;
-  /// used by chain-aware algorithms (NAH, CABP).
+  /// used by chain-aware algorithms (NAH, CABP) and filled only when one of
+  /// them will run (PlacementAlgorithm::reads_chains()).
   std::vector<std::vector<std::uint32_t>> chains;
   /// Optional per-chain weights (request multiplicity); either empty
   /// (all chains weigh 1) or the same size as `chains`.
@@ -43,8 +44,15 @@ struct PlacementProblem {
   void validate() const;
 };
 
-/// Builds a PlacementProblem from a topology and a workload; chains are
+/// Builds a PlacementProblem's capacities and demands; chains stay empty.
+[[nodiscard]] PlacementProblem make_packing_problem(
+    const topo::Topology& topology, const workload::Workload& workload);
+
+/// Fills `problem`'s chains and chain weights: the workload's chains
 /// deduplicated across requests and ordered by descending frequency.
+void add_chains(PlacementProblem& problem, const workload::Workload& workload);
+
+/// make_packing_problem() plus add_chains().
 [[nodiscard]] PlacementProblem make_problem(const topo::Topology& topology,
                                             const workload::Workload& workload);
 

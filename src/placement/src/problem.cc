@@ -43,8 +43,8 @@ void PlacementProblem::validate() const {
   for (const double w : chain_weights) NFV_REQUIRE(w > 0.0);
 }
 
-PlacementProblem make_problem(const topo::Topology& topology,
-                              const workload::Workload& workload) {
+PlacementProblem make_packing_problem(const topo::Topology& topology,
+                                      const workload::Workload& workload) {
   PlacementProblem p;
   p.capacities.reserve(topology.compute_count());
   for (const NodeId v : topology.nodes()) {
@@ -55,6 +55,11 @@ PlacementProblem make_problem(const topo::Topology& topology,
     NFV_REQUIRE(f.id.index() == p.demands.size());  // dense VnfIds
     p.demands.push_back(f.total_demand());
   }
+  p.validate();
+  return p;
+}
+
+void add_chains(PlacementProblem& p, const workload::Workload& workload) {
   // Deduplicate chains: sort the requests on their chains (the order a
   // std::map keyed by chain has) and count each run of equal chains, then
   // stable-sort by descending count so chain-based algorithms handle the
@@ -85,6 +90,12 @@ PlacementProblem make_problem(const topo::Topology& topology,
     p.chain_weights.push_back(static_cast<double>(count));
   }
   p.validate();
+}
+
+PlacementProblem make_problem(const topo::Topology& topology,
+                              const workload::Workload& workload) {
+  PlacementProblem p = make_packing_problem(topology, workload);
+  add_chains(p, workload);
   return p;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "nfv/topology/builders.h"
 #include "nfv/workload/generator.h"
@@ -210,6 +211,35 @@ TEST(JointOptimizer, NodesTraversedMatchesSetSemantics) {
     saw_multi_node_chain |= nodes.size() > 1;
   }
   EXPECT_TRUE(saw_multi_node_chain);  // the guard must exercise dedup
+}
+
+TEST(JointOptimizer, ChainAwarePlacersSeeTheWorkloadsChains) {
+  // run() builds chains only for a placer that reads_chains(); NAH and
+  // CABP must get the very problem make_problem() builds.
+  const SystemModel model = make_model(11);
+  const placement::PlacementProblem problem =
+      placement::make_problem(model.topology, model.workload);
+  ASSERT_FALSE(problem.chains.empty());
+  for (const std::string& name : placement::placement_algorithm_names()) {
+    EXPECT_EQ(placement::make_placement_algorithm(name)->reads_chains(),
+              name == "NAH" || name == "CABP")
+        << name;
+  }
+  for (const std::string name : {"NAH", "CABP"}) {
+    SCOPED_TRACE(name);
+    const auto algo = placement::make_placement_algorithm(name);
+    ASSERT_NE(algo, nullptr);
+    EXPECT_TRUE(algo->reads_chains());
+    Rng rng(5);
+    const placement::Placement want = algo->place(problem, rng);
+    ASSERT_TRUE(want.feasible);
+    JointConfig cfg;
+    cfg.placement_algorithm = name;
+    const JointResult got = JointOptimizer{cfg}.run(model, 5);
+    EXPECT_EQ(got.placement.assignment, want.assignment);
+    EXPECT_EQ(got.placement.feasible, want.feasible);
+    EXPECT_EQ(got.placement.iterations, want.iterations);
+  }
 }
 
 TEST(SystemModel, ValidateCatchesBrokenModels) {

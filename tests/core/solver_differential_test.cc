@@ -246,6 +246,13 @@ std::unique_ptr<placement::PlacementAlgorithm> budgeted_backend(
   return std::make_unique<placement::BfdsuPlacement>(o);
 }
 
+/// The full placement problem, chains included.  The race skips the chain
+/// dedup, which no backend reads; the specs below place on the full
+/// problem, so the race must match them bit for bit without it.
+PreparedModel full_problem(const SystemModel& model) {
+  return {model, placement::make_problem(model.topology, model.workload)};
+}
+
 /// The race's specification: for each backend a whole pipeline — its own
 /// placement, its own phase 2, its own Eq. 16 — then the argmin under the
 /// total order feasible,
@@ -258,7 +265,7 @@ SolverOutcome reference_race(const SystemModel& model, const JointConfig& base,
   std::vector<JointResult> results;
   std::size_t best = 0;
   for (const std::string id : {"bfdsu", "lp", "pso"}) {
-    const PreparedModel in = joint.prepare(model);
+    const PreparedModel in = full_problem(model);
     JointResult r = joint.place(in, *budgeted_backend(id, work), seed);
     if (r.placement.feasible) {
       SchedulePass pass = joint.schedule(in, seed);
@@ -509,6 +516,55 @@ void spec_evaluate(const SystemModel& model, const ScheduleResult& phase,
   result.feasible = true;
 }
 
+/// Phase 2 of `in` at `seed`, its phase_terms(), and the link latency
+/// `joint` charges, for the stage-3 specs below.
+struct Stage3Inputs {
+  ScheduleResult phase;
+  PhaseTerms terms;
+  double link_l = 0.0;
+};
+
+Stage3Inputs stage3_inputs(const JointOptimizer& joint,
+                           const PreparedModel& in, std::uint64_t seed) {
+  SchedulePass pass = joint.schedule(in, seed);
+  for (std::size_t i = 0; i < pass.items(); ++i) pass.run_item(i);
+  Stage3Inputs out;
+  out.phase = std::move(pass).finish();
+  out.terms = phase_terms(in.model, out.phase);
+  out.link_l = joint.config().link_latency.value_or(
+      in.model.topology.mean_link_latency());
+  return out;
+}
+
+/// Evaluates `placed` both ways — phase_terms() + evaluate() and the
+/// one-pass spec, whose distinct-node count is a sort+unique — expects
+/// every field equal and returns the evaluated result.
+JointResult expect_evaluate_matches_spec(const JointOptimizer& joint,
+                                         const SystemModel& model,
+                                         const Stage3Inputs& s3,
+                                         const JointResult& placed) {
+  JointResult got = placed;
+  JointResult want = placed;
+  joint.evaluate(model, s3.terms, got);
+  spec_evaluate(model, s3.phase, s3.link_l, want);
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.requests.size(), want.requests.size());
+  for (std::size_t r = 0; r < want.requests.size() && r < got.requests.size();
+       ++r) {
+    EXPECT_EQ(got.requests[r].admitted, want.requests[r].admitted);
+    EXPECT_EQ(got.requests[r].response_latency,
+              want.requests[r].response_latency);
+    EXPECT_EQ(got.requests[r].link_latency, want.requests[r].link_latency);
+    EXPECT_EQ(got.requests[r].nodes_traversed,
+              want.requests[r].nodes_traversed);
+  }
+  EXPECT_EQ(got.total_latency, want.total_latency);
+  EXPECT_EQ(got.avg_total_latency, want.avg_total_latency);
+  EXPECT_EQ(got.job_rejection_rate, want.job_rejection_rate);
+  EXPECT_EQ(got.avg_response, want.avg_response);
+  return got;
+}
+
 TEST(SolverDifferential, SplitEvaluateMatchesOnePassUnderAdmissionPressure) {
   std::size_t rejected = 0;
   std::size_t admitted = 0;
@@ -524,43 +580,82 @@ TEST(SolverDifferential, SplitEvaluateMatchesOnePassUnderAdmissionPressure) {
     mean_l.link_latency.reset();  // the topology's mean link latency
     for (const JointConfig& cfg : {with_l, mean_l}) {
       const JointOptimizer joint(cfg);
-      const PreparedModel in = joint.prepare(model);
-      SchedulePass pass = joint.schedule(in, seed);
-      for (std::size_t i = 0; i < pass.items(); ++i) pass.run_item(i);
-      const ScheduleResult phase = std::move(pass).finish();
-      const PhaseTerms terms = phase_terms(model, phase);
-      const double link_l = cfg.link_latency.value_or(
-          model.topology.mean_link_latency());
+      const PreparedModel in = full_problem(model);
+      const Stage3Inputs s3 = stage3_inputs(joint, in, seed);
       for (const std::string id : {"bfdsu", "lp", "pso"}) {
         SCOPED_TRACE("seed " + std::to_string(seed) + " " + id);
-        JointResult got =
+        const JointResult placed =
             joint.place(in, *budgeted_backend(id, kWorkBudget), seed);
-        ASSERT_TRUE(got.placement.feasible);
-        JointResult want = got;
-        joint.evaluate(model, terms, got);
-        spec_evaluate(model, phase, link_l, want);
-        EXPECT_EQ(got.feasible, want.feasible);
-        ASSERT_EQ(got.requests.size(), want.requests.size());
-        for (std::size_t r = 0; r < want.requests.size(); ++r) {
-          EXPECT_EQ(got.requests[r].admitted, want.requests[r].admitted);
-          EXPECT_EQ(got.requests[r].response_latency,
-                    want.requests[r].response_latency);
-          EXPECT_EQ(got.requests[r].link_latency,
-                    want.requests[r].link_latency);
-          EXPECT_EQ(got.requests[r].nodes_traversed,
-                    want.requests[r].nodes_traversed);
-          ++(want.requests[r].admitted ? admitted : rejected);
+        ASSERT_TRUE(placed.placement.feasible);
+        const JointResult got =
+            expect_evaluate_matches_spec(joint, model, s3, placed);
+        for (const RequestOutcome& r : got.requests) {
+          ++(r.admitted ? admitted : rejected);
         }
-        EXPECT_EQ(got.total_latency, want.total_latency);
-        EXPECT_EQ(got.avg_total_latency, want.avg_total_latency);
-        EXPECT_EQ(got.job_rejection_rate, want.job_rejection_rate);
-        EXPECT_EQ(got.avg_response, want.avg_response);
       }
     }
   }
   // Both the admitted and the rejected path are exercised.
   EXPECT_GT(rejected, admitted / 10);
   EXPECT_GT(admitted, rejected / 10);
+}
+
+TEST(SolverDifferential, SplitEvaluateMatchesOnePassOnChainsThatRepeatAVnf) {
+  bool saw_repeat_across_nodes = false;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    // Every chain returns to its first VNF; every other one also repeats
+    // its second VNF back to back: {a, b, a}, {a, b, b, c, a}, ...
+    SystemModel model = make_small_model(seed);
+    for (std::size_t r = 0; r < model.workload.requests.size(); ++r) {
+      auto& chain = model.workload.requests[r].chain;
+      const VnfId first = chain[0];
+      const VnfId second = chain[1];
+      if (r % 2 == 1) chain.insert(chain.begin() + 1, second);
+      chain.push_back(first);
+    }
+    const JointOptimizer joint(spec_config());
+    const PreparedModel in = full_problem(model);
+    const Stage3Inputs s3 = stage3_inputs(joint, in, seed);
+    for (const std::string id : {"bfdsu", "lp", "pso"}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " + id);
+      const JointResult placed =
+          joint.place(in, *budgeted_backend(id, kWorkBudget), seed);
+      ASSERT_TRUE(placed.placement.feasible);
+      const JointResult got =
+          expect_evaluate_matches_spec(joint, model, s3, placed);
+      for (std::size_t r = 0; r < got.requests.size(); ++r) {
+        saw_repeat_across_nodes |= got.requests[r].nodes_traversed > 1;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_repeat_across_nodes);  // the repeats span several nodes
+}
+
+TEST(SolverDifferential, SplitEvaluateMatchesOnePassWithEveryVnfOnOneNode) {
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SystemModel model = make_small_model(seed);
+    const JointOptimizer joint(spec_config());
+    const PreparedModel in = full_problem(model);
+    const Stage3Inputs s3 = stage3_inputs(joint, in, seed);
+    // evaluate() reads only the assignment, so the node's capacity does
+    // not matter here.
+    const NodeId node{static_cast<std::uint32_t>(
+        seed % model.topology.compute_count())};
+    JointResult placed;
+    placed.placement.assignment.assign(model.workload.vnfs.size(), node);
+    placed.placement.feasible = true;
+    const JointResult got =
+        expect_evaluate_matches_spec(joint, model, s3, placed);
+    std::size_t admitted = 0;
+    for (const RequestOutcome& r : got.requests) {
+      if (!r.admitted) continue;
+      ++admitted;
+      EXPECT_EQ(r.nodes_traversed, 1u);
+      EXPECT_EQ(r.link_latency, 0.0);
+    }
+    EXPECT_EQ(admitted, got.requests.size());
+  }
 }
 
 }  // namespace

@@ -441,8 +441,12 @@ int cmd_place(int argc, const char* const* argv) {
     if (!algo) return unknown_algorithm(algorithm);
   }
   const nfv::core::SystemModel model = files.load();
-  const auto problem =
-      nfv::placement::make_problem(model.topology, model.workload);
+  // No solver backend reads chains; only a chain-aware --algorithm does.
+  auto problem =
+      nfv::placement::make_packing_problem(model.topology, model.workload);
+  if (algo && algo->reads_chains()) {
+    nfv::placement::add_chains(problem, model.workload);
+  }
   tele.activate();
   nfv::placement::Placement placement;
   nfv::core::SolverOutcome race;  // report/summary shell for --solver
