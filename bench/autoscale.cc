@@ -17,7 +17,7 @@
 // Rows follow the bench_micro convention: wall-clock columns carry "wall"
 // in the name (diffed generously in CI); everything else — availability,
 // instance-seconds, gap, scale/flap counters, work — is bit-identical
-// across machines and gated tightly.  The bench also self-checks the §16
+// across machines and gated exactly.  The bench also self-checks the §16
 // determinism contract: per policy, a mid-trace save/resume must land on
 // the same checkpoint bytes as the uninterrupted run.
 #include <cmath>

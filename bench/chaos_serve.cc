@@ -17,7 +17,7 @@
 // Rows follow the bench_micro convention: wall-clock columns carry "wall"
 // in the name (diffed generously in CI); everything else — availability,
 // evacuation/shed counters, work — is bit-identical across machines and
-// gated tightly.
+// gated exactly.
 #include <cstdio>
 
 #include "harness.h"

@@ -86,8 +86,11 @@ PlacementSummary run_placement(const PlacementScenario& scenario,
       }
     }
     scale_workload_demand(w, target, 0.9 * max_capacity);
-    const placement::PlacementProblem problem =
-        placement::make_problem(topology, w);
+    // evaluate() reads no chains, so they are built only for a placer
+    // that reads them.
+    placement::PlacementProblem problem =
+        placement::make_packing_problem(topology, w);
+    if (algo->reads_chains()) placement::add_chains(problem, w);
     const placement::Placement result = algo->place(problem, rng);
     if (!result.feasible) return out;
     out.feasible = true;

@@ -7,9 +7,9 @@
 // Every row pairs a wall-clock measurement (`wall_us`, noisy across
 // machines — CI diffs it with a generous threshold) with a deterministic
 // work counter (`work`, bit-identical for any thread count — CI diffs it
-// tightly).  The JSON lands in the "nfvpr.bench/1" schema, so
+// exactly).  The JSON lands in the "nfvpr.bench/1" schema, so
 // `nfvpr report --in new.json --baseline bench/baselines/micro.json`
-// flags regressions.
+// flags changed answers and timing regressions.
 #include <chrono>
 #include <cstdio>
 

@@ -11,7 +11,7 @@
 // Rows follow the bench_micro convention: every wall-clock column has
 // "wall" in its name (CI diffs those with a generous threshold) while the
 // deterministic columns — `gap_pct` and `work`, bit-identical across
-// machines — are gated tightly.  Everything runs on one thread: the
+// machines — are gated exactly.  Everything runs on one thread: the
 // engine has no parallel site, and the offline re-solves are too small
 // for a fan-out to pay.
 //

@@ -9,7 +9,7 @@
 // --max-overhead-pct (default 5) — the telemetry layer must stay out of
 // the serve hot path.  Wall-clock columns carry "wall" in the name and are
 // diffed generously in CI; windows/availability_min/shed_total/work are
-// bit-identical across machines and gated tightly.
+// bit-identical across machines and gated exactly.
 //
 //   bench_timeline -t smoke.topo -w smoke.wl -T smoke.trace.json --json t.json
 #include <algorithm>

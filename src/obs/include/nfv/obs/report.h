@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,54 +77,63 @@ void write_run_report(const RunReport& report, std::ostream& os);
 // Diffing
 // ---------------------------------------------------------------------------
 
-/// One numeric leaf that differs between two reports.
-struct DiffEntry {
-  std::string path;  ///< dotted path, e.g. "rows[0].wall_us"
-  double before = 0.0;
-  double after = 0.0;
-  double delta = 0.0;
-  /// 100·(after−before)/|before|; ±inf when before == 0 and after != 0.
-  double pct = 0.0;
-  /// +1 when a higher value is worse (latency, drops, ...), −1 when a
-  /// higher value is better (availability, admitted, ...), 0 when neutral.
-  int direction = 0;
-  /// True when the change exceeds the threshold in the worsening
-  /// direction.
-  bool regression = false;
-  /// True when the change exceeds the threshold in the improving
-  /// direction.
-  bool improvement = false;
+/// How diff_reports judges a leaf that differs between two reports.  A leaf
+/// whose path contains "wall" or "speedup" is a timing, judged against the
+/// threshold in its direction; every other leaf is an answer, which must
+/// not change at all.  Declared in the order render_diff prints them.
+enum class DiffFlag {
+  kChanged,     ///< an answer changed: any size, either direction
+  kRegression,  ///< a timing worsened by at least the threshold
+  kImproved,    ///< a timing improved by at least the threshold
+  kNone,        ///< a timing that moved less than the threshold
 };
 
-/// A leaf present on only one side of a diff, with its rendered value —
-/// such metrics print as added/removed instead of being silently dropped.
+/// One leaf present in both reports with different values.
+struct DiffEntry {
+  std::string path;    ///< dotted path, e.g. "rows[0].wall_us"
+  std::string before;  ///< rendered value; strings are quoted
+  std::string after;
+  /// after−before and 100·(after−before)/|before| (±inf when before == 0)
+  /// when the leaf is a number on both sides; NaN otherwise.
+  double delta = std::numeric_limits<double>::quiet_NaN();
+  double pct = std::numeric_limits<double>::quiet_NaN();
+  DiffFlag flag = DiffFlag::kNone;
+};
+
+/// A leaf present in only one report, with its rendered value.  One-sided
+/// leaves are listed but never fail a diff, so old reports still diff.
 struct LeafChange {
   std::string path;
   std::string value;  ///< rendered value on the side it exists on
 };
 
 struct ReportDiff {
-  std::vector<DiffEntry> changed;        ///< numeric leaves that moved
-  std::vector<std::string> only_before;  ///< paths absent from `after`
-  std::vector<std::string> only_after;   ///< paths absent from `before`
-  std::vector<LeafChange> removed;       ///< only_before, with values
-  std::vector<LeafChange> added;         ///< only_after, with values
-  /// Paths whose leaf is numeric in one report but not the other — a
-  /// schema change, reported explicitly rather than dropped.
-  std::vector<std::string> type_changed;
+  std::vector<DiffEntry> changed;   ///< leaves on both sides that differ
+  std::vector<LeafChange> removed;  ///< leaves only in `before`
+  std::vector<LeafChange> added;    ///< leaves only in `after`
+  std::size_t answers_changed = 0;
   std::size_t regressions = 0;
   std::size_t improvements = 0;
+
+  /// An answer changed or a timing regressed.
+  [[nodiscard]] bool failed() const {
+    return answers_changed + regressions > 0;
+  }
 };
 
-/// Compares every numeric leaf of two reports.  `threshold_pct` is the
-/// minimum |relative change| (percent) for a directional metric to count
-/// as a regression/improvement.
+/// Compares every leaf of two reports.  Timing leaves ("wall" is
+/// higher-worse, "speedup" higher-better) count as a regression or an
+/// improvement when |relative change| reaches `threshold_pct` percent; any
+/// other leaf that differs — number, bool or string, by any amount — is a
+/// changed answer.  A timing leaf that is not a number on both sides is
+/// compared as an answer.
 [[nodiscard]] ReportDiff diff_reports(const JsonValue& before,
                                       const JsonValue& after,
                                       double threshold_pct = 1.0);
 
-/// Markdown rendering of a diff: regressions first, then improvements,
-/// then neutral changes; structural differences at the end.
+/// Markdown rendering of a diff: changed answers first, then timing
+/// regressions, improvements and sub-threshold moves; one-sided leaves at
+/// the end.
 [[nodiscard]] std::string render_diff(const ReportDiff& diff);
 
 }  // namespace nfv::obs

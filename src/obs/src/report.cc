@@ -173,30 +173,11 @@ std::string pretty_print_report(const JsonValue& report) {
 
 namespace {
 
-/// Metrics where a larger value signals a worse run.
-constexpr std::string_view kHigherWorse[] = {
-    "latency", "response", "rejection", "rejected", "shed",
-    "retransmission", "occupation",
-    "nodes_in_service", "queue_depth", "imbalance", "wall",     "work",
-    "gap", "unaccounted", "queued", "retrying",
-    "flaps", "instance_seconds", "objective",
-};
-
-/// Metrics where a larger value signals a better run.
-constexpr std::string_view kHigherBetter[] = {
-    "availability", "admitted", "delivered", "utilization",
-};
-
-int classify_direction(std::string_view path) {
-  // Worse needles are checked first, so a key that matches both lists
-  // counts as higher-worse: "shed" is the more specific signal in this
-  // schema.
-  for (const std::string_view needle : kHigherWorse) {
-    if (path.find(needle) != std::string_view::npos) return +1;
-  }
-  for (const std::string_view needle : kHigherBetter) {
-    if (path.find(needle) != std::string_view::npos) return -1;
-  }
+/// +1 for a wall-clock leaf (higher is worse), -1 for a speedup (higher is
+/// better), 0 for an answer.
+int timing_direction(std::string_view path) {
+  if (path.find("speedup") != std::string_view::npos) return -1;
+  if (path.find("wall") != std::string_view::npos) return +1;
   return 0;
 }
 
@@ -204,27 +185,34 @@ std::string leaf_repr(const JsonValue& v) {
   return v.is_string() ? "\"" + v.as_string() + "\"" : scalar_text(v);
 }
 
+bool same_leaf(const JsonValue& a, const JsonValue& b) {
+  if (a.is_number() && b.is_number()) return a.as_number() == b.as_number();
+  if (a.is_bool() && b.is_bool()) return a.as_bool() == b.as_bool();
+  if (a.is_string() && b.is_string()) return a.as_string() == b.as_string();
+  return a.is_null() && b.is_null();
+}
+
+constexpr const char* kFlagText[] = {"CHANGED", "REGRESSION", "improved",
+                                     ""};
+
+using Leaves = std::map<std::string, const JsonValue*>;
+
 void collect_leaves(const JsonValue& v, const std::string& path,
-                    std::map<std::string, double>& numbers,
-                    std::map<std::string, std::string>& reprs) {
+                    Leaves& leaves) {
   if (v.is_object()) {
     for (const auto& [key, child] : v.as_object()) {
-      collect_leaves(child, path.empty() ? key : path + "." + key, numbers,
-                     reprs);
+      collect_leaves(child, path.empty() ? key : path + "." + key, leaves);
     }
     return;
   }
   if (v.is_array()) {
     const auto& arr = v.as_array();
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      collect_leaves(arr[i], path + "[" + std::to_string(i) + "]", numbers,
-                     reprs);
+      collect_leaves(arr[i], path + "[" + std::to_string(i) + "]", leaves);
     }
     return;
   }
-  reprs.emplace(path, leaf_repr(v));
-  if (v.is_number()) numbers.emplace(path, v.as_number());
-  if (v.is_bool()) numbers.emplace(path, v.as_bool() ? 1.0 : 0.0);
+  leaves.emplace(path, &v);
 }
 
 }  // namespace
@@ -232,81 +220,70 @@ void collect_leaves(const JsonValue& v, const std::string& path,
 ReportDiff diff_reports(const JsonValue& before, const JsonValue& after,
                         double threshold_pct) {
   NFV_REQUIRE(threshold_pct >= 0.0);
-  std::map<std::string, double> before_nums;
-  std::map<std::string, double> after_nums;
-  std::map<std::string, std::string> before_reprs;
-  std::map<std::string, std::string> after_reprs;
-  collect_leaves(before, "", before_nums, before_reprs);
-  collect_leaves(after, "", after_nums, after_reprs);
+  Leaves before_leaves;
+  Leaves after_leaves;
+  collect_leaves(before, "", before_leaves);
+  collect_leaves(after, "", after_leaves);
 
   ReportDiff diff;
-  for (const auto& [p, repr] : before_reprs) {
-    if (after_reprs.find(p) == after_reprs.end()) {
-      diff.only_before.push_back(p);
-      diff.removed.push_back({p, repr});
-    } else if (before_nums.count(p) != after_nums.count(p)) {
-      // Numeric on exactly one side: a type change, not a value change —
-      // without this, such leaves would vanish from the diff entirely.
-      diff.type_changed.push_back(p);
+  for (const auto& [path, a] : after_leaves) {
+    if (before_leaves.count(path) == 0) {
+      diff.added.push_back({path, leaf_repr(*a)});
     }
   }
-  for (const auto& [p, repr] : after_reprs) {
-    if (before_reprs.find(p) == before_reprs.end()) {
-      diff.only_after.push_back(p);
-      diff.added.push_back({p, repr});
+  for (const auto& [path, b] : before_leaves) {
+    const auto it = after_leaves.find(path);
+    if (it == after_leaves.end()) {
+      diff.removed.push_back({path, leaf_repr(*b)});
+      continue;
     }
-  }
-
-  for (const auto& [path, b] : before_nums) {
-    const auto it = after_nums.find(path);
-    if (it == after_nums.end()) continue;
-    const double a = it->second;
-    if (a == b) continue;
+    const JsonValue& a = *it->second;
+    if (same_leaf(*b, a)) continue;
     DiffEntry e;
     e.path = path;
-    e.before = b;
-    e.after = a;
-    e.delta = a - b;
-    e.pct = b != 0.0
-                ? 100.0 * (a - b) / std::abs(b)
-                : (a > 0.0 ? std::numeric_limits<double>::infinity()
-                           : -std::numeric_limits<double>::infinity());
-    e.direction = classify_direction(path);
-    const bool significant = std::abs(e.pct) >= threshold_pct;
-    if (e.direction != 0 && significant) {
-      const bool worse = (e.delta > 0.0) == (e.direction > 0);
-      e.regression = worse;
-      e.improvement = !worse;
+    e.before = leaf_repr(*b);
+    e.after = leaf_repr(a);
+    if (b->is_number() && a.is_number()) {
+      const double x = b->as_number();
+      const double y = a.as_number();
+      e.delta = y - x;
+      e.pct = x != 0.0 ? 100.0 * (y - x) / std::abs(x)
+                       : (y > 0.0 ? std::numeric_limits<double>::infinity()
+                                  : -std::numeric_limits<double>::infinity());
     }
-    if (e.regression) ++diff.regressions;
-    if (e.improvement) ++diff.improvements;
+    const int direction = timing_direction(path);
+    if (direction == 0 || std::isnan(e.pct)) {
+      e.flag = DiffFlag::kChanged;
+      ++diff.answers_changed;
+    } else if (std::abs(e.pct) >= threshold_pct) {
+      const bool worse = (e.delta > 0.0) == (direction > 0);
+      e.flag = worse ? DiffFlag::kRegression : DiffFlag::kImproved;
+      ++(worse ? diff.regressions : diff.improvements);
+    }
     diff.changed.push_back(std::move(e));
   }
 
-  // Regressions first (largest |pct| first), then improvements, then
-  // neutral changes — the order render_diff prints them in.
+  // Flag order, then largest |pct| first: the order render_diff prints.
+  const auto size = [](const DiffEntry& e) {
+    return std::isnan(e.pct) ? 0.0 : std::abs(e.pct);
+  };
   std::stable_sort(diff.changed.begin(), diff.changed.end(),
-                   [](const DiffEntry& x, const DiffEntry& y) {
-                     const auto rank = [](const DiffEntry& e) {
-                       if (e.regression) return 0;
-                       if (e.improvement) return 1;
-                       return 2;
-                     };
-                     if (rank(x) != rank(y)) return rank(x) < rank(y);
-                     return std::abs(x.pct) > std::abs(y.pct);
+                   [&](const DiffEntry& x, const DiffEntry& y) {
+                     if (x.flag != y.flag) return x.flag < y.flag;
+                     return size(x) > size(y);
                    });
   return diff;
 }
 
 std::string render_diff(const ReportDiff& diff) {
   std::ostringstream os;
-  if (diff.changed.empty() && diff.only_before.empty() &&
-      diff.only_after.empty() && diff.type_changed.empty()) {
+  if (diff.changed.empty() && diff.removed.empty() && diff.added.empty()) {
     os << "reports are identical\n";
     return os.str();
   }
-  os << diff.changed.size() << " metrics changed, " << diff.regressions
-     << " regressions, " << diff.improvements << " improvements";
+  os << diff.changed.size() << " metrics changed, " << diff.answers_changed
+     << " answers changed, " << diff.regressions << " regressions, "
+     << diff.improvements << " improvements";
   if (!diff.added.empty() || !diff.removed.empty()) {
     os << ", " << diff.added.size() << " added, " << diff.removed.size()
        << " removed";
@@ -315,26 +292,21 @@ std::string render_diff(const ReportDiff& diff) {
   os << "| metric | before | after | delta | change | flag |\n";
   os << "|---|---|---|---|---|---|\n";
   for (const DiffEntry& e : diff.changed) {
-    char pct[32];
+    char pct[32] = "";
     if (std::isfinite(e.pct)) {
       std::snprintf(pct, sizeof pct, "%+.2f%%", e.pct);
-    } else {
+    } else if (std::isinf(e.pct)) {
       std::snprintf(pct, sizeof pct, "%s", e.pct > 0 ? "+inf" : "-inf");
     }
-    os << "| " << e.path << " | " << format_number(e.before) << " | "
-       << format_number(e.after) << " | " << format_number(e.delta) << " | "
-       << pct << " | "
-       << (e.regression ? "REGRESSION" : (e.improvement ? "improved" : ""))
-       << " |\n";
+    os << "| " << e.path << " | " << e.before << " | " << e.after << " | "
+       << (std::isnan(e.delta) ? "" : format_number(e.delta)) << " | " << pct
+       << " | " << kFlagText[static_cast<int>(e.flag)] << " |\n";
   }
   for (const LeafChange& c : diff.removed) {
     os << "only in baseline: " << c.path << " = " << c.value << " (removed)\n";
   }
   for (const LeafChange& c : diff.added) {
     os << "only in current:  " << c.path << " = " << c.value << " (added)\n";
-  }
-  for (const std::string& p : diff.type_changed) {
-    os << "type changed:     " << p << "\n";
   }
   return os.str();
 }

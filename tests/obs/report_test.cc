@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -92,6 +94,25 @@ std::string serialize(const RunReport& report) {
   std::ostringstream os;
   write_run_report(report, os);
   return os.str();
+}
+
+/// A one-row bench table: an answer (`work`), a wall-clock timing and a
+/// speedup.
+JsonValue bench_table(double work, double wall_us, double speedup) {
+  char text[256];
+  std::snprintf(text, sizeof text,
+                R"({"schema": "nfvpr.bench/1", "bench": "micro", "rows": [)"
+                R"({"case": "joint", "work": %.17g, "wall_us": %.17g, )"
+                R"("speedup": %.17g}]})",
+                work, wall_us, speedup);
+  return load_run_report(text);
+}
+
+const DiffEntry* find_entry(const ReportDiff& diff, std::string_view path) {
+  const auto it =
+      std::find_if(diff.changed.begin(), diff.changed.end(),
+                   [path](const DiffEntry& e) { return e.path == path; });
+  return it == diff.changed.end() ? nullptr : &*it;
 }
 
 TEST(RunReport, RoundTripsThroughWriteAndLoad) {
@@ -213,47 +234,77 @@ TEST(RunReport, PrettyPrintRendersEveryBenchRow) {
 }
 
 TEST(ReportDiff, FlagsRegressionsAndImprovements) {
-  // Latency up 20% (higher-worse -> regression), availability up
-  // (higher-better -> improvement).
-  const auto before = load_run_report(serialize(canned_report(0.050, 0.90)));
-  const auto after = load_run_report(serialize(canned_report(0.060, 0.99)));
+  // Timings are directional: wall is higher-worse, speedup higher-better.
+  const ReportDiff slower =
+      diff_reports(bench_table(17, 1000, 2.0), bench_table(17, 1500, 1.5), 10);
+  const DiffEntry* wall = find_entry(slower, "rows[0].wall_us");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_EQ(wall->flag, DiffFlag::kRegression);
+  EXPECT_NEAR(wall->pct, 50.0, 1e-9);
+  const DiffEntry* speedup = find_entry(slower, "rows[0].speedup");
+  ASSERT_NE(speedup, nullptr);
+  EXPECT_EQ(speedup->flag, DiffFlag::kRegression);
+  EXPECT_EQ(slower.regressions, 2u);
+  EXPECT_TRUE(slower.failed());
+
+  const ReportDiff faster =
+      diff_reports(bench_table(17, 1000, 2.0), bench_table(17, 500, 3.0), 10);
+  EXPECT_EQ(faster.improvements, 2u);
+  EXPECT_EQ(faster.regressions, 0u);
+  EXPECT_FALSE(faster.failed());
+
+  // Answers have no direction: a latency that drops and an availability
+  // that rises are both changes, and both fail.
+  const auto before = load_run_report(serialize(canned_report(0.060, 0.90)));
+  const auto after = load_run_report(serialize(canned_report(0.050, 0.99)));
   const ReportDiff diff = diff_reports(before, after, 1.0);
-  EXPECT_TRUE(diff.only_before.empty());
-  EXPECT_TRUE(diff.only_after.empty());
-  const auto find_entry = [&diff](std::string_view path) -> const DiffEntry* {
-    const auto it = std::find_if(
-        diff.changed.begin(), diff.changed.end(),
-        [path](const DiffEntry& e) { return e.path == path; });
-    return it == diff.changed.end() ? nullptr : &*it;
-  };
-  const DiffEntry* latency = find_entry("requests.avg_total_latency");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_TRUE(latency->regression);
-  EXPECT_FALSE(latency->improvement);
-  EXPECT_NEAR(latency->pct, 20.0, 1e-9);
-  const DiffEntry* availability = find_entry("serve.availability");
-  ASSERT_NE(availability, nullptr);
-  EXPECT_TRUE(availability->improvement);
-  EXPECT_GE(diff.regressions, 1u);
-  EXPECT_GE(diff.improvements, 1u);
+  EXPECT_TRUE(diff.removed.empty());
+  EXPECT_TRUE(diff.added.empty());
+  for (const std::string_view path :
+       {"requests.avg_total_latency", "serve.availability"}) {
+    const DiffEntry* e = find_entry(diff, path);
+    ASSERT_NE(e, nullptr) << path;
+    EXPECT_EQ(e->flag, DiffFlag::kChanged) << path;
+  }
+  EXPECT_EQ(diff.answers_changed, 2u);
+  EXPECT_EQ(diff.regressions + diff.improvements, 0u);
+  EXPECT_TRUE(diff.failed());
 }
 
 TEST(ReportDiff, IdenticalReportsProduceNoChanges) {
   const auto report = load_run_report(serialize(canned_report(0.05, 0.99)));
   const ReportDiff diff = diff_reports(report, report, 1.0);
   EXPECT_TRUE(diff.changed.empty());
+  EXPECT_EQ(diff.answers_changed, 0u);
   EXPECT_EQ(diff.regressions, 0u);
   EXPECT_EQ(diff.improvements, 0u);
+  EXPECT_FALSE(diff.failed());
 }
 
 TEST(ReportDiff, ThresholdSuppressesSmallMoves) {
-  const auto before = load_run_report(serialize(canned_report(0.0500, 0.99)));
-  const auto after = load_run_report(serialize(canned_report(0.0502, 0.99)));
-  // 0.4% move: recorded as changed, but below the 1% threshold.
-  const ReportDiff diff = diff_reports(before, after, 1.0);
-  EXPECT_EQ(diff.regressions, 0u);
-  ASSERT_EQ(diff.changed.size(), 1u);
-  EXPECT_FALSE(diff.changed[0].regression);
+  // The threshold applies to timings only: a 300% wall move passes at 400,
+  // a 500% one fails.
+  const ReportDiff small =
+      diff_reports(bench_table(17, 100, 2.0), bench_table(17, 400, 2.0), 400);
+  ASSERT_EQ(small.changed.size(), 1u);
+  EXPECT_EQ(small.changed[0].flag, DiffFlag::kNone);
+  EXPECT_FALSE(small.failed());
+  const ReportDiff large =
+      diff_reports(bench_table(17, 100, 2.0), bench_table(17, 600, 2.0), 400);
+  ASSERT_EQ(large.changed.size(), 1u);
+  EXPECT_EQ(large.changed[0].flag, DiffFlag::kRegression);
+  EXPECT_TRUE(large.failed());
+
+  // An answer that moves by one ulp fails at any threshold.
+  const double work = 0.98967179835570718;
+  const ReportDiff ulp = diff_reports(bench_table(work, 100, 2.0),
+                                      bench_table(std::nextafter(work, 1.0),
+                                                  100, 2.0),
+                                      400);
+  ASSERT_EQ(ulp.changed.size(), 1u);
+  EXPECT_EQ(ulp.changed[0].path, "rows[0].work");
+  EXPECT_EQ(ulp.changed[0].flag, DiffFlag::kChanged);
+  EXPECT_TRUE(ulp.failed());
 }
 
 TEST(ReportDiff, StructuralDifferencesAreReported) {
@@ -264,11 +315,11 @@ TEST(ReportDiff, StructuralDifferencesAreReported) {
   const auto before = load_run_report(serialize(canned_report(0.05, 0.99)));
   const auto after = load_run_report(serialize(lean));
   const ReportDiff diff = diff_reports(before, after, 1.0);
-  EXPECT_FALSE(diff.only_before.empty());
+  EXPECT_FALSE(diff.removed.empty());
   const auto has_prefix = [&diff](std::string_view prefix) {
-    return std::any_of(diff.only_before.begin(), diff.only_before.end(),
-                       [prefix](const std::string& p) {
-                         return p.rfind(prefix, 0) == 0;
+    return std::any_of(diff.removed.begin(), diff.removed.end(),
+                       [prefix](const LeafChange& c) {
+                         return c.path.rfind(prefix, 0) == 0;
                        });
   };
   EXPECT_TRUE(has_prefix("placement."));
@@ -278,11 +329,21 @@ TEST(ReportDiff, StructuralDifferencesAreReported) {
 TEST(ReportDiff, RenderFlagsRegressions) {
   const auto before = load_run_report(serialize(canned_report(0.050, 0.99)));
   const auto after = load_run_report(serialize(canned_report(0.075, 0.99)));
-  const ReportDiff diff = diff_reports(before, after, 1.0);
-  ASSERT_GE(diff.regressions, 1u);
-  const std::string text = render_diff(diff);
-  EXPECT_NE(text.find("REGRESSION"), std::string::npos);
-  EXPECT_NE(text.find("requests.avg_total_latency"), std::string::npos);
+  const std::string answer = render_diff(diff_reports(before, after, 1.0));
+  EXPECT_NE(answer.find("| requests.avg_total_latency | 0.05 | 0.075 | "
+                        "0.025 | +50.00% | CHANGED |"),
+            std::string::npos)
+      << answer;
+  EXPECT_NE(answer.find("1 metrics changed, 1 answers changed, "
+                        "0 regressions, 0 improvements"),
+            std::string::npos)
+      << answer;
+  const std::string timing = render_diff(
+      diff_reports(bench_table(17, 100, 2.0), bench_table(17, 150, 2.0), 1));
+  EXPECT_NE(timing.find("| rows[0].wall_us | 100 | 150 | 50 | +50.00% | "
+                        "REGRESSION |"),
+            std::string::npos)
+      << timing;
 }
 
 TEST(ReportDiff, RenderOfEmptyDiffSaysSo) {
@@ -316,9 +377,9 @@ TEST(ReportDiff, OneSidedMetricsCarryTheirValues) {
   const LeafChange* added = find_leaf(diff.added, "des.events");
   ASSERT_NE(added, nullptr);
   EXPECT_EQ(added->value, "1000");
-  // removed/added mirror only_before/only_after one-to-one.
-  EXPECT_EQ(diff.removed.size(), diff.only_before.size());
-  EXPECT_EQ(diff.added.size(), diff.only_after.size());
+  // Listed, but a leaf on one side only never fails the diff.
+  EXPECT_TRUE(diff.changed.empty());
+  EXPECT_FALSE(diff.failed());
 
   const std::string text = render_diff(diff);
   EXPECT_NE(text.find("only in baseline: serve.availability = 0.99 (removed)"),
@@ -367,8 +428,7 @@ TEST(ReportDiff, OldSolverSectionDiffsAsTwoRemovedKeys) {
   EXPECT_EQ(diff.removed[1].value, "true");
   EXPECT_TRUE(diff.added.empty());
   EXPECT_TRUE(diff.changed.empty());
-  EXPECT_TRUE(diff.type_changed.empty());
-  EXPECT_EQ(diff.regressions, 0u);
+  EXPECT_FALSE(diff.failed());
   EXPECT_NE(pretty_print_report(load_run_report(old))
                 .find("  budget        : 32\n"),
             std::string::npos);
@@ -376,30 +436,49 @@ TEST(ReportDiff, OldSolverSectionDiffsAsTwoRemovedKeys) {
 
 TEST(ReportDiff, TypeChangesAreFlaggedNotDropped) {
   // The same path holding a number on one side and a string on the other is
-  // a type change: previously these leaves vanished from the diff entirely.
-  const auto before =
-      load_run_report(R"({"schema": "nfvpr.run_report/1", "x": 3})");
-  const auto after =
-      load_run_report(R"({"schema": "nfvpr.run_report/1", "x": "three"})");
-  const ReportDiff diff = diff_reports(before, after, 1.0);
-  ASSERT_EQ(diff.type_changed.size(), 1u);
-  EXPECT_EQ(diff.type_changed[0], "x");
-  EXPECT_TRUE(diff.only_before.empty());
-  EXPECT_TRUE(diff.only_after.empty());
-  EXPECT_TRUE(diff.changed.empty());
-  const std::string text = render_diff(diff);
-  EXPECT_NE(text.find("type changed:     x"), std::string::npos);
-  EXPECT_EQ(text.find("reports are identical"), std::string::npos);
+  // a changed answer, even under a timing name.
+  for (const std::string_view key : {"x", "wall_us"}) {
+    const std::string path(key);
+    const auto before = load_run_report(
+        R"({"schema": "nfvpr.run_report/1", ")" + path + R"(": 3})");
+    const auto after = load_run_report(
+        R"({"schema": "nfvpr.run_report/1", ")" + path + R"(": "three"})");
+    const ReportDiff diff = diff_reports(before, after, 1.0);
+    ASSERT_EQ(diff.changed.size(), 1u) << path;
+    EXPECT_EQ(diff.changed[0].flag, DiffFlag::kChanged) << path;
+    EXPECT_TRUE(diff.removed.empty());
+    EXPECT_TRUE(diff.added.empty());
+    const std::string text = render_diff(diff);
+    EXPECT_NE(text.find("| " + path + " | 3 | \"three\" |  |  | CHANGED |"),
+              std::string::npos)
+        << text;
+  }
 }
 
-TEST(ReportDiff, GapCountsAsHigherWorse) {
-  const auto before =
-      load_run_report(R"({"schema": "nfvpr.run_report/1", "bench": {"gap": 1}})");
-  const auto after =
-      load_run_report(R"({"schema": "nfvpr.run_report/1", "bench": {"gap": 2}})");
+TEST(ReportDiff, StringLeavesAreAnswers) {
+  // A renamed bench case or a different race winner is a changed answer:
+  // string leaves are compared like every other leaf.
+  const auto before = load_run_report(
+      R"({"schema": "nfvpr.bench/1", "rows": [{"case": "bfdsu_place"}],)"
+      R"( "solver": {"winner": "lp", "feasible": true}})");
+  const auto after = load_run_report(
+      R"({"schema": "nfvpr.bench/1", "rows": [{"case": "bfdsu"}],)"
+      R"( "solver": {"winner": "rckk", "feasible": false}})");
   const ReportDiff diff = diff_reports(before, after, 1.0);
-  ASSERT_EQ(diff.changed.size(), 1u);
-  EXPECT_TRUE(diff.changed[0].regression);
+  EXPECT_EQ(diff.answers_changed, 3u);
+  EXPECT_TRUE(diff.failed());
+  const std::string text = render_diff(diff);
+  EXPECT_EQ(text.find("reports are identical"), std::string::npos) << text;
+  EXPECT_NE(text.find("| rows[0].case | \"bfdsu_place\" | \"bfdsu\" |  |  | "
+                      "CHANGED |"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("| solver.winner | \"lp\" | \"rckk\" |"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("| solver.feasible | true | false |"),
+            std::string::npos)
+      << text;
 }
 
 TEST(RunReport, ServeSectionRoundTrips) {

@@ -626,6 +626,25 @@ expect_exit 0 "pipeline baseline run" \
 expect_exit 0 "cross-seed diff renders" \
   "$NFVPR" report --in "$WORK/run.json" --baseline "$WORK/base.json"
 
+# Bench answers are exact and timings directional: at CI's 400% threshold
+# a halved `work` fails, and so does a wall clock at +500% but not +300%.
+bench_json() {
+  printf '{"schema": "nfvpr.bench/1", "bench": "micro", "rows": [%s]}\n' \
+    "{\"case\": \"rckk_schedule\", \"wall_us\": $1, \"work\": $2}"
+}
+bench_json 100 999 > "$WORK/bench_base.json"
+bench_json 100 499.5 > "$WORK/bench_half_work.json"
+bench_json 400 999 > "$WORK/bench_wall_300.json"
+bench_json 600 999 > "$WORK/bench_wall_500.json"
+for check in "half_work 3" "wall_300 0" "wall_500 3"; do
+  read -r name want <<< "$check"
+  expect_exit "$want" "bench diff with $name exits $want" \
+    "$NFVPR" report --in "$WORK/bench_$name.json" \
+    --baseline "$WORK/bench_base.json" --threshold 400 --fail-on-regression
+done
+expect_contains "$WORK/out.txt" 'rows\[0\].wall_us .* REGRESSION' \
+  "the +500% wall clock is flagged REGRESSION"
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures check(s) failed" >&2
   exit 1

@@ -1478,11 +1478,12 @@ int cmd_report(int argc, const char* const* argv) {
       "baseline", 'b', "baseline report to diff --in against", "");
   const auto& threshold = cli.add_double(
       "threshold", '\0',
-      "min |%change| for a directional metric to count as a "
-      "regression/improvement",
+      "min |%change| for a timing (wall, speedup) to count as a "
+      "regression/improvement; any other change is a CHANGED answer",
       1.0);
   const auto& fail_on_regression = cli.add_flag(
-      "fail-on-regression", '\0', "exit 3 when the diff finds regressions");
+      "fail-on-regression", '\0',
+      "exit 3 when an answer changed or a timing regressed");
   if (!cli.parse(argc, argv)) return parse_exit(cli);
   if (in.empty()) {
     std::fputs("nfvpr report: --in is required\n", stderr);
@@ -1498,7 +1499,7 @@ int cmd_report(int argc, const char* const* argv) {
       nfv::obs::load_run_report(read_file(baseline));
   const auto diff = nfv::obs::diff_reports(base, current, threshold);
   std::fputs(nfv::obs::render_diff(diff).c_str(), stdout);
-  if (fail_on_regression && diff.regressions > 0) return 3;
+  if (fail_on_regression && diff.failed()) return 3;
   return 0;
 }
 
